@@ -33,8 +33,6 @@ def main() -> None:
     ap.add_argument("--config", type=Path,
                     default=REPO / "configs" / "case_study.json")
     ap.add_argument("--out", type=Path, default=REPO / "runs" / "case_study")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker processes for dataset generation")
     ap.add_argument("--episodes", type=int, default=None,
                     help="override the configured training budget")
     ap.add_argument("--trials", type=int, default=1000,
@@ -45,10 +43,7 @@ def main() -> None:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    gen = ["gen-data", "--config", args.config, "--out", out]
-    if args.threads is not None:
-        gen += ["--threads", args.threads]
-    run(gen)
+    run(["gen-data", "--config", args.config, "--out", out])
     run(["train-meta", "--dataset", out / "dataset.csv", "--out", out])
     solve = ["solve", "--config", args.config,
              "--forest", out / "forest.json", "--out", out]

@@ -15,18 +15,15 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import (ConfigError, IncompatibleArtifact, config_hash,
                      load_config)
 from .mdp import MdpEnv, count_states_component_product, count_states_reachable
-from .metamodel import (dataset_for_config, dataset_row, generate_dataset,
-                        load_forest, reachable_capacity_values, read_dataset,
-                        save_forest, train_forest, write_dataset)
+from .metamodel import (generate_dataset, load_forest,
+                        reachable_capacity_values, read_dataset, save_forest,
+                        train_forest, write_dataset)
 from .outages import generate_outages
 from .policy import (default_scenarios, evaluate_policy, extract_policy,
                      load_scenarios, never_invest_report, read_policy_csv,
@@ -80,47 +77,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-_POOL_CTX = None
-
-
-def _pool_init(config_path: str):
-    global _POOL_CTX
-    cfg = load_config(config_path)
-    values = reachable_capacity_values(cfg.planning.expansion_levels_kwh,
-                                       cfg.planning.horizon_periods - 1)
-    _POOL_CTX = (SimulationContext(cfg), values)
-
-
-def _pool_rows(job):
-    rows, trials, seed = job
-    ctx, values = _POOL_CTX
-    return [(r, dataset_row(ctx, values, r, trials, seed)) for r in rows]
-
-
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
-    ctx = SimulationContext(cfg)
     observations = args.observations or cfg.metamodel.observations
     trials = args.trials or cfg.metamodel.trials
     seed = cfg.master_seed if args.seed is None else args.seed
-    threads = args.threads or os.cpu_count() or 1
+    dataset = generate_dataset(SimulationContext(cfg), observations, trials,
+                               seed)
     out = _out_dir(args)
-    if threads > 1 and observations > 1:
-        values = reachable_capacity_values(cfg.planning.expansion_levels_kwh,
-                                           cfg.planning.horizon_periods - 1)
-        chunks = [list(range(i, observations, threads)) for i in range(threads)]
-        results: dict[int, tuple] = {}
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
-                                 initargs=(args.config,)) as pool:
-            for part in pool.map(_pool_rows,
-                                 [(c, trials, seed) for c in chunks]):
-                results.update(dict(part))
-        periods = np.array([results[r][0] for r in range(observations)])
-        caps = np.array([results[r][1] for r in range(observations)])
-        costs = np.array([results[r][2] for r in range(observations)])
-        dataset = dataset_for_config(cfg, periods, caps, costs, trials, seed)
-    else:
-        dataset = generate_dataset(ctx, observations, trials, seed)
     path = out / "dataset.csv"
     write_dataset(dataset, path)
     _record_artifact(out, "dataset", "dataset.csv", dataset.config_digest,
@@ -296,7 +260,8 @@ def build_parser() -> _Parser:
     p.add_argument("--observations", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 

@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError", "IncompatibleArtifact", "StorageTechnology", "FacilityClass",
     "HourlySeries", "RlParams", "MetamodelParams", "PlanningConfig", "Config",
     "load_config", "save_config", "load_series", "synth_profile",
-    "demand_at", "config_hash",
+    "config_hash",
 ]
 
 HOURS_PER_YEAR = 8760
@@ -321,15 +321,6 @@ def load_series(path: str | Path, kind: str) -> HourlySeries:
         if values[i] < 0:
             raise ConfigError(f"{path}: row {i}: negative value {row[1]}")
     return HourlySeries(values=values, kind=kind)
-
-
-def demand_at(facility: FacilityClass, profile: HourlySeries, t: int,
-              growth: float, horizon_hours: int) -> float:
-    """Class demand in kWh at absolute hour t, compounding growth at year boundaries."""
-    if not 0 <= t < horizon_hours:
-        raise ValueError(f"hour {t} outside the {horizon_hours}-hour horizon")
-    year = t // HOURS_PER_YEAR
-    return facility.count * profile.values[t % HOURS_PER_YEAR] * (1 + growth) ** year
 
 
 def _resolve_series(entry, kind: str, label: str, base_dir: Path,

@@ -1,17 +1,20 @@
 """Proportional multi-unit storage dispatch during grid outages.
 
 Renewable production serves the prioritized critical load first; storage covers
-the shortfall and absorbs any surplus. Fixed charge/discharge proportions keep
-all units' state of charge moving together, so the whole fleet hits its minimum
-(or full) level at one shared cumulative energy figure. Facility classes are
-served all-or-nothing per hour in priority order.
+the shortfall and absorbs any surplus. Facility classes are served
+all-or-nothing per hour in priority order.
+
+Charge and discharge are shared across units in proportion to their usable
+energy cap * dod, so every unit keeps the same fractional state of charge and
+the fleet acts as one store: deliverable energy S_d = sum(cap * dod * eff) and
+recharge capacity S_c = sum(cap * dod / eff). Dispatch steps that one store.
+A deficit drains the deliverable energy left kWh for kWh; a surplus refills it
+at S_d / S_c per kWh, up to S_d.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +22,13 @@ from .config import (HOURS_PER_YEAR, FacilityClass, HourlySeries)
 from .renewables import RenewableParams, solar_power, wind_power
 
 __all__ = ["StorageFleet", "OutageServiceResult", "OutageDispatcher",
-           "proportions", "simulate_outage", "lost_load_cost",
-           "write_service_log"]
+           "fleet_energy", "proportions"]
+
+
+def fleet_energy(capacity, dod, efficiency):
+    """Deliverable and recharge energy (S_d, S_c), summed over the last axis."""
+    usable = np.asarray(capacity, dtype=float) * dod
+    return (usable * efficiency).sum(axis=-1), (usable / efficiency).sum(axis=-1)
 
 
 @dataclass
@@ -49,8 +57,10 @@ class StorageFleet:
     def min_level(self) -> np.ndarray:
         return self.capacity * (1.0 - self.dod)
 
-    def proportions(self) -> tuple[np.ndarray, np.ndarray]:
-        return proportions(self)
+    def energy(self) -> tuple[float, float]:
+        """The fleet's (S_d, S_c) as one store."""
+        s_d, s_c = fleet_energy(self.capacity, self.dod, self.efficiency)
+        return float(s_d), float(s_c)
 
 
 def proportions(fleet: StorageFleet) -> tuple[np.ndarray, np.ndarray]:
@@ -102,105 +112,71 @@ class OutageDispatcher:
         h = t % HOURS_PER_YEAR
         return [base[h] * factor for base in self._critical]
 
-    def simulate(self, fleet: StorageFleet, start_hour: int,
-                 duration_hours: int) -> OutageServiceResult:
-        """Serve one outage from the given fleet state; the input fleet is not mutated."""
+    def serve(self, level: float, s_d: float, s_c: float, start_hour: int,
+              duration_hours: int, depths: list | None = None
+              ) -> tuple[float, list[float]]:
+        """Serve one outage from a store holding `level` of its S_d kWh.
+
+        Returns the deliverable energy left and the critical energy lost per
+        facility class, summed over the hours. When given, `depths` receives
+        how many classes were served in each hour.
+        """
         if start_hour < 0 or start_hour + duration_hours > self.horizon_hours:
             raise ValueError("outage extends past the simulation horizon")
-        n_fac = len(self.facilities)
-        served = np.zeros((duration_hours, n_fac), dtype=bool)
-        lost = np.zeros((duration_hours, n_fac))
-
-        caps = fleet.capacity.tolist()
-        floors = fleet.min_level.tolist()
-        charge = fleet.charge.tolist()
-        active = [i for i, c in enumerate(caps) if c > 0]
-        if active:
-            p_c, p_d = proportions(fleet)
-            # per-unit constants of the hourly update
-            drain = [(p_d[i] / fleet.efficiency[i]) for i in active]
-            fill = [(p_c[i] * fleet.efficiency[i]) for i in active]
-            headroom = [fleet.efficiency[i] / p_d[i] for i in active]
-
+        refill = s_d / s_c if s_c > 0 else 0.0
+        lost = [0.0] * len(self._critical)
         renewable = self._renewable
         growth = self._growth
         critical = self._critical
-        for step in range(duration_hours):
-            t = start_hour + step
+        for t in range(start_hour, start_hour + duration_hours):
             h = t % HOURS_PER_YEAR
             factor = growth[t // HOURS_PER_YEAR]
             ren = renewable[h]
-
-            if active:
-                e_max = min((charge[i] - floors[i]) * headroom[k]
-                            for k, i in enumerate(active))
-            else:
-                e_max = 0.0
-            budget = ren + e_max
-
+            budget = ren + level + 1e-9
             demand_total = 0.0
             depth = 0
-            demands = []
-            for g in range(n_fac):
-                d = critical[g][h] * factor
-                demands.append(d)
-                if depth == g and demand_total + d <= budget + 1e-9:
+            for g, base in enumerate(critical):
+                d = base[h] * factor
+                if depth == g and demand_total + d <= budget:
                     demand_total += d
                     depth = g + 1
-            for g in range(n_fac):
-                if g < depth:
-                    served[step, g] = True
                 else:
-                    lost[step, g] = demands[g]
-
-            if not active:
-                continue
+                    lost[g] += d
+            if depths is not None:
+                depths.append(depth)
             if demand_total >= ren:
-                deficit = demand_total - ren
-                for k, i in enumerate(active):
-                    charge[i] -= drain[k] * deficit
-                    if charge[i] < floors[i]:
-                        charge[i] = floors[i]
+                level -= demand_total - ren
+                if level < 0.0:
+                    level = 0.0
             else:
-                surplus = ren - demand_total
-                for k, i in enumerate(active):
-                    charge[i] += fill[k] * surplus
-                    if charge[i] > caps[i]:
-                        charge[i] = caps[i]
+                level += (ren - demand_total) * refill
+                if level > s_d:
+                    level = s_d
+        return level, lost
 
-        return OutageServiceResult(start_hour=start_hour, served=served,
-                                   lost_kwh=lost,
-                                   final_charge=np.array(charge))
+    def simulate(self, fleet: StorageFleet, start_hour: int,
+                 duration_hours: int) -> OutageServiceResult:
+        """Serve one outage from the given fleet state; the input fleet is not mutated.
 
-
-def simulate_outage(fleet: StorageFleet, start_hour: int, duration_hours: int,
-                    facilities, profiles, irradiance, wind, renewables,
-                    growth_rate: float, horizon_hours: int) -> OutageServiceResult:
-    """One-shot convenience wrapper; hot paths should hold an OutageDispatcher."""
-    dispatcher = OutageDispatcher(facilities, profiles, irradiance, wind,
-                                  renewables, growth_rate, horizon_hours)
-    return dispatcher.simulate(fleet, start_hour, duration_hours)
-
-
-def lost_load_cost(results, facilities) -> float:
-    """Total penalty in $ over service results: VOLL-weighted critical energy lost."""
-    ordered = sorted(facilities, key=lambda f: f.priority_rank)
-    total = 0.0
-    for res in results:
-        per_facility = res.lost_kwh.sum(axis=0)
-        for g, fac in enumerate(ordered):
-            total += fac.voll * per_facility[g]
-    return total
-
-
-def write_service_log(results, facilities, path: str | Path) -> None:
-    ordered = sorted(facilities, key=lambda f: f.priority_rank)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outage_id", "hour", "facility", "served", "lost_kwh"])
-        for outage_id, res in enumerate(results):
-            for step in range(res.served.shape[0]):
-                for g, fac in enumerate(ordered):
-                    writer.writerow([outage_id, res.start_hour + step, fac.name,
-                                     int(res.served[step, g]),
-                                     f"{res.lost_kwh[step, g]:.6f}"])
+        The fleet enters `serve` at its shared fraction of charge, the least
+        (charge - floor) / (capacity - floor) over units with capacity, and
+        each unit leaves at its floor plus the final fraction of its span.
+        """
+        s_d, s_c = fleet.energy()
+        floor = fleet.min_level
+        span = fleet.capacity - floor
+        active = fleet.capacity > 0
+        share = (float(((fleet.charge - floor)[active] / span[active]).min())
+                 if active.any() else 0.0)
+        depths: list[int] = []
+        level, _ = self.serve(share * s_d, s_d, s_c, start_hour,
+                              duration_hours, depths)
+        n_fac = len(self.facilities)
+        served = np.arange(n_fac) < np.array(depths, dtype=int)[:, None]
+        demand = np.array([self.critical_demand(t) for t in
+                           range(start_hour, start_hour + duration_hours)],
+                          dtype=float).reshape(duration_hours, n_fac)
+        return OutageServiceResult(
+            start_hour=start_hour, served=served,
+            lost_kwh=np.where(served, 0.0, demand),
+            final_charge=floor + (level / s_d if s_d > 0 else 0.0) * span)

@@ -90,12 +90,6 @@ class MdpEnv:
     def initial_state(self) -> MdpState:
         return MdpState(1, (1,) * self.num_units, (0.0,) * self.num_units)
 
-    def is_terminal(self, state: MdpState) -> bool:
-        return state.period > self.planning.horizon_periods
-
-    def legal_actions(self, state: MdpState) -> tuple[MdpAction, ...]:
-        return self.actions
-
     def action_index(self, action: MdpAction) -> int:
         if action.is_noop:
             return 0
@@ -148,10 +142,6 @@ class MdpEnv:
         idx = tuple(min(i + 1, cap_idx) if draws[u] < probs[u] else i
                     for u, i in enumerate(state.price_idx))
         return MdpState(state.period + 1, idx, caps)
-
-    def step(self, state: MdpState, action: MdpAction,
-             rng: np.random.Generator) -> tuple[float, MdpState]:
-        return self.reward(state, action), self.transition(state, action, rng)
 
 
 def count_states_component_product(num_units: int, num_levels: int,

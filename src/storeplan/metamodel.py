@@ -27,13 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, IncompatibleArtifact, config_hash
+from .config import IncompatibleArtifact, config_hash
+from .dispatch import fleet_energy
 from .rng import stream
 from .simulate import SimulationContext
 
 __all__ = [
     "SyntheticDataset", "reachable_capacity_values", "generate_dataset",
-    "dataset_for_config", "dataset_row", "write_dataset", "read_dataset",
+    "dataset_row", "write_dataset", "read_dataset",
     "RegressionTree", "RegressionForest", "train_forest",
     "save_forest", "load_forest", "r_squared",
 ]
@@ -78,16 +79,13 @@ def _fleet_energy(period, capacity, dod, efficiency) -> np.ndarray:
     both are taken as 1, so S_d = S_c = total capacity.
     """
     period = np.asarray(period).astype(int)
-    capacity = np.asarray(capacity, dtype=float)
     if dod is None:
-        deliverable = recharge = capacity.sum(axis=1)
+        dod = efficiency = 1.0
     else:
         if len(period) and (period.min() < 1 or period.max() > len(dod)):
             raise ValueError("period outside the dod/efficiency schedules")
-        usable = capacity * dod[period - 1]
-        eff = efficiency[period - 1]
-        deliverable = (usable * eff).sum(axis=1)
-        recharge = (usable / eff).sum(axis=1)
+        dod, efficiency = dod[period - 1], efficiency[period - 1]
+    deliverable, recharge = fleet_energy(capacity, dod, efficiency)
     return np.column_stack([period.astype(float), deliverable, recharge])
 
 
@@ -144,25 +142,6 @@ def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
     return k, caps, total / trials
 
 
-def dataset_for_config(cfg: Config, period, capacity, cost, trials: int,
-                       master_seed: int) -> SyntheticDataset:
-    """Simulated rows plus what the surrogate takes from `cfg`.
-
-    That is the config digest, the dod and efficiency schedules the forest
-    computes its features from, and the metamodel fit settings.
-    """
-    periods = range(cfg.planning.horizon_periods)
-    return SyntheticDataset(
-        period=np.asarray(period), capacity=np.asarray(capacity),
-        cost=np.asarray(cost), trials=trials, master_seed=master_seed,
-        config_digest=config_hash(cfg),
-        dod=np.array([[t.dod_schedule[k] for t in cfg.storage]
-                      for k in periods]),
-        efficiency=np.array([[t.efficiency_schedule[k] for t in cfg.storage]
-                             for k in periods]),
-        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_KEYS})
-
-
 def generate_dataset(ctx: SimulationContext, observations: int | None = None,
                      trials: int | None = None,
                      master_seed: int | None = None) -> SyntheticDataset:
@@ -170,7 +149,10 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
 
     Periods are uniform over the horizon; capacities are drawn independently
     per unit from the reachable set. Each row's target averages `trials`
-    independent period simulations.
+    independent period simulations. The dataset also carries what the
+    surrogate takes from the config: its digest, the dod and efficiency
+    schedules the forest computes its features from, and the metamodel fit
+    settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -189,7 +171,15 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     for r in range(observations):
         periods[r], caps[r], costs[r] = dataset_row(ctx, values, r, trials,
                                                     master_seed)
-    return dataset_for_config(cfg, periods, caps, costs, trials, master_seed)
+    schedule = range(cfg.planning.horizon_periods)
+    return SyntheticDataset(
+        period=periods, capacity=caps, cost=costs, trials=trials,
+        master_seed=master_seed, config_digest=config_hash(cfg),
+        dod=np.array([[t.dod_schedule[k] for t in cfg.storage]
+                      for k in schedule]),
+        efficiency=np.array([[t.efficiency_schedule[k] for t in cfg.storage]
+                             for k in schedule]),
+        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_KEYS})
 
 
 def _meta_path(path: Path) -> Path:

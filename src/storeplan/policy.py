@@ -26,8 +26,7 @@ __all__ = [
     "PriceScenario", "PolicyStep", "PolicyReport", "PolicyValue",
     "default_scenarios", "load_scenarios", "write_scenarios",
     "extract_policy", "never_invest_report", "write_policy_csv",
-    "read_policy_csv", "evaluate_policy", "compare_policies",
-    "write_comparison_csv",
+    "read_policy_csv", "evaluate_policy", "write_comparison_csv",
 ]
 
 SCENARIO_FORMAT = "storeplan-scenarios-v1"
@@ -236,6 +235,12 @@ def write_policy_csv(report: PolicyReport,
 
 def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                     levels) -> PolicyReport:
+    """Read a build-out written by `write_policy_csv`, checking its arithmetic.
+
+    Periods must run 1, 2, ... in order, and each row's cumulative capacities
+    must equal, to the file's printed precision, the running sum of the
+    actions so far; the step carries that running sum.
+    """
     names = [t.name for t in storage]
     lines = [ln for ln in Path(path).read_text().splitlines()
              if ln and not ln.startswith("#")]
@@ -245,29 +250,37 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     if not lines or lines[0].split(",") != expect:
         raise ValueError(f"{path}: unexpected policy header")
     units = len(names)
+    lvls = [float(lv) for lv in levels]
+    caps = [0.0] * units
     steps = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3 + 2 * units:
             raise ValueError(f"{path}: bad policy row {ln!r}")
         period = int(parts[0])
+        if period != len(steps) + 1:
+            raise ValueError(f"{path}: row {len(steps) + 1} is period "
+                             f"{period}; periods must run 1, 2, ... in order")
         unit_name = parts[1]
         level_kwh = float(parts[2])
         prices = tuple(float(x) for x in parts[3:3 + units])
-        caps = tuple(float(x) for x in parts[3 + units:])
         if unit_name == "none":
             action = NO_OP
         else:
             if unit_name not in names:
                 raise ValueError(f"{path}: unknown unit {unit_name!r}")
-            lvls = [float(lv) for lv in levels]
             if level_kwh not in lvls:
                 raise ValueError(f"{path}: {level_kwh} is not an expansion level")
             action = MdpAction(names.index(unit_name), lvls.index(level_kwh))
+            caps[action.unit] += level_kwh
+        if [float(x) for x in parts[3 + units:]] != [float(f"{c:g}")
+                                                     for c in caps]:
+            raise ValueError(f"{path}: period {period}: cumulative capacities "
+                             f"are not the running sum of the actions")
         steps.append(PolicyStep(period=period, action=action,
                                 unit_name="" if action.is_noop else unit_name,
                                 level_kwh=level_kwh, unit_prices=prices,
-                                capacity_after=caps, q_value=0.0,
+                                capacity_after=tuple(caps), q_value=0.0,
                                 visit_count=0))
     return PolicyReport(scenario_id=Path(path).stem, steps=steps, flags=[])
 
@@ -326,15 +339,6 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
     return PolicyValue(mean_total_cost=invest + mean_outage,
                        investment_cost=invest, mean_outage_cost=mean_outage,
                        stderr=stderr, trials=trials)
-
-
-def compare_policies(ctx: SimulationContext, reports: list[PolicyReport],
-                     trials: int, seed: int | None = None
-                     ) -> list[tuple[PolicyReport, PolicyValue]]:
-    """Evaluate under common random numbers; cheapest expected cost first."""
-    scored = [(r, evaluate_policy(ctx, r, trials, seed)) for r in reports]
-    scored.sort(key=lambda pair: pair[1].mean_total_cost)
-    return scored
 
 
 def write_comparison_csv(scored, path) -> None:

@@ -1,8 +1,8 @@
 """Monte Carlo estimation of per-period outage cost for a given storage build-out.
 
 One trial simulates a single decision period: a fresh outage trace over the
-period's years, full dispatch of every outage from a freshly charged fleet, and
-the VOLL-weighted cost of whatever critical load went unserved.
+period's years, dispatch of every outage from a freshly charged fleet taken as
+one store, and the VOLL-weighted cost of whatever critical load went unserved.
 """
 
 from __future__ import annotations
@@ -43,12 +43,13 @@ class SimulationContext:
         """Lost-load cost in $ of serving one period's outage trace with `capacities`."""
         plan = self.config.planning
         offset = (period - 1) * plan.years_per_period * HOURS_PER_YEAR
+        s_d, s_c = self.fleet_for(period, capacities).energy()
         total = 0.0
         for outage in trace.outages:
-            fleet = self.fleet_for(period, capacities)
-            result = self.dispatcher.simulate(fleet, offset + outage.start_hour,
-                                              outage.duration_hours)
-            total += float(self._volls @ result.lost_kwh.sum(axis=0))
+            _, lost = self.dispatcher.serve(s_d, s_d, s_c,
+                                            offset + outage.start_hour,
+                                            outage.duration_hours)
+            total += float(self._volls @ np.array(lost))
         return total
 
     def trial_outage_cost(self, period: int, capacities,

@@ -100,6 +100,21 @@ def test_invalid_config_exits_two(tmp_path):
     assert "saifi" in proc.stderr
 
 
+def test_tampered_policy_exits_two(pipeline_dir, tmp_path):
+    # the last period's cumulative capacity no longer sums its actions
+    lines = (pipeline_dir / "policy_1.csv").read_text().splitlines()
+    last = max(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    cells = lines[last].split(",")
+    cells[-1] = str(float(cells[-1]) + 300.0)
+    lines[last] = ",".join(cells)
+    bad = tmp_path / "policy_1.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("evaluate", "--config", SMOKE, "--policy", str(bad),
+                   "--trials", "2", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "running sum" in proc.stderr
+
+
 def test_mismatched_forest_exits_three(pipeline_dir, tmp_path):
     # the smoke-trained forest must be rejected under the case-study config
     proc = run_cli("solve", "--config", CASE, "--forest",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from storeplan.config import (HOURS_PER_YEAR, ConfigError, config_hash,
-                              demand_at, load_config, load_series,
-                              save_config, synth_profile)
+                              load_config, load_series, save_config,
+                              synth_profile)
 
 
 def write_doc(tmp_path, doc):
@@ -122,22 +122,6 @@ def test_load_series_rejects_negative(tmp_path):
             fh.write(f"{i},{-1.0 if i == 7 else 1.0}\n")
     with pytest.raises(ConfigError, match="negative"):
         load_series(path, "demand")
-
-
-def test_demand_at_applies_growth(case_config):
-    fac = case_config.facilities[0]
-    profile = case_config.demand_profiles[fac.profile]
-    horizon = 20 * HOURS_PER_YEAR
-    base = demand_at(fac, profile, 12, 0.01, horizon)
-    grown = demand_at(fac, profile, 12 + HOURS_PER_YEAR, 0.01, horizon)
-    assert grown == pytest.approx(base * 1.01)
-
-
-def test_demand_at_rejects_hour_outside_horizon(case_config):
-    fac = case_config.facilities[0]
-    profile = case_config.demand_profiles[fac.profile]
-    with pytest.raises(ValueError):
-        demand_at(fac, profile, 21 * HOURS_PER_YEAR, 0.01, 20 * HOURS_PER_YEAR)
 
 
 def test_config_hash_stable_across_loads(tmp_path, case_config):

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from storeplan.config import HOURS_PER_YEAR, FacilityClass, HourlySeries
-from storeplan.dispatch import (OutageDispatcher, StorageFleet, lost_load_cost,
-                                proportions, simulate_outage)
+from storeplan.dispatch import OutageDispatcher, StorageFleet, proportions
 from storeplan.renewables import RenewableParams
 from storeplan.rng import stream
 
@@ -190,6 +189,21 @@ def test_renewable_surplus_recharges_fleet():
     assert res.final_charge[0] == pytest.approx(300.0)
 
 
+def test_surplus_charges_at_efficiency():
+    # one turbine at 10 m/s gives 0.245 kW with nothing to serve; each hour
+    # stores eff * 0.245 kWh, so ten hours lift 30 kWh to 31.96
+    facilities, profiles = single_class(0.0)
+    disp = OutageDispatcher(
+        facilities, profiles, irradiance=flat_series(0.0, "irradiance"),
+        wind=flat_series(10.0, "wind"), renewables=NO_RENEWABLES,
+        growth_rate=0.0, horizon_hours=HOURS_PER_YEAR)
+    fleet = StorageFleet(capacity=np.array([300.0]), dod=np.array([0.9]),
+                         efficiency=np.array([0.8]), charge=np.array([30.0]))
+    res = disp.simulate(fleet, start_hour=0, duration_hours=10)
+    assert res.final_charge[0] == pytest.approx(30.0 + 0.8 * 0.245 * 10,
+                                                rel=1e-12)
+
+
 def test_demand_growth_compounds_by_year():
     facilities, profiles = single_class(100.0)
     disp = make_dispatcher(facilities, profiles, years=3, growth=0.10)
@@ -204,28 +218,6 @@ def test_outage_must_fit_horizon():
     fleet = StorageFleet.full([300.0], [0.9], [1.0])
     with pytest.raises(ValueError):
         disp.simulate(fleet, start_hour=HOURS_PER_YEAR - 2, duration_hours=5)
-
-
-def test_lost_load_cost_weights_by_voll():
-    facilities, profiles = single_class(100.0, voll=25.0)
-    disp = make_dispatcher(facilities, profiles)
-    fleet = StorageFleet.full([300.0], [0.9], [1.0])
-    res = disp.simulate(fleet, start_hour=0, duration_hours=5)
-    # 3 unserved hours of 100 kWh at 25 $/kWh
-    assert lost_load_cost([res], facilities) == pytest.approx(7_500.0)
-
-
-def test_one_shot_wrapper_matches_dispatcher():
-    facilities, profiles = single_class(100.0)
-    fleet = StorageFleet.full([300.0], [0.9], [1.0])
-    res = simulate_outage(fleet, 0, 5, facilities, profiles,
-                          flat_series(0.0, "irradiance"),
-                          flat_series(0.0, "wind"), NO_RENEWABLES,
-                          0.0, HOURS_PER_YEAR)
-    disp = make_dispatcher(facilities, profiles)
-    expected = disp.simulate(fleet, 0, 5)
-    assert np.array_equal(res.served, expected.served)
-    assert np.array_equal(res.lost_kwh, expected.lost_kwh)
 
 
 def test_fleet_acts_as_one_store(case_context):

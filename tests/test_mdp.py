@@ -57,8 +57,12 @@ def test_initial_state_and_terminal():
     env = make_env()
     s0 = env.initial_state()
     assert s0 == MdpState(1, (1, 1), (0.0, 0.0))
-    assert not env.is_terminal(s0)
-    assert env.is_terminal(MdpState(5, (1, 1), (0.0, 0.0)))
+    horizon = env.planning.horizon_periods
+    assert s0.period <= horizon
+    # a decision is left in the last period; the walk ends after it
+    last = env.transition(MdpState(horizon, (1, 1), (0.0, 0.0)), NO_OP,
+                          stream(0, "mdp-test"))
+    assert last.period > horizon
 
 
 def test_apply_action_accumulates_capacity():
@@ -177,7 +181,7 @@ def test_reachable_count_matches_joint_enumeration():
     while frontier:
         nxt = set()
         for s in frontier:
-            if env.is_terminal(s):
+            if s.period > horizon:
                 continue
             for act in env.actions:
                 caps = env.apply_action(s, act)
@@ -192,7 +196,7 @@ def test_reachable_count_matches_joint_enumeration():
                     chains.append(opts)
                 for combo in itertools.product(*chains):
                     t = MdpState(s.period + 1, combo, caps)
-                    if t not in seen and not env.is_terminal(t):
+                    if t not in seen and t.period <= horizon:
                         nxt.add(t)
         seen |= nxt
         frontier = nxt
@@ -207,10 +211,3 @@ def test_reachable_case_study_figures(case_config):
     assert states == 2_758_578
     assert pairs == 35_861_514
 
-
-def test_step_returns_reward_and_successor():
-    env = make_env(cost=lambda k, caps: 10.0)
-    rng = stream(2, "mdp-test")
-    r, s = env.step(env.initial_state(), NO_OP, rng)
-    assert r == -10.0
-    assert s.period == 2

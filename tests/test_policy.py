@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
-from storeplan.policy import (PolicyReport, PriceScenario, compare_policies,
-                              default_scenarios, evaluate_policy,
-                              extract_policy, load_scenarios,
+from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
+                              evaluate_policy, extract_policy, load_scenarios,
                               never_invest_report, read_policy_csv,
                               write_policy_csv, write_scenarios)
 from storeplan.qlearn import QTable
@@ -120,6 +119,44 @@ def test_policy_csv_round_trip(tmp_path, case_config):
         s.unit_prices for s in report.steps]
 
 
+def written_policy(tmp_path, config):
+    """Path and lines of a CSV for li-ion 300 kWh in periods 1 and 2."""
+    env = case_env(config)
+    qt = QTable(env.num_actions)
+    path = default_scenarios()["1"].price_path(env.storage, 4)
+    buy = env.action_index(MdpAction(0, 0))
+    caps = (0.0,) * env.num_units
+    for k in (1, 2):
+        row, visits = qt.entry(MdpState(k, path[k - 1], caps))
+        row[buy], visits[buy] = -1.0, 1
+        caps = env.apply_action(MdpState(k, path[k - 1], caps),
+                                MdpAction(0, 0))
+    report = extract_policy(qt, env, default_scenarios()["1"])
+    out = tmp_path / "policy.csv"
+    write_policy_csv(report, config.storage, out)
+    return out, out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("row, col, value, match", [
+    (2, -4, "900", "running sum"),   # period 2 li-ion total 600 -> 900
+    (4, -4, "0", "running sum"),     # period 4 forgets the purchases
+    (3, 0, "4", "periods must run"),
+])
+def test_read_policy_rejects_tampered_cell(tmp_path, case_config, row, col,
+                                           value, match):
+    path, lines = written_policy(tmp_path, case_config)
+    levels = case_config.planning.expansion_levels_kwh
+    assert [s.capacity_after[0] for s in read_policy_csv(
+        path, case_config.storage, levels).steps] == [300.0, 600.0, 600.0,
+                                                      600.0]
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_policy_csv(path, case_config.storage, levels)
+
+
 def test_evaluation_is_deterministic_under_seed(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
@@ -164,11 +201,10 @@ def test_storage_reduces_outage_cost_with_shared_trials(case_config):
     assert b.mean_outage_cost <= a.mean_outage_cost
 
 
-def test_compare_policies_orders_by_total(case_config):
+def test_never_invest_costs_only_outages(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
     never = never_invest_report(env, default_scenarios()["1"])
-    scored = compare_policies(ctx, [never], trials=3, seed=1)
-    assert len(scored) == 1
-    report, value = scored[0]
+    value = evaluate_policy(ctx, never, trials=3, seed=1)
+    assert value.investment_cost == 0.0
     assert value.mean_total_cost == value.mean_outage_cost

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from storeplan.config import HOURS_PER_YEAR
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
@@ -71,3 +72,30 @@ def test_fresh_fleet_each_outage(case_context):
         1, caps, OutageTrace(outages=(o,), horizon_years=5))
         for o in trace.outages]
     assert whole == pytest.approx(sum(parts))
+
+
+def test_period_cost_is_the_voll_weighted_dispatch(case_config,
+                                                   case_context):
+    """`period_cost` and `simulate` agree bit for bit on every outage.
+
+    The cost works from the fleet's two energies alone, the dispatcher's
+    hourly view from the unit states; both must lose the same load, priced
+    at each class's VOLL, for random fleets and for the empty one.
+    """
+    volls = np.array([f.voll for f in case_config.facilities_by_priority])
+    years = case_config.planning.years_per_period
+    rng = stream(6, "sim-test")
+    values = (0.0, 300.0, 1000.0, 1300.0, 3000.0, 4300.0, 9000.0)
+    fleets = [(0.0,) * 4] + [tuple(rng.choice(values, size=4).tolist())
+                             for _ in range(12)]
+    for caps in fleets:
+        k = int(rng.integers(1, 5))
+        trace = case_context.period_trace(rng)
+        offset = (k - 1) * years * HOURS_PER_YEAR
+        expected = 0.0
+        for outage in trace.outages:
+            result = case_context.dispatcher.simulate(
+                case_context.fleet_for(k, caps), offset + outage.start_hour,
+                outage.duration_hours)
+            expected += float(volls @ result.lost_kwh.sum(axis=0))
+        assert case_context.period_cost(k, caps, trace) == expected
