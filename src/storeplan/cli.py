@@ -77,28 +77,35 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _scenario(args):
+    """The `--scenario` price scenario, from `--scenarios` or the built-ins."""
+    scenarios = (load_scenarios(args.scenarios) if args.scenarios
+                 else default_scenarios())
+    if args.scenario not in scenarios:
+        raise ConfigError(f"unknown scenario {args.scenario!r}; "
+                          f"have {sorted(scenarios)}")
+    return scenarios[args.scenario]
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
-    observations = args.observations or cfg.metamodel.observations
-    trials = args.trials or cfg.metamodel.trials
-    seed = cfg.master_seed if args.seed is None else args.seed
-    dataset = generate_dataset(SimulationContext(cfg), observations, trials,
-                               seed)
+    dataset = generate_dataset(SimulationContext(cfg), args.observations,
+                               args.trials, args.seed)
     out = _out_dir(args)
     path = out / "dataset.csv"
     write_dataset(dataset, path)
     _record_artifact(out, "dataset", "dataset.csv", dataset.config_digest,
-                     "gen-data", {"observations": observations,
-                                  "trials": trials, "seed": seed})
-    print(f"wrote {path} ({observations} rows x {trials} trials, "
+                     "gen-data", {"observations": len(dataset),
+                                  "trials": dataset.trials,
+                                  "seed": dataset.master_seed})
+    print(f"wrote {path} ({len(dataset)} rows x {dataset.trials} trials, "
           f"mean cost {dataset.cost.mean():.0f})")
     return 0
 
 
 def cmd_train_meta(args) -> int:
     dataset = read_dataset(args.dataset)
-    forest = train_forest(dataset, num_trees=args.trees,
-                          train_fraction=args.train_frac, seed=args.seed)
+    forest = train_forest(dataset, seed=args.seed)
     out = _out_dir(args)
     path = out / "forest.json"
     save_forest(forest, path)
@@ -115,19 +122,17 @@ def cmd_solve(args) -> int:
     forest = load_forest(args.forest, expected_config_hash=digest)
     env = MdpEnv(cfg.planning, cfg.storage,
                  outage_cost=forest.predict_outage_cost)
-    episodes = args.episodes or cfg.rl.episodes
-    gamma = cfg.rl.gamma if args.gamma is None else args.gamma
+    episodes = cfg.rl.episodes if args.episodes is None else args.episodes
     seed = cfg.master_seed if args.seed is None else args.seed
+    run = {"episodes": episodes, "gamma": cfg.rl.gamma, "seed": seed}
     alpha = DecaySchedule(cfg.rl.alpha_start, cfg.rl.alpha_end, episodes)
     epsilon = DecaySchedule(cfg.rl.epsilon_start, cfg.rl.epsilon_end, episodes)
-    qtable, curve = train(env, episodes, gamma, alpha, epsilon, seed)
+    qtable, curve = train(env, episodes, cfg.rl.gamma, alpha, epsilon, seed)
     out = _out_dir(args)
     qpath = out / "qtable.jsonl"
-    save_qtable(qtable, qpath, digest, env.num_units,
-                metadata={"episodes": episodes, "gamma": gamma, "seed": seed})
+    save_qtable(qtable, qpath, digest, env.num_units, metadata=run)
     curve.save(out / "learning_curve.csv")
-    _record_artifact(out, "qtable", "qtable.jsonl", digest, "solve",
-                     {"episodes": episodes, "gamma": gamma, "seed": seed})
+    _record_artifact(out, "qtable", "qtable.jsonl", digest, "solve", run)
     _record_artifact(out, "learning_curve", "learning_curve.csv", digest,
                      "solve", {"episodes": episodes})
     bound_states, bound_pairs = count_states_component_product(
@@ -143,13 +148,9 @@ def cmd_policy(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     qtable, _ = load_qtable(args.qtable, expected_config_hash=digest)
-    scenarios = (load_scenarios(args.scenarios) if args.scenarios
-                 else default_scenarios())
-    if args.scenario not in scenarios:
-        raise ConfigError(f"unknown scenario {args.scenario!r}; "
-                          f"have {sorted(scenarios)}")
+    scenario = _scenario(args)
     env = MdpEnv(cfg.planning, cfg.storage, outage_cost=lambda k, caps: 0.0)
-    report = extract_policy(qtable, env, scenarios[args.scenario])
+    report = extract_policy(qtable, env, scenario)
     out = _out_dir(args)
     path = out / f"policy_{args.scenario}.csv"
     write_policy_csv(report, cfg.storage, path)
@@ -169,14 +170,10 @@ def cmd_policy(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     ctx = SimulationContext(cfg)
-    scenarios = (load_scenarios(args.scenarios) if args.scenarios
-                 else default_scenarios())
     if args.policy == "never-invest":
-        if args.scenario not in scenarios:
-            raise ConfigError(f"unknown scenario {args.scenario!r}")
         env = MdpEnv(cfg.planning, cfg.storage,
                      outage_cost=lambda k, caps: 0.0)
-        report = never_invest_report(env, scenarios[args.scenario])
+        report = never_invest_report(env, _scenario(args))
     else:
         report = read_policy_csv(args.policy, cfg.storage,
                                  cfg.planning.expansion_levels_kwh)
@@ -267,8 +264,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-meta", help="fit the outage-cost forest")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--train-frac", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_meta)
@@ -277,7 +272,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--forest", required=True)
     p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

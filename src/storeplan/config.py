@@ -1,17 +1,23 @@
 """Domain types, JSON configuration ingestion, and hourly series handling.
 
 A configuration document has exactly the top-level keys `planning`, `storage`,
-`facilities`, `series`, `rl`, `metamodel`, and `seed`. Series entries are either
-a CSV path (resolved relative to the config file), a number (synthesize a
-profile with that mean), or null (synthesize with the kind's default mean).
+`facilities`, `series`, `rl`, `metamodel`, and `seed`. Each section's keys are
+the fields of its dataclass and are named nowhere else: fields without a
+default are required, and each value must have its field's declared type.
+Series entries are either a CSV path (resolved relative to the config file), a
+number (synthesize a profile with that mean), or null (synthesize with the
+kind's default mean).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,7 @@ from .rng import stream
 __all__ = [
     "ConfigError", "IncompatibleArtifact", "StorageTechnology", "FacilityClass",
     "HourlySeries", "RlParams", "MetamodelParams", "PlanningConfig", "Config",
-    "load_config", "save_config", "load_series", "synth_profile",
+    "load_config", "load_series", "synth_profile",
     "config_hash",
 ]
 
@@ -56,18 +62,12 @@ class StorageTechnology:
     dod_schedule: tuple[float, ...]
 
     def validate(self, horizon_periods: int) -> None:
-        schedules = {
-            "price_schedule": self.price_schedule,
-            "advance_prob_schedule": self.advance_prob_schedule,
-            "lifetime_schedule": self.lifetime_schedule,
-            "efficiency_schedule": self.efficiency_schedule,
-            "dod_schedule": self.dod_schedule,
-        }
-        for key, sched in schedules.items():
-            if len(sched) != horizon_periods:
+        for f in fields(self):
+            sched = getattr(self, f.name)
+            if f.name.endswith("_schedule") and len(sched) != horizon_periods:
                 raise ConfigError(
-                    f"storage[{self.id}].{key}: expected {horizon_periods} entries, "
-                    f"got {len(sched)}")
+                    f"storage[{self.id}].{f.name}: expected {horizon_periods} "
+                    f"entries, got {len(sched)}")
         if any(p <= 0 for p in self.price_schedule):
             raise ConfigError(f"storage[{self.id}].price_schedule: prices must be > 0")
         if any(b > a for a, b in zip(self.price_schedule, self.price_schedule[1:])):
@@ -152,6 +152,9 @@ class RlParams:
 
 @dataclass(frozen=True)
 class MetamodelParams:
+    """`observations` and `trials` size the dataset; the optional fields are
+    the forest's fit settings, with their defaults."""
+
     observations: int
     trials: int
     trees: int = 10
@@ -233,14 +236,6 @@ class Config:
     def facilities_by_priority(self) -> tuple[FacilityClass, ...]:
         return tuple(sorted(self.facilities, key=lambda f: f.priority_rank))
 
-    @property
-    def num_units(self) -> int:
-        return len(self.storage)
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.planning.expansion_levels_kwh)
-
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
@@ -251,6 +246,63 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing key {sorted(missing)[0]!r}")
+
+
+def _entries(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list) or not doc[key]:
+        raise ConfigError(f"{key}: expected a non-empty list")
+    return doc[key]
+
+
+def _typed(hint, value, where: str):
+    """`value` as the declared type `hint`; ConfigError if it is not one.
+
+    A float field takes any JSON number, an int field only a JSON integer.
+    """
+    if is_dataclass(hint):
+        # A nested section keeps its numbers as written: coercing the
+        # renewables' `cut_in_ms: 3` to 3.0 would change the config hash.
+        return _section(hint, value, where, coerce=False)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(item, v, f"{where}[{i}]")
+                     for i, v in enumerate(value))
+    if isinstance(hint, types.UnionType):  # T | None
+        if value is None:
+            return None
+        hint, _ = typing.get_args(hint)
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
+    return hint(value)
+
+
+# Resolving the annotation strings costs more than the rest of a parse.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _section(cls, obj, where: str, coerce: bool = True, **given):
+    """A `cls` section built from its JSON object `obj`.
+
+    The allowed keys are the dataclass fields not passed in `given`, and the
+    fields without a default are required. Each value must have its field's
+    declared type; with `coerce` it is also converted to that type.
+    """
+    hints = _field_types(cls)
+    keys = [f for f in fields(cls) if f.name not in given]
+    _require_keys(obj, {f.name for f in keys},
+                  {f.name for f in keys
+                   if f.default is MISSING and f.default_factory is MISSING},
+                  where)
+    for name, raw in obj.items():
+        value = _typed(hints[name], raw, f"{where}.{name}")
+        given[name] = value if coerce else raw
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def synth_profile(kind: str, seed: int, mean: float | None = None,
@@ -340,100 +392,31 @@ def _resolve_series(entry, kind: str, label: str, base_dir: Path,
 
 
 def _parse_document(doc: dict, base_dir: Path) -> Config:
-    _require_keys(doc, {"planning", "storage", "facilities", "series", "rl",
-                        "metamodel", "seed"},
-                  {"planning", "storage", "facilities", "series", "rl",
-                   "metamodel", "seed"}, "config")
+    sections = {"planning", "storage", "facilities", "series", "rl",
+                "metamodel", "seed"}
+    _require_keys(doc, sections, sections, "config")
 
-    plan_doc = dict(doc["planning"])
-    _require_keys(plan_doc,
-                  {"horizon_periods", "years_per_period", "interest_rate",
-                   "demand_growth_rate", "caidi", "saifi",
-                   "expansion_levels_kwh", "renewables"},
-                  {"horizon_periods", "years_per_period", "interest_rate",
-                   "demand_growth_rate", "caidi", "saifi",
-                   "expansion_levels_kwh", "renewables"}, "planning")
-    ren_doc = dict(plan_doc["renewables"])
-    ren_fields = {"eta_solar", "cell_area_m2", "cells_per_panel", "panels",
-                  "eta_wind", "air_density", "rotor_area_m2", "turbines",
-                  "cut_in_ms", "cut_out_ms", "wind_exponent"}
-    _require_keys(ren_doc, ren_fields, ren_fields - {"wind_exponent"},
-                  "planning.renewables")
-    try:
-        renewables = RenewableParams(**ren_doc)
-    except ValueError as exc:
-        raise ConfigError(f"planning.renewables: {exc}") from exc
-    planning = PlanningConfig(
-        horizon_periods=int(plan_doc["horizon_periods"]),
-        years_per_period=int(plan_doc["years_per_period"]),
-        interest_rate=float(plan_doc["interest_rate"]),
-        demand_growth_rate=float(plan_doc["demand_growth_rate"]),
-        caidi=float(plan_doc["caidi"]),
-        saifi=float(plan_doc["saifi"]),
-        expansion_levels_kwh=tuple(float(x) for x in plan_doc["expansion_levels_kwh"]),
-        renewables=renewables,
-    )
+    planning = _section(PlanningConfig, doc["planning"], "planning")
     planning.validate()
 
-    storage_fields = {"name", "price_schedule", "advance_prob_schedule",
-                      "lifetime_schedule", "efficiency_schedule", "dod_schedule"}
-    storage = []
-    if not isinstance(doc["storage"], list) or not doc["storage"]:
-        raise ConfigError("storage: expected a non-empty list")
-    for idx, entry in enumerate(doc["storage"]):
-        _require_keys(entry, storage_fields, storage_fields, f"storage[{idx}]")
-        tech = StorageTechnology(
-            id=idx,
-            name=str(entry["name"]),
-            price_schedule=tuple(float(x) for x in entry["price_schedule"]),
-            advance_prob_schedule=tuple(float(x) for x in entry["advance_prob_schedule"]),
-            lifetime_schedule=tuple(float(x) for x in entry["lifetime_schedule"]),
-            efficiency_schedule=tuple(float(x) for x in entry["efficiency_schedule"]),
-            dod_schedule=tuple(float(x) for x in entry["dod_schedule"]),
-        )
+    storage = tuple(
+        _section(StorageTechnology, entry, f"storage[{idx}]", id=idx)
+        for idx, entry in enumerate(_entries(doc, "storage")))
+    for tech in storage:
         tech.validate(planning.horizon_periods)
-        storage.append(tech)
 
-    facility_fields = {"name", "count", "voll", "critical_factor",
-                       "priority_rank", "profile"}
-    facilities = []
-    if not isinstance(doc["facilities"], list) or not doc["facilities"]:
-        raise ConfigError("facilities: expected a non-empty list")
-    for idx, entry in enumerate(doc["facilities"]):
-        _require_keys(entry, facility_fields, facility_fields, f"facilities[{idx}]")
-        fac = FacilityClass(
-            name=str(entry["name"]),
-            count=int(entry["count"]),
-            voll=float(entry["voll"]),
-            critical_factor=float(entry["critical_factor"]),
-            priority_rank=int(entry["priority_rank"]),
-            profile=str(entry["profile"]),
-        )
+    facilities = tuple(_section(FacilityClass, entry, f"facilities[{idx}]")
+                       for idx, entry in enumerate(_entries(doc, "facilities")))
+    for fac in facilities:
         fac.validate()
-        facilities.append(fac)
     ranks = sorted(f.priority_rank for f in facilities)
     if ranks != list(range(1, len(facilities) + 1)):
         raise ConfigError("facilities: priority ranks must be a permutation of "
                           f"1..{len(facilities)}, got {ranks}")
 
-    rl_fields = {"gamma", "episodes", "alpha_start", "alpha_end",
-                 "epsilon_start", "epsilon_end"}
-    _require_keys(doc["rl"], rl_fields, {"gamma", "episodes"}, "rl")
-    rl = RlParams(gamma=float(doc["rl"]["gamma"]),
-                  episodes=int(doc["rl"]["episodes"]),
-                  **{k: float(v) for k, v in doc["rl"].items()
-                     if k not in ("gamma", "episodes")})
+    rl = _section(RlParams, doc["rl"], "rl")
     rl.validate()
-
-    meta_fields = {"observations", "trials", "trees", "train_fraction",
-                   "min_leaf", "max_depth", "features_per_split"}
-    _require_keys(doc["metamodel"], meta_fields, {"observations", "trials"},
-                  "metamodel")
-    meta_doc = dict(doc["metamodel"])
-    metamodel = MetamodelParams(
-        observations=int(meta_doc.pop("observations")),
-        trials=int(meta_doc.pop("trials")),
-        **meta_doc)
+    metamodel = _section(MetamodelParams, doc["metamodel"], "metamodel")
     metamodel.validate()
 
     seed = doc["seed"]
@@ -441,8 +424,7 @@ def _parse_document(doc: dict, base_dir: Path) -> Config:
         raise ConfigError("seed: expected a non-negative integer")
 
     series_doc = doc["series"]
-    _require_keys(series_doc, {"demand", "irradiance", "wind"},
-                  {"demand", "irradiance", "wind"}, "series")
+    _require_keys(series_doc, set(SERIES_KINDS), set(SERIES_KINDS), "series")
     if not isinstance(series_doc["demand"], dict):
         raise ConfigError("series.demand: expected an object keyed by profile id")
     digests: dict[str, str] = {}
@@ -460,8 +442,8 @@ def _parse_document(doc: dict, base_dir: Path) -> Config:
     wind = _resolve_series(series_doc["wind"], "wind", "wind", base_dir,
                            seed, digests)
 
-    return Config(planning=planning, storage=tuple(storage),
-                  facilities=tuple(facilities), rl=rl, metamodel=metamodel,
+    return Config(planning=planning, storage=storage,
+                  facilities=facilities, rl=rl, metamodel=metamodel,
                   master_seed=seed, series_spec=series_doc,
                   demand_profiles=profiles, irradiance=irradiance, wind=wind,
                   file_digests=digests)
@@ -482,77 +464,19 @@ def load_config(path: str | Path) -> Config:
 
 
 def to_document(config: Config) -> dict:
-    """The JSON document form of a configuration, suitable for saving."""
-    ren = config.planning.renewables
+    """The JSON document form of a configuration, as `config_hash` digests it."""
+    storage = [asdict(tech) for tech in config.storage]
+    for entry in storage:
+        del entry["id"]  # a unit's id is its position in the list
     return {
-        "planning": {
-            "horizon_periods": config.planning.horizon_periods,
-            "years_per_period": config.planning.years_per_period,
-            "interest_rate": config.planning.interest_rate,
-            "demand_growth_rate": config.planning.demand_growth_rate,
-            "caidi": config.planning.caidi,
-            "saifi": config.planning.saifi,
-            "expansion_levels_kwh": list(config.planning.expansion_levels_kwh),
-            "renewables": {
-                "eta_solar": ren.eta_solar,
-                "cell_area_m2": ren.cell_area_m2,
-                "cells_per_panel": ren.cells_per_panel,
-                "panels": ren.panels,
-                "eta_wind": ren.eta_wind,
-                "air_density": ren.air_density,
-                "rotor_area_m2": ren.rotor_area_m2,
-                "turbines": ren.turbines,
-                "cut_in_ms": ren.cut_in_ms,
-                "cut_out_ms": ren.cut_out_ms,
-                "wind_exponent": ren.wind_exponent,
-            },
-        },
-        "storage": [
-            {
-                "name": tech.name,
-                "price_schedule": list(tech.price_schedule),
-                "advance_prob_schedule": list(tech.advance_prob_schedule),
-                "lifetime_schedule": list(tech.lifetime_schedule),
-                "efficiency_schedule": list(tech.efficiency_schedule),
-                "dod_schedule": list(tech.dod_schedule),
-            }
-            for tech in config.storage
-        ],
-        "facilities": [
-            {
-                "name": fac.name,
-                "count": fac.count,
-                "voll": fac.voll,
-                "critical_factor": fac.critical_factor,
-                "priority_rank": fac.priority_rank,
-                "profile": fac.profile,
-            }
-            for fac in config.facilities
-        ],
+        "planning": asdict(config.planning),
+        "storage": storage,
+        "facilities": [asdict(fac) for fac in config.facilities],
         "series": config.series_spec,
-        "rl": {
-            "gamma": config.rl.gamma,
-            "episodes": config.rl.episodes,
-            "alpha_start": config.rl.alpha_start,
-            "alpha_end": config.rl.alpha_end,
-            "epsilon_start": config.rl.epsilon_start,
-            "epsilon_end": config.rl.epsilon_end,
-        },
-        "metamodel": {
-            "observations": config.metamodel.observations,
-            "trials": config.metamodel.trials,
-            "trees": config.metamodel.trees,
-            "train_fraction": config.metamodel.train_fraction,
-            "min_leaf": config.metamodel.min_leaf,
-            "max_depth": config.metamodel.max_depth,
-            "features_per_split": config.metamodel.features_per_split,
-        },
+        "rl": asdict(config.rl),
+        "metamodel": asdict(config.metamodel),
         "seed": config.master_seed,
     }
-
-
-def save_config(config: Config, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_document(config), indent=2) + "\n")
 
 
 def config_hash(config: Config) -> str:

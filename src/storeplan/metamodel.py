@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import IncompatibleArtifact, config_hash
+from .config import IncompatibleArtifact, MetamodelParams, config_hash
 from .dispatch import fleet_energy
 from .rng import stream
 from .simulate import SimulationContext
@@ -44,9 +44,10 @@ FOREST_FORMAT = "storeplan-forest-v2"
 
 # The forest's own feature columns: period, deliverable and recharge energy.
 PERIOD, NUM_PHYSICS_FEATURES = 0, 3
-# Fit settings of the config's metamodel section, as the dataset carries them.
-FIT_KEYS = ("trees", "train_fraction", "min_leaf", "max_depth",
-            "features_per_split")
+# Fit settings of the config's metamodel section (its optional fields) and
+# their defaults, as the dataset carries them.
+FIT_DEFAULTS = {f.name: f.default for f in fields(MetamodelParams)
+                if f.default is not MISSING}
 # Soft-split widths h tried by cross-validation, in units of ln(1 + kWh).
 SMOOTHING_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5)
 CV_FOLDS = 5
@@ -94,8 +95,8 @@ class SyntheticDataset:
     """Rows of (period, per-unit capacity) with Monte Carlo cost targets.
 
     `dod` and `efficiency` hold the schedules indexed [period - 1, unit] and
-    `fit_params` the config's metamodel fit settings (`FIT_KEYS`); a
-    hand-built dataset may leave all three None.
+    `fit_params` the config's metamodel fit settings, keyed as
+    `FIT_DEFAULTS`; a hand-built dataset may leave all three None.
     """
 
     period: np.ndarray
@@ -122,9 +123,6 @@ class SyntheticDataset:
     @property
     def num_units(self) -> int:
         return self.capacity.shape[1]
-
-    def features(self) -> np.ndarray:
-        return np.column_stack([self.period.astype(float), self.capacity])
 
 
 def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
@@ -166,7 +164,7 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     values = reachable_capacity_values(cfg.planning.expansion_levels_kwh,
                                        cfg.planning.horizon_periods - 1)
     periods = np.empty(observations, dtype=int)
-    caps = np.empty((observations, cfg.num_units))
+    caps = np.empty((observations, len(cfg.storage)))
     costs = np.empty(observations)
     for r in range(observations):
         periods[r], caps[r], costs[r] = dataset_row(ctx, values, r, trials,
@@ -179,7 +177,7 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
                       for k in schedule]),
         efficiency=np.array([[t.efficiency_schedule[k] for t in cfg.storage]
                              for k in schedule]),
-        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_KEYS})
+        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_DEFAULTS})
 
 
 def _meta_path(path: Path) -> Path:
@@ -437,14 +435,8 @@ class RegressionForest:
         Z = _fleet_energy(X[:, 0], X[:, 1:], self.dod, self.efficiency)
         return _mean_prediction(self.trees, Z, self.params["smoothing"])
 
-    def predict_one(self, x) -> float:
-        return float(self.predict([x])[0])
-
     def predict_outage_cost(self, period: int, capacities) -> float:
-        x = [float(period)] + [float(c) for c in capacities]
-        if len(x) != self.num_features:
-            raise ValueError("capacity vector length does not match forest")
-        return self.predict_one(x)
+        return float(self.predict([[period, *capacities]])[0])
 
 
 def r_squared(y_true, y_pred) -> float:
@@ -461,31 +453,29 @@ def train_forest(dataset: SyntheticDataset, num_trees: int | None = None,
                  train_fraction: float | None = None,
                  min_leaf: int | None = None, max_depth: int | None = None,
                  features_per_split: int | None = None,
-                 bootstrap: bool | None = None,
                  seed: int | None = None) -> RegressionForest:
     """Fit the forest on a shuffled train split and score R^2 on the rest.
 
     A setting left as None comes from the dataset's `fit_params` (the
-    config's metamodel section), else from the defaults: 10 trees, 0.8 of
-    the rows for training, `min_leaf` 2, unlimited depth, a third of the
-    features at each split. Trees are bagged unless there is only one.
-    The soft-split width is chosen by `CV_FOLDS`-fold cross-validation on
-    the training rows over `SMOOTHING_GRID`, the smallest width winning a
-    tie; the held-out rows enter only `r2_test`.
+    config's metamodel section), else from `MetamodelParams`' defaults; a
+    `features_per_split` of None means a third of the features. Trees are
+    bagged unless there is only one. The soft-split width is chosen by
+    `CV_FOLDS`-fold cross-validation on the training rows over
+    `SMOOTHING_GRID`, the smallest width winning a tie; the held-out rows
+    enter only `r2_test`.
     """
-    fit = dataset.fit_params or {}
+    fit = {**FIT_DEFAULTS, **(dataset.fit_params or {})}
     if num_trees is None:
-        num_trees = fit.get("trees", 10)
+        num_trees = fit["trees"]
     if train_fraction is None:
-        train_fraction = fit.get("train_fraction", 0.8)
+        train_fraction = fit["train_fraction"]
     if min_leaf is None:
-        min_leaf = fit.get("min_leaf", 2)
+        min_leaf = fit["min_leaf"]
     if max_depth is None:
-        max_depth = fit.get("max_depth")
+        max_depth = fit["max_depth"]
     if features_per_split is None:
-        features_per_split = fit.get("features_per_split")
-    if bootstrap is None:
-        bootstrap = num_trees > 1
+        features_per_split = fit["features_per_split"]
+    bootstrap = num_trees > 1
     if num_trees < 1:
         raise ValueError("num_trees must be positive")
     if not 0.0 < train_fraction <= 1.0:

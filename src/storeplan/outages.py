@@ -7,15 +7,13 @@ minimum while keeping the stated mean.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import HOURS_PER_YEAR
 
-__all__ = ["Outage", "OutageTrace", "generate_outages", "write_trace", "read_trace"]
+__all__ = ["Outage", "OutageTrace", "generate_outages"]
 
 
 @dataclass(frozen=True)
@@ -62,22 +60,4 @@ def generate_outages(saifi: float, caidi: float, horizon_years: float,
         else:
             merged.append([start, end])
     outages = tuple(Outage(start_hour=s, duration_hours=e - s) for s, e in merged)
-    return OutageTrace(outages=outages, horizon_years=horizon_years)
-
-
-def write_trace(trace: OutageTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start_hour", "duration_hours"])
-        for outage in trace.outages:
-            writer.writerow([outage.start_hour, outage.duration_hours])
-
-
-def read_trace(path: str | Path, horizon_years: float) -> OutageTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["start_hour", "duration_hours"]:
-            raise ValueError(f"{path}: expected header 'start_hour,duration_hours'")
-        outages = tuple(Outage(int(s), int(d)) for s, d in reader)
     return OutageTrace(outages=outages, horizon_years=horizon_years)

@@ -24,7 +24,7 @@ from .simulate import SimulationContext
 
 __all__ = [
     "PriceScenario", "PolicyStep", "PolicyReport", "PolicyValue",
-    "default_scenarios", "load_scenarios", "write_scenarios",
+    "default_scenarios", "load_scenarios",
     "extract_policy", "never_invest_report", "write_policy_csv",
     "read_policy_csv", "evaluate_policy", "write_comparison_csv",
 ]
@@ -114,19 +114,6 @@ def load_scenarios(path) -> dict[str, PriceScenario]:
                                  description=body.get("description", ""),
                                  advance=advance)
     return out
-
-
-def write_scenarios(scenarios: dict[str, PriceScenario], path) -> None:
-    doc = {
-        "format": SCENARIO_FORMAT,
-        "scenarios": {
-            sid: {"description": sc.description,
-                  "advance": {name: list(flags)
-                              for name, flags in sc.advance.items()}}
-            for sid, sc in scenarios.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -237,9 +224,11 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                     levels) -> PolicyReport:
     """Read a build-out written by `write_policy_csv`, checking its arithmetic.
 
-    Periods must run 1, 2, ... in order, and each row's cumulative capacities
-    must equal, to the file's printed precision, the running sum of the
-    actions so far; the step carries that running sum.
+    Periods must run 1, 2, ... in order. Each unit's price must follow its
+    `price_schedule`: the first entry in period 1, then at each boundary the
+    same entry or the next. Each row's cumulative capacities must equal the
+    running sum of the actions so far, and the step carries that sum. Both
+    checks compare at the file's printed precision.
     """
     names = [t.name for t in storage]
     lines = [ln for ln in Path(path).read_text().splitlines()
@@ -252,6 +241,8 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     units = len(names)
     lvls = [float(lv) for lv in levels]
     caps = [0.0] * units
+    # per unit, the schedule indices the prices so far allow it to be at
+    price_idx = [{0} for _ in storage]
     steps = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -264,6 +255,16 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
         unit_name = parts[1]
         level_kwh = float(parts[2])
         prices = tuple(float(x) for x in parts[3:3 + units])
+        for u, tech in enumerate(storage):
+            last = len(tech.price_schedule) - 1
+            reach = price_idx[u] if period == 1 else {
+                j for i in price_idx[u] for j in (i, min(i + 1, last))}
+            price_idx[u] = {i for i in reach if prices[u] == float(
+                f"{tech.price_schedule[i]:g}")}
+            if not price_idx[u]:
+                raise ValueError(f"{path}: period {period}: "
+                                 f"price_per_kwh_{tech.name} {parts[3 + u]} "
+                                 f"does not follow the price schedule")
         if unit_name == "none":
             action = NO_OP
         else:

@@ -77,9 +77,6 @@ class QTable:
         e = self._table.get(state)
         return list(e[1]) if e else [0] * self.num_actions
 
-    def states(self):
-        return self._table.keys()
-
     def items(self):
         return self._table.items()
 
@@ -120,18 +117,6 @@ class LearningCurve:
         for p, m in zip(self.batch_percentile, self.mean_total_reward):
             lines.append(f"{p!r},{m!r}")
         Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "LearningCurve":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "batch_percentile,mean_total_reward":
-            raise ValueError(f"{path}: not a learning-curve file")
-        xs, ys = [], []
-        for ln in lines[1:]:
-            a, b = ln.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-        return cls(batch_percentile=xs, mean_total_reward=ys)
 
 
 def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,

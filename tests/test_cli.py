@@ -29,8 +29,8 @@ def pipeline_dir(tmp_path_factory):
     steps = [
         ("gen-data", "--config", SMOKE, "--observations", "30", "--trials",
          "2", "--out", str(out)),
-        ("train-meta", "--dataset", str(out / "dataset.csv"), "--trees", "3",
-         "--out", str(out)),
+        ("train-meta", "--dataset", str(out / "dataset.csv"), "--out",
+         str(out)),
         ("solve", "--config", SMOKE, "--forest", str(out / "forest.json"),
          "--episodes", "3000", "--out", str(out)),
         ("policy", "--config", SMOKE, "--qtable", str(out / "qtable.jsonl"),
@@ -113,6 +113,22 @@ def test_tampered_policy_exits_two(pipeline_dir, tmp_path):
                    "--trials", "2", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "running sum" in proc.stderr
+
+
+@pytest.mark.parametrize("stage, sizes", [
+    ("gen-data", ("--observations", "0", "--trials", "2")),
+    ("gen-data", ("--observations", "2", "--trials", "0")),
+    ("solve", ("--episodes", "0")),
+])
+def test_zero_size_exits_two(pipeline_dir, tmp_path, stage, sizes):
+    # zero is a size to reject, not a request for the config's size
+    forest = (("--forest", str(pipeline_dir / "forest.json"))
+              if stage == "solve" else ())
+    proc = run_cli(stage, "--config", SMOKE, *forest, *sizes,
+                   "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_mismatched_forest_exits_three(pipeline_dir, tmp_path):

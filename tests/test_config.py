@@ -1,15 +1,18 @@
 """Schema validation, synthetic series determinism, and the config digest."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from conftest import CONFIGS
 from storeplan.config import (HOURS_PER_YEAR, ConfigError, config_hash,
-                              load_config, load_series, save_config,
-                              synth_profile)
+                              load_config, load_series, synth_profile,
+                              to_document)
 
 
 def write_doc(tmp_path, doc):
-    import json
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
@@ -136,8 +139,101 @@ def test_config_hash_changes_with_content(tmp_path, tiny_config_doc):
     assert config_hash(a) != config_hash(b)
 
 
-def test_save_config_round_trips(tmp_path, smoke_config):
+def test_document_form_round_trips(tmp_path, smoke_config):
     path = tmp_path / "saved.json"
-    save_config(smoke_config, path)
+    path.write_text(json.dumps(to_document(smoke_config), indent=2))
     again = load_config(path)
     assert config_hash(again) == config_hash(smoke_config)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("case_study.json",
+     "a9fe1180d165c6663cd14462aead1c566889b3ebc126d0c457d70c0d0248a9ff"),
+    ("smoke.json",
+     "f7ce3ba1d3101c0c2b7198e19153283e03bb54bcf3159a2445224bd85e93a686"),
+])
+def test_shipped_config_hash_is_pinned(name, digest):
+    # every artifact of a run carries this digest; a parser or document
+    # change that moves it orphans all of them
+    assert config_hash(load_config(CONFIGS / name)) == digest
+
+
+# Each config section, under the name its errors carry, and how to reach it.
+SECTIONS = {
+    "planning": lambda doc: doc["planning"],
+    "planning.renewables": lambda doc: doc["planning"]["renewables"],
+    "storage[1]": lambda doc: doc["storage"][1],
+    "facilities[2]": lambda doc: doc["facilities"][2],
+    "rl": lambda doc: doc["rl"],
+    "metamodel": lambda doc: doc["metamodel"],
+}
+
+
+@pytest.mark.parametrize("where", SECTIONS)
+def test_unknown_key_rejected_in_every_section(tmp_path, tiny_config_doc,
+                                               where):
+    SECTIONS[where](tiny_config_doc)["colour"] = "red"
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{where}: unknown key 'colour'")):
+        load_config(write_doc(tmp_path, tiny_config_doc))
+
+
+@pytest.mark.parametrize("where, key", [
+    ("planning", "caidi"), ("planning", "renewables"),
+    ("planning.renewables", "cut_in_ms"), ("storage[1]", "name"),
+    ("storage[1]", "dod_schedule"), ("facilities[2]", "voll"),
+    ("rl", "gamma"), ("rl", "episodes"), ("metamodel", "trials"),
+])
+def test_missing_required_key_rejected(tmp_path, tiny_config_doc, where, key):
+    del SECTIONS[where](tiny_config_doc)[key]
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{where}: missing key '{key}'")):
+        load_config(write_doc(tmp_path, tiny_config_doc))
+
+
+@pytest.mark.parametrize("where, key, default", [
+    ("planning.renewables", "wind_exponent", 3),
+    ("rl", "alpha_start", 1.0), ("rl", "epsilon_end", 0.02),
+    ("metamodel", "trees", 10), ("metamodel", "train_fraction", 0.8),
+    ("metamodel", "min_leaf", 2), ("metamodel", "max_depth", None),
+    ("metamodel", "features_per_split", None),
+])
+def test_omitted_optional_key_takes_its_default(tmp_path, tiny_config_doc,
+                                                where, key, default):
+    SECTIONS[where](tiny_config_doc).pop(key, None)
+    cfg = load_config(write_doc(tmp_path, tiny_config_doc))
+    section = {"planning.renewables": cfg.planning.renewables,
+               "rl": cfg.rl, "metamodel": cfg.metamodel}[where]
+    assert getattr(section, key) == default
+    assert type(getattr(section, key)) is type(default)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("planning", "horizon_periods", "4"),
+    ("planning", "saifi", None),
+    ("planning", "expansion_levels_kwh", 300),
+    ("planning", "renewables", [0.16]),
+    ("planning.renewables", "panels", "many"),
+    ("storage[1]", "name", 7),
+    ("storage[1]", "price_schedule", [142, "115", 77, 65]),
+    ("facilities[2]", "count", 2.5),
+    ("rl", "episodes", True),
+    ("metamodel", "trees", 2.5),
+    ("metamodel", "max_depth", "deep"),
+])
+def test_wrongly_typed_value_rejected(tmp_path, tiny_config_doc, where, key,
+                                      value):
+    SECTIONS[where](tiny_config_doc)[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{where}.{key}")):
+        load_config(write_doc(tmp_path, tiny_config_doc))
+
+
+def test_values_take_their_declared_type(smoke_config):
+    # JSON integers in float fields become floats, except in the renewables,
+    # whose numbers go in as written (the config hash depends on it)
+    assert type(smoke_config.facilities[0].voll) is float
+    assert smoke_config.planning.expansion_levels_kwh == (300.0, 1000.0,
+                                                          3000.0)
+    assert all(type(lv) is float
+               for lv in smoke_config.planning.expansion_levels_kwh)
+    assert type(smoke_config.planning.renewables.cut_in_ms) is int

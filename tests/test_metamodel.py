@@ -31,6 +31,11 @@ def grid_dataset(fn, n=200, seed=0, units=2):
                             trials=1, master_seed=seed, config_digest="d" * 8)
 
 
+def raw_rows(ds):
+    """The (period, capacity...) rows the forest is queried with."""
+    return np.column_stack([ds.period, ds.capacity])
+
+
 def test_reachable_values_for_case_levels():
     values = reachable_capacity_values((300.0, 1000.0, 3000.0), 3)
     assert len(values) == 19
@@ -70,7 +75,6 @@ def test_generate_dataset_shapes(smoke_config):
     assert len(ds) == 6
     assert ds.capacity.shape == (6, 4)
     assert ds.period.min() >= 1 and ds.period.max() <= 4
-    assert ds.features().shape == (6, 5)
 
 
 def test_dataset_round_trips_bit_exact(tmp_path, smoke_config):
@@ -94,8 +98,7 @@ def test_single_tree_memorizes_training_data():
     for seed in range(20):
         ds = grid_dataset(lambda k, c: 1000.0 * k + c.sum(), n=150, seed=seed)
         forest = train_forest(ds, num_trees=1, train_fraction=1.0,
-                              min_leaf=1, features_per_split=3,
-                              bootstrap=False)
+                              min_leaf=1, features_per_split=3)
         # without schedules, dod = efficiency = 1: S_d = S_c = total kWh
         total = ds.capacity.sum(axis=1)
         Z = np.column_stack([ds.period.astype(float), total, total])
@@ -106,7 +109,7 @@ def test_single_tree_memorizes_training_data():
 def test_forest_predictions_stay_inside_target_range():
     ds = grid_dataset(lambda k, c: 100.0 * k + 0.1 * c.sum(), n=300, seed=3)
     forest = train_forest(ds, num_trees=5)
-    pred = forest.predict(ds.features())
+    pred = forest.predict(raw_rows(ds))
     assert pred.min() >= ds.cost.min() - 1e-9
     assert pred.max() <= ds.cost.max() + 1e-9
 
@@ -150,7 +153,7 @@ def test_forest_round_trips_bit_exact(tmp_path):
     path = tmp_path / "forest.json"
     save_forest(forest, path)
     again = load_forest(path)
-    X = ds.features()
+    X = raw_rows(ds)
     assert np.array_equal(again.predict(X), forest.predict(X))
     assert again.r2_test == forest.r2_test
     assert again.params == forest.params
@@ -169,8 +172,8 @@ def test_load_forest_checks_config_digest(tmp_path):
 def test_predict_outage_cost_validates_width():
     ds = grid_dataset(lambda k, c: float(k), n=40)
     forest = train_forest(ds, num_trees=1)
-    assert forest.predict_outage_cost(2, [300.0, 0.0]) == pytest.approx(
-        forest.predict_one([2.0, 300.0, 0.0]))
+    assert forest.predict_outage_cost(2, [300.0, 0.0]) == (
+        forest.predict([[2.0, 300.0, 0.0]])[0])
     with pytest.raises(ValueError):
         forest.predict_outage_cost(2, [300.0])
 
@@ -186,8 +189,8 @@ def test_r_squared_perfect_and_mean_baseline():
 def test_leaf_values_are_training_target_means(seed):
     """Every prediction of a lone tree is an average of training targets."""
     ds = grid_dataset(lambda k, c: float(k) * 7.0, n=60, seed=seed)
-    forest = train_forest(ds, num_trees=1, bootstrap=False, train_fraction=1.0)
-    pred = forest.predict(ds.features())
+    forest = train_forest(ds, num_trees=1, train_fraction=1.0)
+    pred = forest.predict(raw_rows(ds))
     lo, hi = ds.cost.min(), ds.cost.max()
     assert np.all(pred >= lo - 1e-9) and np.all(pred <= hi + 1e-9)
 
@@ -196,8 +199,8 @@ def test_forest_sees_fleet_energy_not_unit_split():
     # rows with the same deliverable and recharge energy share one prediction
     ds = grid_dataset(lambda k, c: 10.0 * k + 0.3 * c[0] - 0.1 * c[1], n=120)
     forest = train_forest(ds, num_trees=3)
-    assert forest.predict_one([2.0, 1000.0, 300.0]) == forest.predict_one(
-        [2.0, 300.0, 1000.0])
+    assert forest.predict_outage_cost(2, [1000.0, 300.0]) == (
+        forest.predict_outage_cost(2, [300.0, 1000.0]))
 
 
 def test_forest_features_follow_the_schedules():
@@ -207,8 +210,8 @@ def test_forest_features_follow_the_schedules():
     ds.dod = np.array([[1.0, 0.5]] * 4)
     ds.efficiency = np.ones((4, 2))
     forest = train_forest(ds, num_trees=1)
-    assert forest.predict_one([1.0, 300.0, 0.0]) == forest.predict_one(
-        [1.0, 0.0, 600.0])
+    assert forest.predict_outage_cost(1, [300.0, 0.0]) == (
+        forest.predict_outage_cost(1, [0.0, 600.0]))
 
 
 def test_dataset_carries_schedules_and_fit_settings(tmp_path, smoke_config):
@@ -234,7 +237,7 @@ def test_fit_ignores_held_out_targets():
     ds.cost[forest.test_indices] = 1e6
     again = train_forest(ds, num_trees=2)
     assert again.params == forest.params
-    X = ds.features()
+    X = raw_rows(ds)
     assert np.array_equal(again.predict(X), forest.predict(X))
     assert again.r2_test != forest.r2_test
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import Outage, OutageTrace, generate_outages, read_trace, write_trace
+from storeplan.outages import Outage, OutageTrace, generate_outages
 from storeplan.rng import stream
 
 SAIFI = 1.155
@@ -74,13 +74,6 @@ def test_merged_hours_never_exceed_raw_draw(seed, years):
                              stream(seed, "outage-merge"))
     assert trace.total_hours() <= durations.sum()
     assert len(trace.outages) <= count
-
-
-def test_trace_round_trips_through_csv(tmp_path):
-    trace = generate_outages(SAIFI, CAIDI, 50, stream(5, "outage-io"))
-    path = tmp_path / "trace.csv"
-    write_trace(trace, path)
-    assert read_trace(path, 50) == trace
 
 
 def test_outage_end_hour():

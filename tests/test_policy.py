@@ -1,5 +1,8 @@
 """Scenario price paths, greedy extraction, CSV round trip, and evaluation."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
 from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
                               evaluate_policy, extract_policy, load_scenarios,
                               never_invest_report, read_policy_csv,
-                              write_policy_csv, write_scenarios)
+                              write_policy_csv)
 from storeplan.qlearn import QTable
 from storeplan.simulate import SimulationContext
 
@@ -55,11 +58,15 @@ def test_scenario_flag_width_checked(case_config):
 
 
 def test_scenarios_round_trip_through_json(tmp_path, case_config):
+    # the file shape `storeplan policy --scenarios` reads
     path = tmp_path / "scenarios.json"
-    write_scenarios(default_scenarios(), path)
-    again = load_scenarios(path)
-    assert set(again) == set(default_scenarios())
-    assert again["5"].advance["li_ion"] == (False, False, False)
+    path.write_text(json.dumps({
+        "format": "storeplan-scenarios-v1",
+        "scenarios": {sid: {"description": sc.description,
+                            "advance": {name: list(flags) for name, flags
+                                        in sc.advance.items()}}
+                      for sid, sc in default_scenarios().items()}}))
+    assert load_scenarios(path) == default_scenarios()
 
 
 def test_extraction_follows_visited_argmax(case_config):
@@ -141,6 +148,7 @@ def written_policy(tmp_path, config):
     (2, -4, "900", "running sum"),   # period 2 li-ion total 600 -> 900
     (4, -4, "0", "running sum"),     # period 4 forgets the purchases
     (3, 0, "4", "periods must run"),
+    (2, 3, "167", "price schedule"),  # period 2 li-ion skips 310 for 167
 ])
 def test_read_policy_rejects_tampered_cell(tmp_path, case_config, row, col,
                                            value, match):
@@ -155,6 +163,23 @@ def test_read_policy_rejects_tampered_cell(tmp_path, case_config, row, col,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=match):
         read_policy_csv(path, case_config.storage, levels)
+
+
+def test_read_policy_accepts_repeated_schedule_price(tmp_path, case_config):
+    # li-ion's price repeats across its first boundary, so 420 in period 2
+    # may mean it stayed or advanced; 167 in period 3 is then legal only if
+    # it advanced, and the reader must keep both readings open until then
+    li_ion = replace(case_config.storage[0], price_schedule=(420, 420, 167,
+                                                             150))
+    storage = (li_ion,) + case_config.storage[1:]
+    env = MdpEnv(case_config.planning, storage,
+                 outage_cost=lambda k, caps: 0.0)
+    path = tmp_path / "policy.csv"
+    write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
+                     storage, path)
+    again = read_policy_csv(path, storage,
+                            case_config.planning.expansion_levels_kwh)
+    assert [s.unit_prices[0] for s in again.steps] == [420, 420, 167, 150]
 
 
 def test_evaluation_is_deterministic_under_seed(case_config):
