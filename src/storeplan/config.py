@@ -34,6 +34,9 @@ __all__ = [
 
 HOURS_PER_YEAR = 8760
 
+# The surrogate forest splits on (period, S_d, S_c); see metamodel.
+NUM_PHYSICS_FEATURES = 3
+
 SERIES_KINDS = ("demand", "irradiance", "wind")
 
 # Fallback means for synthesized profiles, per kind. Irradiance is shaped with
@@ -176,8 +179,10 @@ class MetamodelParams:
             raise ConfigError("metamodel.min_leaf: must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError("metamodel.max_depth: must be >= 1 or null")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ConfigError("metamodel.features_per_split: must be >= 1 or null")
+        if (self.features_per_split is not None
+                and not 1 <= self.features_per_split <= NUM_PHYSICS_FEATURES):
+            raise ConfigError("metamodel.features_per_split: must lie in "
+                              f"1..{NUM_PHYSICS_FEATURES} or be null")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import IncompatibleArtifact, MetamodelParams, config_hash
+from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
+                     MetamodelParams, _require_keys, _section, config_hash)
 from .dispatch import fleet_energy
 from .rng import stream
 from .simulate import SimulationContext
@@ -42,12 +43,12 @@ __all__ = [
 DATASET_FORMAT = "storeplan-dataset-v1"
 FOREST_FORMAT = "storeplan-forest-v2"
 
-# The forest's own feature columns: period, deliverable and recharge energy.
-PERIOD, NUM_PHYSICS_FEATURES = 0, 3
-# Fit settings of the config's metamodel section (its optional fields) and
-# their defaults, as the dataset carries them.
-FIT_DEFAULTS = {f.name: f.default for f in fields(MetamodelParams)
-                if f.default is not MISSING}
+# The trees' feature columns are (period, S_d, S_c).
+PERIOD = 0
+# Fit settings of the config's metamodel section (its optional fields), as
+# the dataset carries them.
+FIT_KEYS = tuple(f.name for f in fields(MetamodelParams)
+                 if f.default is not MISSING)
 # Soft-split widths h tried by cross-validation, in units of ln(1 + kWh).
 SMOOTHING_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5)
 CV_FOLDS = 5
@@ -73,20 +74,23 @@ def reachable_capacity_values(levels, max_picks: int) -> tuple[float, ...]:
     return tuple(sorted(sums))
 
 
+def _check_schedules(dod, efficiency, units: int) -> None:
+    if dod.ndim != 2 or dod.shape[1] != units:
+        raise ValueError(f"dod schedule is not (periods, {units} units)")
+    if efficiency.shape != dod.shape:
+        raise ValueError("efficiency and dod schedules differ in shape")
+
+
 def _fleet_energy(period, capacity, dod, efficiency) -> np.ndarray:
     """Rows of (k, S_d, S_c) for rows of period and per-unit capacity.
 
-    `dod` and `efficiency` are indexed [period - 1, unit]; when they are None
-    both are taken as 1, so S_d = S_c = total capacity.
+    `dod` and `efficiency` are indexed [period - 1, unit].
     """
     period = np.asarray(period).astype(int)
-    if dod is None:
-        dod = efficiency = 1.0
-    else:
-        if len(period) and (period.min() < 1 or period.max() > len(dod)):
-            raise ValueError("period outside the dod/efficiency schedules")
-        dod, efficiency = dod[period - 1], efficiency[period - 1]
-    deliverable, recharge = fleet_energy(capacity, dod, efficiency)
+    if len(period) and (period.min() < 1 or period.max() > len(dod)):
+        raise ValueError("period outside the dod/efficiency schedules")
+    deliverable, recharge = fleet_energy(capacity, dod[period - 1],
+                                         efficiency[period - 1])
     return np.column_stack([period.astype(float), deliverable, recharge])
 
 
@@ -95,8 +99,8 @@ class SyntheticDataset:
     """Rows of (period, per-unit capacity) with Monte Carlo cost targets.
 
     `dod` and `efficiency` hold the schedules indexed [period - 1, unit] and
-    `fit_params` the config's metamodel fit settings, keyed as
-    `FIT_DEFAULTS`; a hand-built dataset may leave all three None.
+    `fit_params` the config's metamodel fit settings, one per `FIT_KEYS`
+    entry, checked as the config checks them.
     """
 
     period: np.ndarray
@@ -104,18 +108,21 @@ class SyntheticDataset:
     cost: np.ndarray
     trials: int
     master_seed: int
-    config_digest: str | None = None
-    dod: np.ndarray | None = None
-    efficiency: np.ndarray | None = None
-    fit_params: dict | None = None
+    config_digest: str
+    dod: np.ndarray
+    efficiency: np.ndarray
+    fit_params: dict
 
     def __post_init__(self):
         if self.capacity.ndim != 2 or len(self.period) != len(self.capacity):
             raise ValueError("period and capacity row counts differ")
         if len(self.cost) != len(self.period):
             raise ValueError("cost row count differs")
-        if (self.dod is None) != (self.efficiency is None):
-            raise ValueError("dod and efficiency schedules come together")
+        _check_schedules(self.dod, self.efficiency, self.num_units)
+        _require_keys(self.fit_params, set(FIT_KEYS), set(FIT_KEYS),
+                      "metamodel")
+        _section(MetamodelParams, self.fit_params, "metamodel",
+                 observations=len(self), trials=self.trials).validate()
 
     def __len__(self) -> int:
         return len(self.period)
@@ -169,27 +176,15 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     for r in range(observations):
         periods[r], caps[r], costs[r] = dataset_row(ctx, values, r, trials,
                                                     master_seed)
-    schedule = range(cfg.planning.horizon_periods)
     return SyntheticDataset(
         period=periods, capacity=caps, cost=costs, trials=trials,
         master_seed=master_seed, config_digest=config_hash(cfg),
-        dod=np.array([[t.dod_schedule[k] for t in cfg.storage]
-                      for k in schedule]),
-        efficiency=np.array([[t.efficiency_schedule[k] for t in cfg.storage]
-                             for k in schedule]),
-        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_DEFAULTS})
+        dod=ctx.dod, efficiency=ctx.efficiency,
+        fit_params={key: getattr(cfg.metamodel, key) for key in FIT_KEYS})
 
 
 def _meta_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
-
-
-def _matrix(values) -> np.ndarray | None:
-    return None if values is None else np.array(values, dtype=float)
-
-
-def _listed(matrix) -> list | None:
-    return None if matrix is None else np.asarray(matrix).tolist()
 
 
 def write_dataset(dataset: SyntheticDataset, path) -> None:
@@ -209,25 +204,30 @@ def write_dataset(dataset: SyntheticDataset, path) -> None:
         "master_seed": dataset.master_seed,
         "config_hash": dataset.config_digest,
         "num_units": units,
-        "dod": _listed(dataset.dod),
-        "efficiency": _listed(dataset.efficiency),
+        "dod": dataset.dod.tolist(),
+        "efficiency": dataset.efficiency.tolist(),
         "metamodel": dataset.fit_params,
     }
     _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def read_dataset(path) -> SyntheticDataset:
+    """A dataset from its CSV and the JSON sidecar `write_dataset` put next
+    to it; the sidecar must be present and agree with the CSV."""
     path = Path(path)
+    meta_path = _meta_path(path)
+    if not meta_path.exists():
+        raise ValueError(f"{meta_path}: missing; a dataset needs the sidecar "
+                         f"gen-data writes next to it")
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
+        raise ValueError(f"{meta_path}: not a dataset sidecar")
+    units = int(meta["num_units"])
+    header = ",".join(["k", *(f"cap_{i + 1}" for i in range(units)), "cost"])
     lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty dataset")
-    cols = lines[0].split(",")
-    if cols[0] != "k" or cols[-1] != "cost" or len(cols) < 3:
-        raise ValueError(f"{path}: expected header 'k,cap_1,...,cost'")
-    units = len(cols) - 2
-    expect = ["k"] + [f"cap_{i + 1}" for i in range(units)] + ["cost"]
-    if cols != expect:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: expected header {header!r} for the "
+                         f"sidecar's {units} units")
     periods, caps, costs = [], [], []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -236,20 +236,18 @@ def read_dataset(path) -> SyntheticDataset:
         periods.append(int(parts[0]))
         caps.append([float(x) for x in parts[1:-1]])
         costs.append(float(parts[-1]))
-    meta = {"trials": 0, "master_seed": 0}
-    meta_path = _meta_path(path)
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        if meta.get("format") != DATASET_FORMAT:
-            raise ValueError(f"{meta_path}: not a dataset sidecar")
+    if meta["observations"] != len(periods):
+        raise ValueError(f"{meta_path}: {meta['observations']} observations, "
+                         f"but the CSV has {len(periods)} rows")
     return SyntheticDataset(period=np.array(periods, dtype=int),
                             capacity=np.array(caps), cost=np.array(costs),
                             trials=meta["trials"],
                             master_seed=meta["master_seed"],
-                            config_digest=meta.get("config_hash"),
-                            dod=_matrix(meta.get("dod")),
-                            efficiency=_matrix(meta.get("efficiency")),
-                            fit_params=meta.get("metamodel"))
+                            config_digest=meta["config_hash"],
+                            dod=np.array(meta["dod"], dtype=float),
+                            efficiency=np.array(meta["efficiency"],
+                                                dtype=float),
+                            fit_params=meta["metamodel"])
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -415,7 +413,7 @@ class RegressionForest:
 
     `num_features` is the raw row width; `dod` and `efficiency` are the
     schedules, indexed [period - 1, unit], that map a raw row to the trees'
-    features (None means 1). `params["smoothing"]` is the soft-split width.
+    features. `params["smoothing"]` is the soft-split width.
     """
 
     trees: list[RegressionTree]
@@ -424,9 +422,12 @@ class RegressionForest:
     train_indices: list[int]
     test_indices: list[int]
     r2_test: float | None
-    config_digest: str | None = None
-    dod: np.ndarray | None = None
-    efficiency: np.ndarray | None = None
+    config_digest: str
+    dod: np.ndarray
+    efficiency: np.ndarray
+
+    def __post_init__(self):
+        _check_schedules(self.dod, self.efficiency, self.num_features - 1)
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -449,48 +450,26 @@ def r_squared(y_true, y_pred) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def train_forest(dataset: SyntheticDataset, num_trees: int | None = None,
-                 train_fraction: float | None = None,
-                 min_leaf: int | None = None, max_depth: int | None = None,
-                 features_per_split: int | None = None,
+def train_forest(dataset: SyntheticDataset,
                  seed: int | None = None) -> RegressionForest:
     """Fit the forest on a shuffled train split and score R^2 on the rest.
 
-    A setting left as None comes from the dataset's `fit_params` (the
-    config's metamodel section), else from `MetamodelParams`' defaults; a
-    `features_per_split` of None means a third of the features. Trees are
-    bagged unless there is only one. The soft-split width is chosen by
-    `CV_FOLDS`-fold cross-validation on the training rows over
-    `SMOOTHING_GRID`, the smallest width winning a tie; the held-out rows
-    enter only `r2_test`.
+    The fit settings are the dataset's `fit_params`; a `features_per_split`
+    of None means a third of the features. Trees are bagged unless there is
+    only one. The soft-split width is chosen by `CV_FOLDS`-fold
+    cross-validation on the training rows over `SMOOTHING_GRID`, the
+    smallest width winning a tie; the held-out rows enter only `r2_test`.
     """
-    fit = {**FIT_DEFAULTS, **(dataset.fit_params or {})}
-    if num_trees is None:
-        num_trees = fit["trees"]
-    if train_fraction is None:
-        train_fraction = fit["train_fraction"]
-    if min_leaf is None:
-        min_leaf = fit["min_leaf"]
-    if max_depth is None:
-        max_depth = fit["max_depth"]
-    if features_per_split is None:
-        features_per_split = fit["features_per_split"]
+    fit = dataset.fit_params
+    num_trees, train_fraction = fit["trees"], fit["train_fraction"]
+    min_leaf, max_depth = fit["min_leaf"], fit["max_depth"]
+    mtry = fit["features_per_split"] or math.ceil(NUM_PHYSICS_FEATURES / 3)
     bootstrap = num_trees > 1
-    if num_trees < 1:
-        raise ValueError("num_trees must be positive")
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError("train_fraction must be in (0, 1]")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     if seed is None:
         seed = dataset.master_seed
     Z = _fleet_energy(dataset.period, dataset.capacity, dataset.dod,
                       dataset.efficiency)
     y = dataset.cost
-    d = NUM_PHYSICS_FEATURES
-    mtry = features_per_split if features_per_split is not None else math.ceil(d / 3)
-    if not 1 <= mtry <= d:
-        raise ValueError("features_per_split out of range")
     perm = stream(seed, "metamodel:split").permutation(len(dataset))
     n_train = int(round(train_fraction * len(dataset)))
     if n_train < 1:
@@ -542,8 +521,8 @@ def save_forest(forest: RegressionForest, path) -> None:
         "format": FOREST_FORMAT,
         "num_features": forest.num_features,
         "params": forest.params,
-        "dod": _listed(forest.dod),
-        "efficiency": _listed(forest.efficiency),
+        "dod": forest.dod.tolist(),
+        "efficiency": forest.efficiency.tolist(),
         "train_indices": forest.train_indices,
         "test_indices": forest.test_indices,
         "r2_test": forest.r2_test,
@@ -571,6 +550,7 @@ def load_forest(path, expected_config_hash: str | None = None) -> RegressionFore
                             train_indices=doc["train_indices"],
                             test_indices=doc["test_indices"],
                             r2_test=doc["r2_test"],
-                            config_digest=doc.get("config_hash"),
-                            dod=_matrix(doc["dod"]),
-                            efficiency=_matrix(doc["efficiency"]))
+                            config_digest=doc["config_hash"],
+                            dod=np.array(doc["dod"], dtype=float),
+                            efficiency=np.array(doc["efficiency"],
+                                                dtype=float))

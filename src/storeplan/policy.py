@@ -228,7 +228,9 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     `price_schedule`: the first entry in period 1, then at each boundary the
     same entry or the next. Each row's cumulative capacities must equal the
     running sum of the actions so far, and the step carries that sum. Both
-    checks compare at the file's printed precision.
+    checks compare at the file's printed precision; each step carries the
+    schedule's exact price, so a printed price that matches two different
+    schedule prices is rejected.
     """
     names = [t.name for t in storage]
     lines = [ln for ln in Path(path).read_text().splitlines()
@@ -254,17 +256,21 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                              f"{period}; periods must run 1, 2, ... in order")
         unit_name = parts[1]
         level_kwh = float(parts[2])
-        prices = tuple(float(x) for x in parts[3:3 + units])
+        prices = []
         for u, tech in enumerate(storage):
             last = len(tech.price_schedule) - 1
             reach = price_idx[u] if period == 1 else {
                 j for i in price_idx[u] for j in (i, min(i + 1, last))}
-            price_idx[u] = {i for i in reach if prices[u] == float(
+            price_idx[u] = {i for i in reach if float(parts[3 + u]) == float(
                 f"{tech.price_schedule[i]:g}")}
-            if not price_idx[u]:
+            exact = {tech.price_schedule[i] for i in price_idx[u]}
+            if len(exact) != 1:
+                why = ("matches several schedule prices at this precision"
+                       if exact else "does not follow the price schedule")
                 raise ValueError(f"{path}: period {period}: "
                                  f"price_per_kwh_{tech.name} {parts[3 + u]} "
-                                 f"does not follow the price schedule")
+                                 f"{why}")
+            prices.append(exact.pop())
         if unit_name == "none":
             action = NO_OP
         else:
@@ -280,7 +286,7 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                              f"are not the running sum of the actions")
         steps.append(PolicyStep(period=period, action=action,
                                 unit_name="" if action.is_noop else unit_name,
-                                level_kwh=level_kwh, unit_prices=prices,
+                                level_kwh=level_kwh, unit_prices=tuple(prices),
                                 capacity_after=tuple(caps), q_value=0.0,
                                 visit_count=0))
     return PolicyReport(scenario_id=Path(path).stem, steps=steps, flags=[])

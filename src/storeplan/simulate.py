@@ -28,12 +28,16 @@ class SimulationContext:
             renewables=plan.renewables, growth_rate=plan.demand_growth_rate,
             horizon_hours=plan.horizon_hours)
         self._volls = np.array([f.voll for f in config.facilities_by_priority])
+        # Usable depth and efficiency schedules, indexed [period - 1, unit].
+        self.dod = np.array([t.dod_schedule for t in config.storage]).T
+        self.efficiency = np.array([t.efficiency_schedule
+                                    for t in config.storage]).T
 
     def fleet_for(self, period: int, capacities) -> StorageFleet:
         """Fully charged fleet with the period's efficiency and usable-depth values."""
-        dod = [tech.dod_schedule[period - 1] for tech in self.config.storage]
-        eff = [tech.efficiency_schedule[period - 1] for tech in self.config.storage]
-        return StorageFleet.full(capacity=capacities, dod=dod, efficiency=eff)
+        return StorageFleet.full(capacity=capacities,
+                                 dod=self.dod[period - 1],
+                                 efficiency=self.efficiency[period - 1])
 
     def period_trace(self, rng: np.random.Generator) -> OutageTrace:
         plan = self.config.planning

@@ -71,6 +71,14 @@ def test_gen_data_rerun_is_byte_identical(pipeline_dir, tmp_path):
             == (pipeline_dir / "dataset.csv").read_bytes())
 
 
+def test_train_meta_rerun_is_byte_identical(pipeline_dir, tmp_path):
+    proc = run_cli("train-meta", "--dataset",
+                   str(pipeline_dir / "dataset.csv"), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "forest.json").read_bytes()
+            == (pipeline_dir / "forest.json").read_bytes())
+
+
 def test_threaded_gen_data_matches_serial(pipeline_dir, tmp_path):
     proc = run_cli("gen-data", "--config", SMOKE, "--observations", "30",
                    "--trials", "2", "--threads", "3", "--out", str(tmp_path))
@@ -113,6 +121,17 @@ def test_tampered_policy_exits_two(pipeline_dir, tmp_path):
                    "--trials", "2", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "running sum" in proc.stderr
+
+
+def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):
+    # the fit settings and schedules live only in the sidecar
+    data = tmp_path / "dataset.csv"
+    data.write_bytes((pipeline_dir / "dataset.csv").read_bytes())
+    proc = run_cli("train-meta", "--dataset", str(data), "--out",
+                   str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "dataset.meta.json" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stage, sizes", [

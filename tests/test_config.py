@@ -55,6 +55,18 @@ def test_advance_prob_bounds_checked(tmp_path, tiny_config_doc):
         load_config(write_doc(tmp_path, tiny_config_doc))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("features_per_split", 0), ("features_per_split", 4),
+    ("train_fraction", 1.0),
+])
+def test_metamodel_fit_bounds_checked(tmp_path, tiny_config_doc, key, value):
+    # the forest splits on three features (period, S_d, S_c), so at most
+    # three can be drawn per split; the test split must not be empty
+    tiny_config_doc["metamodel"][key] = value
+    with pytest.raises(ConfigError, match=f"metamodel.{key}"):
+        load_config(write_doc(tmp_path, tiny_config_doc))
+
+
 def test_facility_profile_must_have_series(tmp_path, tiny_config_doc):
     tiny_config_doc["facilities"][0]["profile"] = "warehouse"
     with pytest.raises(ConfigError, match="warehouse"):

@@ -6,29 +6,40 @@ configuration. The forest's statistical quality on the real problem is covered
 by the acceptance suite; these tests pin down the mechanics.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storeplan.config import IncompatibleArtifact
-from storeplan.metamodel import (SMOOTHING_GRID, SyntheticDataset,
+from storeplan.config import IncompatibleArtifact, MetamodelParams
+from storeplan.metamodel import (FIT_KEYS, SMOOTHING_GRID, SyntheticDataset,
                                  dataset_row, generate_dataset, load_forest,
                                  r_squared, reachable_capacity_values,
                                  read_dataset, save_forest, train_forest,
                                  write_dataset)
 from storeplan.simulate import SimulationContext
 
+DEFAULT_FIT = {key: getattr(MetamodelParams(observations=1, trials=1), key)
+               for key in FIT_KEYS}
 
-def grid_dataset(fn, n=200, seed=0, units=2):
-    """Deterministic dataset over a lattice, cost = fn(period, caps)."""
+
+def grid_dataset(fn, n=200, seed=0, units=2, **fit):
+    """Deterministic dataset over a lattice, cost = fn(period, caps).
+
+    dod and efficiency are 1 in all four periods, so S_d = S_c = the total
+    kWh; `fit` overrides the config's default fit settings.
+    """
     rng = np.random.default_rng(seed)
     period = rng.integers(1, 5, size=n)
     caps = rng.choice([0.0, 300.0, 1000.0, 3000.0], size=(n, units))
     cost = np.array([fn(int(k), c) for k, c in zip(period, caps)])
     return SyntheticDataset(period=period, capacity=caps, cost=cost,
-                            trials=1, master_seed=seed, config_digest="d" * 8)
+                            trials=1, master_seed=seed, config_digest="d" * 8,
+                            dod=np.ones((4, units)),
+                            efficiency=np.ones((4, units)),
+                            fit_params={**DEFAULT_FIT, **fit})
 
 
 def raw_rows(ds):
@@ -91,65 +102,115 @@ def test_dataset_round_trips_bit_exact(tmp_path, smoke_config):
     assert again.config_digest == ds.config_digest
 
 
+def written_dataset(tmp_path, config, observations=12):
+    """Path of a small simulated dataset, written with its sidecar."""
+    ds = generate_dataset(SimulationContext(config),
+                          observations=observations, trials=1)
+    path = tmp_path / "dataset.csv"
+    write_dataset(ds, path)
+    return path
+
+
+def test_read_dataset_requires_its_sidecar(tmp_path, smoke_config):
+    path = written_dataset(tmp_path, smoke_config)
+    (tmp_path / "dataset.meta.json").unlink()
+    with pytest.raises(ValueError, match="missing"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("format", "storeplan-forest-v2", "not a dataset sidecar"),
+    ("observations", 13, "13 observations"),
+    ("num_units", 3, "header"),
+    ("dod", [[1.0]] * 4, "dod schedule"),  # would broadcast over the units
+    ("efficiency", [[1.0] * 4] * 3, "efficiency and dod"),
+    ("metamodel", {"colour": "red"}, "unknown key 'colour'"),
+])
+def test_read_dataset_rejects_tampered_sidecar(tmp_path, smoke_config, key,
+                                               value, match):
+    path = written_dataset(tmp_path, smoke_config)
+    meta_path = tmp_path / "dataset.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=match):
+        read_dataset(path)
+
+
 def test_single_tree_memorizes_training_data():
     # no bootstrap, min_leaf 1, all features: hard routing makes the tree a
-    # lookup table. The forest's own predict uses the soft-split width that
-    # cross-validation picked, which need not be 0, so read the tree itself.
+    # lookup table of its training rows. The forest's own predict uses the
+    # soft-split width that cross-validation picked, which need not be 0, so
+    # read the tree itself.
     for seed in range(20):
-        ds = grid_dataset(lambda k, c: 1000.0 * k + c.sum(), n=150, seed=seed)
-        forest = train_forest(ds, num_trees=1, train_fraction=1.0,
-                              min_leaf=1, features_per_split=3)
-        # without schedules, dod = efficiency = 1: S_d = S_c = total kWh
-        total = ds.capacity.sum(axis=1)
-        Z = np.column_stack([ds.period.astype(float), total, total])
+        ds = grid_dataset(lambda k, c: 1000.0 * k + c.sum(), n=150, seed=seed,
+                          trees=1, min_leaf=1, features_per_split=3)
+        forest = train_forest(ds)
+        train = forest.train_indices
+        # with unit schedules, S_d = S_c = total kWh
+        total = ds.capacity[train].sum(axis=1)
+        Z = np.column_stack([ds.period[train].astype(float), total, total])
         # duplicated feature rows share one leaf, but targets agree there
-        assert np.allclose(forest.trees[0].predict(Z, 0.0), ds.cost), seed
+        assert np.allclose(forest.trees[0].predict(Z, 0.0),
+                           ds.cost[train]), seed
 
 
 def test_forest_predictions_stay_inside_target_range():
-    ds = grid_dataset(lambda k, c: 100.0 * k + 0.1 * c.sum(), n=300, seed=3)
-    forest = train_forest(ds, num_trees=5)
+    ds = grid_dataset(lambda k, c: 100.0 * k + 0.1 * c.sum(), n=300, seed=3,
+                      trees=5)
+    forest = train_forest(ds)
     pred = forest.predict(raw_rows(ds))
     assert pred.min() >= ds.cost.min() - 1e-9
     assert pred.max() <= ds.cost.max() + 1e-9
 
 
 def test_forest_learns_smooth_function_well():
-    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=400, seed=4)
-    forest = train_forest(ds, num_trees=20, features_per_split=3)
+    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=400, seed=4,
+                      trees=20, features_per_split=3)
+    forest = train_forest(ds)
     assert forest.r2_test > 0.97
 
 
-def test_train_forest_rejects_bad_arguments():
+@pytest.mark.parametrize("key, value", [
+    ("trees", 0), ("train_fraction", 1.5), ("train_fraction", 1.0),
+    ("features_per_split", 9), ("min_leaf", 0), ("max_depth", 0),
+    ("trees", 2.5), ("colour", "red"),
+])
+def test_dataset_rejects_bad_fit_settings(key, value):
+    # the dataset checks its fit settings as the config's metamodel section
+    # does, so no settings reach train_forest that the config would refuse
+    with pytest.raises(ValueError, match=f"metamodel.*{key}"):
+        grid_dataset(lambda k, c: float(k), n=20, **{key: value})
+
+
+def test_dataset_requires_every_fit_setting():
     ds = grid_dataset(lambda k, c: float(k), n=20)
-    with pytest.raises(ValueError):
-        train_forest(ds, num_trees=0)
-    with pytest.raises(ValueError):
-        train_forest(ds, train_fraction=1.5)
-    with pytest.raises(ValueError):
-        train_forest(ds, features_per_split=9)
-    with pytest.raises(ValueError):
-        train_forest(ds, min_leaf=0)
+    fit = dict(ds.fit_params)
+    del fit["min_leaf"]
+    with pytest.raises(ValueError, match="missing key 'min_leaf'"):
+        dataclasses.replace(ds, fit_params=fit)
 
 
 def test_default_feature_subset_is_a_third():
-    ds = grid_dataset(lambda k, c: float(k), n=30)
-    forest = train_forest(ds, num_trees=1)
+    ds = grid_dataset(lambda k, c: float(k), n=30, trees=1)
+    forest = train_forest(ds)
     # 3 features for a 2-unit dataset: ceil(3/3) = 1
     assert forest.params["features_per_split"] == 1
 
 
 def test_train_test_split_is_disjoint():
-    ds = grid_dataset(lambda k, c: float(k), n=50)
-    forest = train_forest(ds, num_trees=1, train_fraction=0.8)
+    ds = grid_dataset(lambda k, c: float(k), n=50, trees=1,
+                      train_fraction=0.8)
+    forest = train_forest(ds)
     assert not set(forest.train_indices) & set(forest.test_indices)
     assert len(forest.train_indices) == 40
     assert len(forest.test_indices) == 10
 
 
 def test_forest_round_trips_bit_exact(tmp_path):
-    ds = grid_dataset(lambda k, c: 10.0 * k + 0.3 * c[0] - 0.1 * c[1], n=120)
-    forest = train_forest(ds, num_trees=4)
+    ds = grid_dataset(lambda k, c: 10.0 * k + 0.3 * c[0] - 0.1 * c[1], n=120,
+                      trees=4)
+    forest = train_forest(ds)
     path = tmp_path / "forest.json"
     save_forest(forest, path)
     again = load_forest(path)
@@ -160,8 +221,8 @@ def test_forest_round_trips_bit_exact(tmp_path):
 
 
 def test_load_forest_checks_config_digest(tmp_path):
-    ds = grid_dataset(lambda k, c: float(k), n=40)
-    forest = train_forest(ds, num_trees=1)
+    ds = grid_dataset(lambda k, c: float(k), n=40, trees=1)
+    forest = train_forest(ds)
     path = tmp_path / "forest.json"
     save_forest(forest, path)
     load_forest(path, expected_config_hash="d" * 8)
@@ -170,8 +231,8 @@ def test_load_forest_checks_config_digest(tmp_path):
 
 
 def test_predict_outage_cost_validates_width():
-    ds = grid_dataset(lambda k, c: float(k), n=40)
-    forest = train_forest(ds, num_trees=1)
+    ds = grid_dataset(lambda k, c: float(k), n=40, trees=1)
+    forest = train_forest(ds)
     assert forest.predict_outage_cost(2, [300.0, 0.0]) == (
         forest.predict([[2.0, 300.0, 0.0]])[0])
     with pytest.raises(ValueError):
@@ -188,17 +249,19 @@ def test_r_squared_perfect_and_mean_baseline():
 @given(seed=st.integers(0, 1_000))
 def test_leaf_values_are_training_target_means(seed):
     """Every prediction of a lone tree is an average of training targets."""
-    ds = grid_dataset(lambda k, c: float(k) * 7.0, n=60, seed=seed)
-    forest = train_forest(ds, num_trees=1, train_fraction=1.0)
+    ds = grid_dataset(lambda k, c: float(k) * 7.0, n=60, seed=seed, trees=1)
+    forest = train_forest(ds)
     pred = forest.predict(raw_rows(ds))
-    lo, hi = ds.cost.min(), ds.cost.max()
+    train = ds.cost[forest.train_indices]
+    lo, hi = train.min(), train.max()
     assert np.all(pred >= lo - 1e-9) and np.all(pred <= hi + 1e-9)
 
 
 def test_forest_sees_fleet_energy_not_unit_split():
     # rows with the same deliverable and recharge energy share one prediction
-    ds = grid_dataset(lambda k, c: 10.0 * k + 0.3 * c[0] - 0.1 * c[1], n=120)
-    forest = train_forest(ds, num_trees=3)
+    ds = grid_dataset(lambda k, c: 10.0 * k + 0.3 * c[0] - 0.1 * c[1], n=120,
+                      trees=3)
+    forest = train_forest(ds)
     assert forest.predict_outage_cost(2, [1000.0, 300.0]) == (
         forest.predict_outage_cost(2, [300.0, 1000.0]))
 
@@ -206,10 +269,9 @@ def test_forest_sees_fleet_energy_not_unit_split():
 def test_forest_features_follow_the_schedules():
     # unit 2 holds half the usable energy of unit 1 in period 1, so 600 kWh
     # of it stands in for 300 kWh of unit 1 there
-    ds = grid_dataset(lambda k, c: float(k), n=40)
-    ds.dod = np.array([[1.0, 0.5]] * 4)
-    ds.efficiency = np.ones((4, 2))
-    forest = train_forest(ds, num_trees=1)
+    ds = dataclasses.replace(grid_dataset(lambda k, c: float(k), n=40, trees=1),
+                             dod=np.array([[1.0, 0.5]] * 4))
+    forest = train_forest(ds)
     assert forest.predict_outage_cost(1, [300.0, 0.0]) == (
         forest.predict_outage_cost(1, [0.0, 600.0]))
 
@@ -227,15 +289,18 @@ def test_dataset_carries_schedules_and_fit_settings(tmp_path, smoke_config):
     assert again.fit_params == ds.fit_params
     forest = train_forest(again)
     assert len(forest.trees) == smoke_config.metamodel.trees
-    assert len(train_forest(again, num_trees=2).trees) == 2
+    two = dataclasses.replace(again, fit_params={**again.fit_params,
+                                                 "trees": 2})
+    assert len(train_forest(two).trees) == 2
 
 
 def test_fit_ignores_held_out_targets():
     """Trees and soft-split width come from training rows alone."""
-    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=120, seed=5)
-    forest = train_forest(ds, num_trees=2)
+    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=120, seed=5,
+                      trees=2)
+    forest = train_forest(ds)
     ds.cost[forest.test_indices] = 1e6
-    again = train_forest(ds, num_trees=2)
+    again = train_forest(ds)
     assert again.params == forest.params
     X = raw_rows(ds)
     assert np.array_equal(again.predict(X), forest.predict(X))
@@ -243,8 +308,9 @@ def test_fit_ignores_held_out_targets():
 
 
 def test_smoothing_is_cross_validated_from_the_grid():
-    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=200, seed=6)
-    forest = train_forest(ds, num_trees=1)
+    ds = grid_dataset(lambda k, c: 50.0 * k + c.sum() ** 0.5, n=200, seed=6,
+                      trees=1)
+    forest = train_forest(ds)
     assert forest.params["smoothing"] in SMOOTHING_GRID
     # a hard tree is a step function of the energies; a soft one moves
     # between its steps
@@ -255,10 +321,26 @@ def test_smoothing_is_cross_validated_from_the_grid():
     assert len(set(forest.predict(sweep))) > steps
 
 
-def test_load_forest_rejects_v1_file(tmp_path):
-    ds = grid_dataset(lambda k, c: float(k), n=40)
+@pytest.mark.parametrize("key, value", [
+    ("dod", [[1.0]] * 4),  # would broadcast over both units
+    ("efficiency", [[1.0, 1.0]] * 3),
+    ("num_features", 4),
+])
+def test_load_forest_rejects_schedules_off_its_width(tmp_path, key, value):
     path = tmp_path / "forest.json"
-    save_forest(train_forest(ds, num_trees=1), path)
+    save_forest(train_forest(grid_dataset(lambda k, c: float(k), n=40,
+                                          trees=1)), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schedule"):
+        load_forest(path)
+
+
+def test_load_forest_rejects_v1_file(tmp_path):
+    ds = grid_dataset(lambda k, c: float(k), n=40, trees=1)
+    path = tmp_path / "forest.json"
+    save_forest(train_forest(ds), path)
     doc = json.loads(path.read_text())
     doc["format"] = "storeplan-forest-v1"
     path.write_text(json.dumps(doc))

@@ -182,6 +182,40 @@ def test_read_policy_accepts_repeated_schedule_price(tmp_path, case_config):
     assert [s.unit_prices[0] for s in again.steps] == [420, 420, 167, 150]
 
 
+def test_read_policy_carries_exact_schedule_prices(tmp_path, case_config):
+    # 1234567 $/kWh prints as 1.23457e+06; the step must carry the
+    # schedule's price, not the printed one, or evaluate charges 1234570
+    li_ion = replace(case_config.storage[0],
+                     price_schedule=(1234567, 420, 167, 150))
+    storage = (li_ion,) + case_config.storage[1:]
+    env = MdpEnv(case_config.planning, storage,
+                 outage_cost=lambda k, caps: 0.0)
+    path = tmp_path / "policy.csv"
+    write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
+                     storage, path)
+    assert "1.23457e+06" in path.read_text()
+    again = read_policy_csv(path, storage,
+                            case_config.planning.expansion_levels_kwh)
+    assert [s.unit_prices[0] for s in again.steps] == [1234567, 420, 167, 150]
+
+
+def test_read_policy_rejects_a_price_that_matches_two(tmp_path, case_config):
+    # 1234568 and 1234567 both print as 1.23457e+06, so in period 2 the
+    # printed price cannot tell whether li-ion stayed or advanced
+    li_ion = replace(case_config.storage[0],
+                     price_schedule=(1234568, 1234567, 167, 150))
+    storage = (li_ion,) + case_config.storage[1:]
+    env = MdpEnv(case_config.planning, storage,
+                 outage_cost=lambda k, caps: 0.0)
+    path = tmp_path / "policy.csv"
+    write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
+                     storage, path)
+    with pytest.raises(ValueError, match=f"price_per_kwh_{li_ion.name} .* "
+                                         "several schedule prices"):
+        read_policy_csv(path, storage,
+                        case_config.planning.expansion_levels_kwh)
+
+
 def test_evaluation_is_deterministic_under_seed(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
