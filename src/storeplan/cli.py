@@ -20,14 +20,15 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, IncompatibleArtifact, config_hash,
                      load_config)
-from .mdp import MdpEnv, count_states_component_product, count_states_reachable
+from .mdp import (MdpEnv, backward_induction, count_states_component_product,
+                  count_states_reachable)
 from .metamodel import (generate_dataset, load_forest,
                         reachable_capacity_values, read_dataset, save_forest,
                         train_forest, write_dataset)
 from .outages import generate_outages
 from .policy import (default_scenarios, evaluate_policy, extract_policy,
                      load_scenarios, never_invest_report, read_policy_csv,
-                     write_comparison_csv, write_policy_csv)
+                     visited_greedy, write_comparison_csv, write_policy_csv)
 from .qlearn import DecaySchedule, load_qtable, save_qtable, train
 from .rng import stream
 from .simulate import SimulationContext
@@ -111,8 +112,8 @@ def cmd_train_meta(args) -> int:
     save_forest(forest, path)
     _record_artifact(out, "forest", "forest.json", forest.config_digest,
                      "train-meta", forest.params)
-    r2 = "n/a" if forest.r2_test is None else f"{forest.r2_test:.4f}"
-    print(f"wrote {path} ({len(forest.trees)} trees, holdout R^2 {r2})")
+    print(f"wrote {path} ({len(forest.trees)} trees, "
+          f"holdout R^2 {forest.r2_test:.4f})")
     return 0
 
 
@@ -137,10 +138,19 @@ def cmd_solve(args) -> int:
                      "solve", {"episodes": episodes})
     bound_states, bound_pairs = count_states_component_product(
         env.num_units, len(env.levels), cfg.planning.horizon_periods)
-    print(f"wrote {qpath} ({len(qtable)} states visited; "
-          f"component bound {bound_states} states / {bound_pairs} pairs, "
-          f"reachable {count_states_reachable(cfg.planning, cfg.storage)})")
+    reachable = count_states_reachable(cfg.planning, cfg.storage)
+    print(f"wrote {qpath} ({len(qtable)} of {reachable} reachable states "
+          f"visited, {len(qtable) / reachable:.0%}; component bound "
+          f"{bound_states} states / {bound_pairs} pairs)")
     print(f"final batch mean reward {curve.mean_total_reward[-1]:.0f}")
+    # the gap says whether more training could still improve the plan: the
+    # learned policy is the rule `policy` extracts with, valued exactly
+    optimum, learned = backward_induction(
+        env, cfg.rl.gamma, choose=lambda s: visited_greedy(qtable, s))
+    gap = optimum - learned
+    share = f" ({gap / abs(optimum):.1%})" if optimum else ""
+    print(f"exact DP: optimum {optimum:.0f}, learned policy {learned:.0f}, "
+          f"gap {gap:.0f}{share}")
     return 0
 
 

@@ -6,10 +6,14 @@ as independent per-unit Markov chains that either advance one step down their
 decline schedule or stay put at each period boundary; the index can therefore
 lag the period. Rewards are negative costs: the annualized investment charged
 over the remaining horizon plus the predicted outage cost for the period.
+The process is small enough to solve exactly by backward induction over its
+reachable states, which is what the learned policy is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,6 +25,7 @@ __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
     "encode_state", "decode_state",
     "count_states_component_product", "count_states_reachable",
+    "backward_induction",
 ]
 
 
@@ -90,11 +95,6 @@ class MdpEnv:
     def initial_state(self) -> MdpState:
         return MdpState(1, (1,) * self.num_units, (0.0,) * self.num_units)
 
-    def action_index(self, action: MdpAction) -> int:
-        if action.is_noop:
-            return 0
-        return 1 + action.unit * len(self.levels) + action.level
-
     def apply_action(self, state: MdpState, action: MdpAction) -> tuple[float, ...]:
         """Installed capacities after the action, before the period's outages."""
         if action.is_noop:
@@ -123,14 +123,18 @@ class MdpEnv:
             self._invest_memo[key] = cost
         return cost
 
+    def outage(self, period: int, caps: tuple[float, ...]) -> float:
+        """Predicted outage cost at post-action capacities, memoized."""
+        key = (period, caps)
+        cost = self._outage_memo.get(key)
+        if cost is None:
+            cost = float(self.outage_cost(period, caps))
+            self._outage_memo[key] = cost
+        return cost
+
     def reward(self, state: MdpState, action: MdpAction) -> float:
-        caps = self.apply_action(state, action)
-        key = (state.period, caps)
-        outage = self._outage_memo.get(key)
-        if outage is None:
-            outage = float(self.outage_cost(state.period, caps))
-            self._outage_memo[key] = outage
-        return -self.investment(state, action) - outage
+        return (-self.investment(state, action)
+                - self.outage(state.period, self.apply_action(state, action)))
 
     def transition(self, state: MdpState, action: MdpAction,
                    rng: np.random.Generator) -> MdpState:
@@ -158,42 +162,117 @@ def count_states_component_product(num_units: int, num_levels: int,
     return states, states * (num_units * num_levels + 1)
 
 
-def count_states_reachable(planning: PlanningConfig,
-                           storage: tuple[StorageTechnology, ...]) -> int:
-    """Exact reachable-state count under the actual dynamics.
+def _price_steps(idx: int, advance: float,
+                 horizon: int) -> dict[int, float]:
+    """Next price index -> probability for one unit's chain at a boundary.
 
-    Price chains and the capacity vector evolve independently, so the joint
-    reachable set at each period is the product of the per-unit price-index
-    sets with the set of capacity vectors; this enumerates each factor instead
-    of walking the joint graph.
+    Outcomes of probability zero are left out, so they are never reachable.
+    """
+    steps: dict[int, float] = {}
+    if advance < 1.0:
+        steps[idx] = 1.0 - advance
+    if advance > 0.0:
+        nxt = min(idx + 1, horizon)
+        steps[nxt] = steps.get(nxt, 0.0) + advance
+    return steps
+
+
+def _reachable_grid(planning: PlanningConfig,
+                    storage: tuple[StorageTechnology, ...]):
+    """Per period, each unit's reachable price indices and capacity vectors.
+
+    Price chains and the capacity vector evolve independently, so a period's
+    reachable states are the product of its unit price-index sets with its
+    capacity-vector set. Returns `(prices, caps)`: `prices[k - 1][u]` and
+    `caps[k - 1]` are sorted tuples.
     """
     horizon = planning.horizon_periods
     levels = planning.expansion_levels_kwh
     units = len(storage)
-    price_sets: list[list[set[int]]] = [[{1}] for _ in range(units)]
+    prices = [((1,),) * units]
+    caps = [((0.0,) * units,)]
     for k in range(1, horizon):
-        for u in range(units):
-            p = storage[u].advance_prob_schedule[k - 1]
-            nxt: set[int] = set()
-            for i in price_sets[u][-1]:
-                if p < 1.0:
-                    nxt.add(i)
-                if p > 0.0:
-                    nxt.add(min(i + 1, horizon))
-            price_sets[u].append(nxt)
-    cap_sets: list[set[tuple[float, ...]]] = [{(0.0,) * units}]
-    for _ in range(1, horizon):
-        cur = cap_sets[-1]
-        nxt_caps = set(cur)
-        for caps in cur:
+        prices.append(tuple(
+            tuple(sorted({j for i in prices[-1][u] for j in _price_steps(
+                i, storage[u].advance_prob_schedule[k - 1], horizon)}))
+            for u in range(units)))
+        nxt = set(caps[-1])
+        for c in caps[-1]:
             for u in range(units):
                 for lv in levels:
-                    nxt_caps.add(caps[:u] + (caps[u] + lv,) + caps[u + 1:])
-        cap_sets.append(nxt_caps)
-    total = 0
-    for k in range(horizon):
-        combos = 1
-        for u in range(units):
-            combos *= len(price_sets[u][k])
-        total += combos * len(cap_sets[k])
-    return total
+                    nxt.add(c[:u] + (c[u] + lv,) + c[u + 1:])
+        caps.append(tuple(sorted(nxt)))
+    return prices, caps
+
+
+def count_states_reachable(planning: PlanningConfig,
+                           storage: tuple[StorageTechnology, ...]) -> int:
+    """Exact reachable-state count under the actual dynamics: the sum over
+    periods of the product of the factor sizes of `_reachable_grid`."""
+    prices, caps = _reachable_grid(planning, storage)
+    return sum(math.prod(map(len, p)) * len(c) for p, c in zip(prices, caps))
+
+
+def _chain_matrix(now: tuple[int, ...], nxt: tuple[int, ...],
+                  advance: float, horizon: int) -> np.ndarray:
+    """[i, j]: probability that a unit at price index now[i] goes to nxt[j]."""
+    col = {j: n for n, j in enumerate(nxt)}
+    mat = np.zeros((len(now), len(nxt)))
+    for row, i in enumerate(now):
+        for j, prob in _price_steps(i, advance, horizon).items():
+            mat[row, col[j]] = prob
+    return mat
+
+
+def backward_induction(env: MdpEnv, gamma: float,
+                       choose: Callable[[MdpState], int] | None = None
+                       ) -> tuple[float, float | None]:
+    """Exact expected discounted reward from the initial state (Bellman).
+
+    One backward pass over each period's reachable states, held as an array
+    over (unit price indices..., capacity vector). The price chains are
+    independent, so the expectation over next prices is one `tensordot` per
+    unit; rewards come from the environment's memos once per (capacity
+    vector, action), with prices as array axes. Returns `(optimum, value)`,
+    where `value` is the exact value of the policy `choose(state) -> action
+    index`, or None when no policy is given.
+    """
+    horizon = env.planning.horizon_periods
+    prices, caps = _reachable_grid(env.planning, env.storage)
+    units = env.num_units
+    later = None  # [optimum, policy] values over period k + 1's grid
+    for k in range(horizon, 0, -1):
+        p_sets, c_set = prices[k - 1], caps[k - 1]
+        if later is not None:
+            for u in range(units):
+                advance = env.storage[u].advance_prob_schedule[k - 1]
+                mat = _chain_matrix(p_sets[u], prices[k][u], advance, horizon)
+                later = np.moveaxis(np.tensordot(mat, later, axes=(1, u + 1)),
+                                    0, u + 1)
+            pos = {c: n for n, c in enumerate(caps[k])}
+        shape = (1 + (choose is not None),) + tuple(map(len, p_sets)) + (
+            len(c_set),)
+        if choose is not None:
+            grid = itertools.product(*p_sets, c_set)
+            pick = np.reshape([choose(MdpState(k, tuple(idx), c))
+                               for *idx, c in grid], shape[1:])
+        values = np.full(shape, -np.inf)
+        for ai, action in enumerate(env.actions):
+            after = [env.apply_action(MdpState(k, (), c), action)
+                     for c in c_set]
+            q = -np.array([env.outage(k, c) for c in after])
+            if not action.is_noop:
+                # the investment depends on the acting unit's price alone
+                invest = [env.investment(MdpState(k, (i,) * units, ()), action)
+                          for i in p_sets[action.unit]]
+                q = q - np.reshape(invest, [-1 if v == action.unit else 1
+                                            for v in range(units + 1)])
+            if later is not None:
+                q = q + gamma * later[..., [pos[c] for c in after]]
+            q = np.broadcast_to(q, shape)
+            np.maximum(values[0], q[0], out=values[0])
+            if choose is not None:
+                np.copyto(values[1], q[1], where=pick == ai)
+        later = values
+    optimum, *value = later.ravel().tolist()
+    return optimum, (value[0] if value else None)

@@ -421,7 +421,7 @@ class RegressionForest:
     params: dict
     train_indices: list[int]
     test_indices: list[int]
-    r2_test: float | None
+    r2_test: float
     config_digest: str
     dod: np.ndarray
     efficiency: np.ndarray
@@ -459,6 +459,7 @@ def train_forest(dataset: SyntheticDataset,
     only one. The soft-split width is chosen by `CV_FOLDS`-fold
     cross-validation on the training rows over `SMOOTHING_GRID`, the
     smallest width winning a tie; the held-out rows enter only `r2_test`.
+    Each part of the split must hold a row, or ValueError is raised.
     """
     fit = dataset.fit_params
     num_trees, train_fraction = fit["trees"], fit["train_fraction"]
@@ -474,6 +475,9 @@ def train_forest(dataset: SyntheticDataset,
     n_train = int(round(train_fraction * len(dataset)))
     if n_train < 1:
         raise ValueError("train split is empty")
+    if n_train == len(dataset):
+        raise ValueError(f"held-out split is empty: train_fraction "
+                         f"{train_fraction} keeps all {len(dataset)} rows")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
     def grow(rows, *key):
@@ -499,7 +503,7 @@ def train_forest(dataset: SyntheticDataset,
                            ** 2).sum()
         smoothing = SMOOTHING_GRID[int(np.argmin(sse))]
     trees = grow(train_idx, "metamodel:tree")
-    forest = RegressionForest(
+    return RegressionForest(
         trees=trees, num_features=1 + dataset.num_units,
         params={"num_trees": num_trees, "train_fraction": train_fraction,
                 "min_leaf": min_leaf, "max_depth": max_depth,
@@ -507,13 +511,10 @@ def train_forest(dataset: SyntheticDataset,
                 "seed": seed, "smoothing": smoothing},
         train_indices=[int(i) for i in train_idx],
         test_indices=[int(i) for i in test_idx],
-        r2_test=None, config_digest=dataset.config_digest,
+        r2_test=r_squared(y[test_idx],
+                          _mean_prediction(trees, Z[test_idx], smoothing)),
+        config_digest=dataset.config_digest,
         dod=dataset.dod, efficiency=dataset.efficiency)
-    if len(test_idx):
-        forest.r2_test = r_squared(y[test_idx],
-                                   _mean_prediction(trees, Z[test_idx],
-                                                    smoothing))
-    return forest
 
 
 def save_forest(forest: RegressionForest, path) -> None:

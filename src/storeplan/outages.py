@@ -21,10 +21,6 @@ class Outage:
     start_hour: int
     duration_hours: int
 
-    @property
-    def end_hour(self) -> int:
-        return self.start_hour + self.duration_hours
-
 
 @dataclass(frozen=True)
 class OutageTrace:

@@ -24,7 +24,7 @@ from .simulate import SimulationContext
 
 __all__ = [
     "PriceScenario", "PolicyStep", "PolicyReport", "PolicyValue",
-    "default_scenarios", "load_scenarios",
+    "default_scenarios", "load_scenarios", "visited_greedy",
     "extract_policy", "never_invest_report", "write_policy_csv",
     "read_policy_csv", "evaluate_policy", "write_comparison_csv",
 ]
@@ -134,15 +134,13 @@ class PolicyReport:
     steps: list[PolicyStep]
     flags: list[str] = field(default_factory=list)
 
-    @property
-    def total_kwh(self) -> float:
-        return sum(self.steps[-1].capacity_after) if self.steps else 0.0
 
-
-def _visited_argmax(q_row, visits):
-    """Best visited action index, or None if nothing was ever tried here."""
-    best, best_q = None, -math.inf
-    for i, (q, v) in enumerate(zip(q_row, visits)):
+def visited_greedy(qtable: QTable, state: MdpState) -> int:
+    """Index of the best action visited at `state`, the first on a tie; 0
+    (no-op) when no action was visited there or the state is absent."""
+    best, best_q = 0, -math.inf
+    for i, (q, v) in enumerate(zip(qtable.q_values(state),
+                                   qtable.visit_counts(state))):
         if v > 0 and q > best_q:
             best, best_q = i, q
     return best
@@ -163,17 +161,12 @@ def extract_policy(qtable: QTable, env: MdpEnv,
     caps = (0.0,) * env.num_units
     for k in range(1, horizon + 1):
         state = MdpState(k, path[k - 1], caps)
-        ai = None
-        q_row = [0.0] * env.num_actions
-        visits = [0] * env.num_actions
-        if state in qtable:
-            q_row = qtable.q_values(state)
-            visits = qtable.visit_counts(state)
-            ai = _visited_argmax(q_row, visits)
-        if ai is None:
+        q_row = qtable.q_values(state)
+        visits = qtable.visit_counts(state)
+        ai = visited_greedy(qtable, state)
+        if visits[ai] == 0:
             flags.append(f"period {k}: state {encode_state(state)} has no "
                          f"visited action; defaulting to no-op")
-            ai = 0
         action = env.actions[ai]
         caps = env.apply_action(state, action)
         prices = tuple(env.storage[u].price_schedule[state.price_idx[u] - 1]

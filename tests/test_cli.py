@@ -134,6 +134,18 @@ def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_dataset_too_small_to_hold_out_exits_two(tmp_path):
+    # round(0.8 * 2) keeps both rows for training and none for R^2
+    proc = run_cli("gen-data", "--config", SMOKE, "--observations", "2",
+                   "--trials", "1", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("train-meta", "--dataset", str(tmp_path / "dataset.csv"),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "held-out split is empty" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stage, sizes", [
     ("gen-data", ("--observations", "0", "--trials", "2")),
     ("gen-data", ("--observations", "2", "--trials", "0")),

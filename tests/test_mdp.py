@@ -1,14 +1,18 @@
-"""MDP dynamics: action wiring, price chains, rewards, and state counting."""
+"""MDP dynamics: action wiring, price chains, rewards, state counting, and
+the exact backward-induction values the learner is checked against."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
-                           count_states_component_product,
+                           backward_induction, count_states_component_product,
                            count_states_reachable, decode_state, encode_state)
+from storeplan.policy import visited_greedy
+from storeplan.qlearn import DecaySchedule, train
 from storeplan.renewables import RenewableParams
 from storeplan.rng import stream
 
@@ -47,8 +51,7 @@ def test_action_enumeration_and_indexing():
     env = make_env(units=2)
     assert env.num_actions == 7
     assert env.actions[0] is NO_OP
-    for i, act in enumerate(env.actions):
-        assert env.action_index(act) == i
+    assert len(set(env.actions)) == env.num_actions
     assert env.actions[1] == MdpAction(0, 0)
     assert env.actions[6] == MdpAction(1, 2)
 
@@ -211,3 +214,97 @@ def test_reachable_case_study_figures(case_config):
     assert states == 2_758_578
     assert pairs == 35_861_514
 
+
+def test_dp_recovers_enumeration_optimum_on_reduced_instance():
+    """Criterion 7's instance: one unit whose price falls with certainty, so
+    the stay outcome has probability zero and open-loop plans are optimal."""
+    gamma = 0.9
+    battery = tech(0, (1.0, 1.0, 1.0, 0.0), price=(400.0, 300.0, 200.0, 150.0))
+
+    def stub_cost(k, caps):
+        total = caps[0]
+        tier = 60e3 if total >= 4000 else (260e3 if total >= 1000 else 700e3)
+        return 1.10 ** (k - 1) * tier
+
+    env = MdpEnv(planning(), (battery,), outage_cost=stub_cost)
+
+    def rollout(seq):
+        state, total = env.initial_state(), 0.0
+        for k, ai in enumerate(seq):
+            total += gamma ** k * env.reward(state, env.actions[ai])
+            state = MdpState(state.period + 1, (state.period + 1,),
+                             env.apply_action(state, env.actions[ai]))
+        return total
+
+    best_value, best_seq = max(
+        (rollout(seq), seq)
+        for seq in itertools.product(range(env.num_actions), repeat=4))
+    optimum, followed = backward_induction(
+        env, gamma, choose=lambda s: best_seq[s.period - 1])
+    assert optimum == pytest.approx(best_value, rel=1e-12)
+    assert followed == pytest.approx(best_value, rel=1e-12)
+    assert backward_induction(env, gamma) == (optimum, None)
+
+
+@pytest.mark.parametrize("advance", [
+    ((0.3,), (0.6,)),
+    ((0.7, 1.0), (1.0, 0.4)),
+])
+def test_dp_matches_enumeration_over_price_outcomes(advance):
+    """Two units, advance probabilities per boundary: the reference recurses
+    over every price outcome with its probability. With three periods,
+    staying put at a certain advance has probability zero, yet that index is
+    reachable along the other branch."""
+    gamma, horizon = 0.9, len(advance[0]) + 1
+    storage = (tech(0, advance[0] + (0.0,), horizon,
+                    price=(400.0, 250.0, 200.0)[:horizon]),
+               tech(1, advance[1] + (0.0,), horizon,
+                    price=(300.0, 120.0, 100.0)[:horizon]))
+    env = MdpEnv(planning(horizon), storage, outage_cost=lambda k, caps: (
+        2e5 * k / (1 + (caps[0] + 2 * caps[1]) / 1000)))
+    first = env.actions.index(MdpAction(1, 1))
+    top_up = env.actions.index(MdpAction(0, 0))
+
+    def choose(s):
+        # unit 1's middle block, then unit 0's small block once its price fell
+        if s.period == 1:
+            return first
+        return top_up if s.price_idx[0] > 1 else 0
+
+    def value(s, policy=None):
+        acts = env.actions if policy is None else [env.actions[policy(s)]]
+        return max(env.reward(s, a) + gamma * expected(s, a, policy)
+                   for a in acts)
+
+    def expected(s, action, policy):
+        if s.period == horizon:
+            return 0.0
+        caps = env.apply_action(s, action)
+        probs = [adv[s.period - 1] for adv in advance]
+        total = 0.0
+        for moves in itertools.product((0, 1), repeat=2):
+            prob = math.prod(p if m else 1 - p for p, m in zip(probs, moves))
+            idx = tuple(i + m for i, m in zip(s.price_idx, moves))
+            total += prob * value(MdpState(s.period + 1, idx, caps), policy)
+        return total
+
+    optimum = value(env.initial_state())
+    followed = value(env.initial_state(), choose)
+    assert followed < optimum
+    assert backward_induction(env, gamma, choose) == pytest.approx(
+        (optimum, followed), rel=1e-12)
+
+
+def test_learned_policy_value_never_exceeds_optimum(smoke_config):
+    env = MdpEnv(smoke_config.planning, smoke_config.storage,
+                 outage_cost=lambda k, caps: 4e5 * k / (1 + sum(caps) / 2000))
+    rl, episodes = smoke_config.rl, 5_000
+    qtable, _ = train(env, episodes, rl.gamma,
+                      DecaySchedule(rl.alpha_start, rl.alpha_end, episodes),
+                      DecaySchedule(rl.epsilon_start, rl.epsilon_end,
+                                    episodes), seed=smoke_config.master_seed)
+    optimum, learned = backward_induction(
+        env, rl.gamma, choose=lambda s: visited_greedy(qtable, s))
+    _, never = backward_induction(env, rl.gamma, choose=lambda s: 0)
+    assert learned <= optimum
+    assert never <= optimum

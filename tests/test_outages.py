@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import Outage, OutageTrace, generate_outages
+from storeplan.outages import OutageTrace, generate_outages
 from storeplan.rng import stream
 
 SAIFI = 1.155
@@ -36,7 +36,7 @@ def test_outages_sorted_and_disjoint():
     rng = stream(13, "outage-order")
     trace = generate_outages(SAIFI, CAIDI, 2_000, rng)
     for a, b in zip(trace.outages, trace.outages[1:]):
-        assert a.end_hour <= b.start_hour
+        assert a.start_hour + a.duration_hours <= b.start_hour
 
 
 def test_truncation_at_horizon_edge():
@@ -44,7 +44,8 @@ def test_truncation_at_horizon_edge():
     for seed in range(50):
         trace = generate_outages(SAIFI, CAIDI, 2, stream(seed, "outage-edge"))
         horizon_hours = 2 * HOURS_PER_YEAR
-        assert all(o.end_hour <= horizon_hours for o in trace.outages)
+        assert all(o.start_hour + o.duration_hours <= horizon_hours
+                   for o in trace.outages)
 
 
 @pytest.mark.parametrize("saifi,caidi,years", [
@@ -74,10 +75,6 @@ def test_merged_hours_never_exceed_raw_draw(seed, years):
                              stream(seed, "outage-merge"))
     assert trace.total_hours() <= durations.sum()
     assert len(trace.outages) <= count
-
-
-def test_outage_end_hour():
-    assert Outage(start_hour=100, duration_hours=7).end_hour == 107
 
 
 def test_empty_trace_total():

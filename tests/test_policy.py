@@ -76,7 +76,7 @@ def test_extraction_follows_visited_argmax(case_config):
     qt = QTable(env.num_actions)
     s1 = env.initial_state()
     row, visits = qt.entry(s1)
-    buy_li_small = env.action_index(MdpAction(0, 0))
+    buy_li_small = env.actions.index(MdpAction(0, 0))
     row[buy_li_small] = -10.0
     visits[buy_li_small] = 3
     row[5] = 999.0  # never visited, must not be chosen
@@ -103,7 +103,7 @@ def test_extraction_records_scenario_prices(case_config):
 def test_never_invest_report_holds_zero(case_config):
     env = case_env(case_config)
     report = never_invest_report(env, default_scenarios()["2"])
-    assert report.total_kwh == 0.0
+    assert sum(report.steps[-1].capacity_after) == 0.0
     assert all(s.action.is_noop for s in report.steps)
 
 
@@ -112,8 +112,8 @@ def test_policy_csv_round_trip(tmp_path, case_config):
     qt = QTable(env.num_actions)
     s1 = env.initial_state()
     row, visits = qt.entry(s1)
-    row[env.action_index(MdpAction(2, 1))] = -5.0
-    visits[env.action_index(MdpAction(2, 1))] = 7
+    row[env.actions.index(MdpAction(2, 1))] = -5.0
+    visits[env.actions.index(MdpAction(2, 1))] = 7
     report = extract_policy(qt, env, default_scenarios()["1"])
     path = tmp_path / "policy.csv"
     write_policy_csv(report, case_config.storage, path)
@@ -131,7 +131,7 @@ def written_policy(tmp_path, config):
     env = case_env(config)
     qt = QTable(env.num_actions)
     path = default_scenarios()["1"].price_path(env.storage, 4)
-    buy = env.action_index(MdpAction(0, 0))
+    buy = env.actions.index(MdpAction(0, 0))
     caps = (0.0,) * env.num_units
     for k in (1, 2):
         row, visits = qt.entry(MdpState(k, path[k - 1], caps))
@@ -231,7 +231,7 @@ def test_evaluation_charges_recorded_investment(case_config):
     env = case_env(case_config)
     qt = QTable(env.num_actions)
     row, visits = qt.entry(env.initial_state())
-    ai = env.action_index(MdpAction(1, 0))  # lead-acid 300 kWh in period 1
+    ai = env.actions.index(MdpAction(1, 0))  # lead-acid 300 kWh in period 1
     row[ai] = -1.0
     visits[ai] = 1
     report = extract_policy(qt, env, default_scenarios()["1"])
@@ -251,7 +251,7 @@ def test_storage_reduces_outage_cost_with_shared_trials(case_config):
     never = never_invest_report(env, default_scenarios()["1"])
     qt = QTable(env.num_actions)
     row, visits = qt.entry(env.initial_state())
-    ai = env.action_index(MdpAction(0, 2))
+    ai = env.actions.index(MdpAction(0, 2))
     row[ai] = -1.0
     visits[ai] = 1
     invested = extract_policy(qt, env, default_scenarios()["1"])
