@@ -59,9 +59,8 @@ def decode_state(text: str, num_units: int) -> MdpState:
     if len(parts) != 1 + 2 * num_units:
         raise ValueError(f"state string has {len(parts)} fields, "
                          f"expected {1 + 2 * num_units}")
-    return MdpState(period=int(parts[0]),
-                    price_idx=tuple(int(p) for p in parts[1:1 + num_units]),
-                    capacity=tuple(float(c) for c in parts[1 + num_units:]))
+    return MdpState(int(parts[0]), tuple(map(int, parts[1:1 + num_units])),
+                    tuple(map(float, parts[1 + num_units:])))
 
 
 class MdpEnv:

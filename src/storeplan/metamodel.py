@@ -459,7 +459,8 @@ def train_forest(dataset: SyntheticDataset,
     only one. The soft-split width is chosen by `CV_FOLDS`-fold
     cross-validation on the training rows over `SMOOTHING_GRID`, the
     smallest width winning a tie; the held-out rows enter only `r2_test`.
-    Each part of the split must hold a row, or ValueError is raised.
+    Each part of the split must hold a row and the held-out R^2 must be
+    finite, or ValueError is raised.
     """
     fit = dataset.fit_params
     num_trees, train_fraction = fit["trees"], fit["train_fraction"]
@@ -503,6 +504,11 @@ def train_forest(dataset: SyntheticDataset,
                            ** 2).sum()
         smoothing = SMOOTHING_GRID[int(np.argmin(sse))]
     trees = grow(train_idx, "metamodel:tree")
+    r2_test = r_squared(y[test_idx],
+                        _mean_prediction(trees, Z[test_idx], smoothing))
+    if not math.isfinite(r2_test):
+        raise ValueError(f"held-out R^2 is {r2_test} over {len(test_idx)} "
+                         f"held-out row(s): their costs must vary")
     return RegressionForest(
         trees=trees, num_features=1 + dataset.num_units,
         params={"num_trees": num_trees, "train_fraction": train_fraction,
@@ -511,8 +517,7 @@ def train_forest(dataset: SyntheticDataset,
                 "seed": seed, "smoothing": smoothing},
         train_indices=[int(i) for i in train_idx],
         test_indices=[int(i) for i in test_idx],
-        r2_test=r_squared(y[test_idx],
-                          _mean_prediction(trees, Z[test_idx], smoothing)),
+        r2_test=r2_test,
         config_digest=dataset.config_digest,
         dod=dataset.dod, efficiency=dataset.efficiency)
 
@@ -532,7 +537,7 @@ def save_forest(forest: RegressionForest, path) -> None:
                    "left": t.left, "right": t.right, "value": t.value}
                   for t in forest.trees],
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n")
 
 
 def load_forest(path, expected_config_hash: str | None = None) -> RegressionForest:

@@ -1,24 +1,25 @@
 """Tabular Q-learning over the expansion process, with JSONL persistence.
 
 The table is a dict keyed by state, holding one q-value and one visit count
-per action. Exploration and the learning rate both decay linearly over the
-run, and the step size of a pair never drops below one over its visit
-count. The learning curve tracks mean undiscounted episode reward per batch,
-with batch boundaries expressed as percentiles of the run so curves from runs
-of different lengths line up.
+per action; training fills rows of numbered states and converts them at the
+end. Exploration and the learning rate both decay linearly over the run, and
+the step size of a pair never drops below one over its visit count. The
+learning curve tracks mean undiscounted episode reward per batch, with batch
+boundaries expressed as percentiles of the run so curves from runs of
+different lengths line up.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, compress, product
+from operator import lt
 from pathlib import Path
 
-import numpy as np
-
 from .config import IncompatibleArtifact
-from .mdp import MdpEnv, MdpState, decode_state, encode_state
-from .rng import stream
+from .mdp import MdpEnv, MdpState, _reachable_grid, decode_state, encode_state
+from .rng import BlockDraws, stream
 
 __all__ = [
     "DecaySchedule", "QTable", "LearningCurve", "greedy_index",
@@ -81,20 +82,19 @@ class QTable:
         return self._table.items()
 
 
-def greedy_index(row, rng: np.random.Generator) -> int:
-    """Argmax over a q-row, ties broken uniformly at random."""
-    best = row[0]
-    ties = [0]
-    for i in range(1, len(row)):
-        v = row[i]
-        if v > best:
-            best = v
-            ties = [i]
-        elif v == best:
-            ties.append(i)
-    if len(ties) == 1:
-        return ties[0]
-    return ties[int(rng.integers(len(ties)))]
+def greedy_index(row, rng) -> int:
+    """Argmax over a q-row, ties broken uniformly at random.
+
+    On a tie, `rng` (a `Generator` or a `BlockDraws`) draws once to pick
+    among the tied indices in row order.
+    """
+    best = max(row)
+    ties = row.count(best)
+    i = row.index(best)
+    if ties > 1:
+        for _ in range(int(rng.integers(ties))):
+            i = row.index(best, i + 1)
+    return i
 
 
 def q_update(row, action_index: int, reward: float, next_best: float,
@@ -119,6 +119,51 @@ class LearningCurve:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _period_tables(env: MdpEnv):
+    """Number the reachable states and tabulate what a step reads.
+
+    A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
+    the mixed-radix number of the units' positions in their reachable price
+    sets, unit 0 most significant as in `itertools.product`, and `c` is the
+    capacity vector's position in the period's reachable set `C_k`; both
+    come from `mdp._reachable_grid`. Returns `(periods, grids, size)`.
+    `periods[k - 1]` is `(invest, outage, probs, after, succ, offset,
+    width)`: `invest[code][a]` and `outage[c][a]` make up the reward of
+    action a, `after[c][a]` and `succ[code][mask]` are the next period's
+    capacity position and price code, and `offset` and `width` number the
+    next period's states; the last three and `after` are None in the last
+    period. Bit u of an advance mask is set when unit u's price advances,
+    which it does when its draw is below `probs[u]`. `grids[k - 1]` is
+    `(price tuples by code, C_k, offset_k)`.
+    """
+    horizon = env.planning.horizon_periods
+    prices, caps = _reachable_grid(env.planning, env.storage)
+    codes = [list(product(*p)) for p in prices]
+    offsets = list(accumulate(
+        (len(p) * len(c) for p, c in zip(codes, caps)), initial=0))
+    periods = []
+    for k in range(1, horizon + 1):
+        placed = [[env.apply_action(MdpState(k, (), c), a)
+                   for a in env.actions] for c in caps[k - 1]]
+        outage = [[env.outage(k, c) for c in row] for row in placed]
+        invest = [[env.investment(MdpState(k, idx, ()), a)
+                   for a in env.actions] for idx in codes[k - 1]]
+        probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
+        after = succ = offset = width = None
+        if k < horizon:
+            pos = {c: n for n, c in enumerate(caps[k])}
+            after = [[pos[c] for c in row] for row in placed]
+            code = {idx: n for n, idx in enumerate(codes[k])}
+            # a mask with a zero-probability outcome is never drawn: None
+            succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
+                                    for u, i in enumerate(idx)))
+                     for m in range(1 << env.num_units)]
+                    for idx in codes[k - 1]]
+            offset, width = offsets[k], len(caps[k])
+        periods.append((invest, outage, probs, after, succ, offset, width))
+    return periods, list(zip(codes, caps, offsets)), offsets[-1]
+
+
 def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
           epsilon: DecaySchedule, seed: int,
           batches: int = 100) -> tuple[QTable, LearningCurve]:
@@ -130,41 +175,54 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     of its targets instead of keeping most of its zero start. Episode order
     is the only coupling between episodes, so a fixed seed reproduces the
     table exactly.
+
+    Steps run on numbered states, against the reward and successor tables
+    of `_period_tables`, built before the first episode. `BlockDraws` hands
+    out the draws in the order that stepping `MdpEnv.reward` and
+    `MdpEnv.transition` on the seed's `Generator` takes them, so the table
+    is the one those would give, bit for bit.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     batches = min(batches, episodes)
-    rng = stream(seed, "train")
-    qt = QTable(env.num_actions)
-    horizon = env.planning.horizon_periods
-    actions = env.actions
-    num_actions = env.num_actions
+    draws = BlockDraws(stream(seed, "train"))
+    random, integers = draws.random, draws.integers
+    periods, grids, size = _period_tables(env)
+    num_actions, units = env.num_actions, env.num_units
+    bits = [1 << u for u in range(units)]
+    rows = [None] * size
+    rows[0] = ([0.0] * num_actions, [0] * num_actions)  # the initial state
     boundaries = [round((i + 1) * episodes / batches) for i in range(batches)]
     curve_x, curve_y = [], []
     acc, acc_n, next_boundary = 0.0, 0, 0
-    start = env.initial_state()
     for ep in range(episodes):
         a_val = alpha.value(ep)
         e_val = epsilon.value(ep)
-        state = start
+        code = cap = 0
+        entry = rows[0]
         total = 0.0
-        for k in range(horizon):
-            row, visits = qt.entry(state)
-            if rng.random() < e_val:
-                ai = int(rng.integers(num_actions))
+        for invest, outage, probs, after, succ, offset, width in periods:
+            row, visits = entry
+            if random() < e_val:
+                ai = integers(num_actions)
             else:
-                ai = greedy_index(row, rng)
-            action = actions[ai]
-            r = env.reward(state, action)
-            nxt = env.transition(state, action, rng)
-            terminal = k == horizon - 1
+                ai = greedy_index(row, draws)
+            r = -invest[code][ai] - outage[cap][ai]
+            mask = sum(compress(bits, map(lt, random(units), probs)))
             visits[ai] += 1
-            q_update(row, ai, r, 0.0 if terminal else max(qt.entry(nxt)[0]),
-                     max(a_val, 1.0 / visits[ai]), gamma, terminal)
+            step = max(a_val, 1.0 / visits[ai])
+            if after is None:
+                q_update(row, ai, r, 0.0, step, gamma, True)
+            else:
+                code, cap = succ[code][mask], after[cap][ai]
+                s = offset + code * width + cap
+                entry = rows[s]
+                if entry is None:
+                    entry = rows[s] = ([0.0] * num_actions, [0] * num_actions)
+                q_update(row, ai, r, max(entry[0]), step, gamma, False)
             total += r
-            state = nxt
         acc += total
         acc_n += 1
         if ep + 1 == boundaries[next_boundary]:
@@ -172,6 +230,13 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
             curve_y.append(acc / acc_n)
             acc, acc_n = 0.0, 0
             next_boundary += 1
+    qt = QTable(num_actions)
+    for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
+        width = len(cap_set)
+        for s in range(offset, offset + len(price_codes) * width):
+            if rows[s] is not None:
+                code, cap = divmod(s - offset, width)
+                qt._table[MdpState(k, price_codes[code], cap_set[cap])] = rows[s]
     return qt, LearningCurve(batch_percentile=curve_x, mean_total_reward=curve_y)
 
 
@@ -215,8 +280,8 @@ def load_qtable(path, expected_config_hash: str | None = None
                 continue
             rec = json.loads(line)
             state = decode_state(rec["state"], num_units)
-            q = [float(x) for x in rec["q"]]
-            v = [int(x) for x in rec["visits"]]
+            q = list(map(float, rec["q"]))
+            v = list(map(int, rec["visits"]))
             if len(q) != qt.num_actions or len(v) != qt.num_actions:
                 raise ValueError(f"{path}: row width mismatch for {rec['state']}")
             qt._table[state] = (q, v)

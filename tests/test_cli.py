@@ -146,6 +146,18 @@ def test_dataset_too_small_to_hold_out_exits_two(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_single_held_out_row_exits_two(tmp_path):
+    # round(0.8 * 3) holds out one row, whose R^2 is undefined (NaN)
+    proc = run_cli("gen-data", "--config", SMOKE, "--observations", "3",
+                   "--trials", "1", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("train-meta", "--dataset", str(tmp_path / "dataset.csv"),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "over 1 held-out row" in proc.stderr
+    assert not (tmp_path / "out" / "forest.json").exists()
+
+
 @pytest.mark.parametrize("stage, sizes", [
     ("gen-data", ("--observations", "0", "--trials", "2")),
     ("gen-data", ("--observations", "2", "--trials", "0")),

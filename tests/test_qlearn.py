@@ -1,16 +1,20 @@
-"""Q-learning mechanics and a convergence check on a tiny deterministic MDP."""
+"""Q-learning mechanics, the learner's tables against the model, pinned
+training output, and a convergence check on a tiny deterministic MDP."""
+
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from storeplan.config import IncompatibleArtifact
-from storeplan.mdp import MdpState
+from storeplan.mdp import MdpEnv, MdpState
 from storeplan.qlearn import (DecaySchedule, LearningCurve, QTable,
-                              greedy_index, load_qtable, q_update,
-                              save_qtable, train)
+                              _period_tables, greedy_index, load_qtable,
+                              q_update, save_qtable, train)
 from storeplan.rng import stream
 
-from test_mdp import make_env
+from test_mdp import make_env, planning, tech
 
 
 def test_decay_endpoints_and_midpoint():
@@ -178,3 +182,95 @@ def test_final_period_action_visited_once_holds_its_reward():
                 checked += 1
     assert checked > 0
 
+
+def _mixed_env():
+    # certain, impossible and uncertain advances, so the successor table
+    # holds every kind of price step and masks that are never drawn
+    storage = (tech(0, (0.3, 1.0, 0.0, 0.0)), tech(1, (0.0, 0.6, 1.0, 0.0)))
+    return MdpEnv(planning(), storage,
+                  outage_cost=lambda k, caps: 1_000.0 * k / (1.0 + sum(caps)
+                                                             / 700.0))
+
+
+def _numbered_states(env):
+    """(period, price code, capacity position, state) over every reachable
+    state, from the numbering the learner trains on."""
+    _, grids, size = _period_tables(env)
+    states = []
+    for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
+        for code, idx in enumerate(price_codes):
+            for cap, c in enumerate(cap_set):
+                assert offset + code * len(cap_set) + cap == len(states)
+                states.append((k, code, cap, MdpState(k, idx, c)))
+    assert len(states) == size
+    return states
+
+
+def test_table_rewards_equal_env_rewards():
+    env = _mixed_env()
+    periods, _, _ = _period_tables(env)
+    checked = 0
+    for k, code, cap, state in _numbered_states(env):
+        invest, outage = periods[k - 1][:2]
+        for ai, action in enumerate(env.actions):
+            assert -invest[code][ai] - outage[cap][ai] == env.reward(state,
+                                                                     action)
+            checked += 1
+    assert checked > 1_000
+
+
+class _FixedDraws:
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
+
+
+def test_table_successors_equal_env_transitions():
+    env = _mixed_env()
+    periods, grids, _ = _period_tables(env)
+    rng = stream(4, "successors")
+    for k, code, cap, state in _numbered_states(env):
+        _, _, probs, after, succ, _, _ = periods[k - 1]
+        if after is None:
+            continue
+        price_codes, cap_set, _ = grids[k]
+        # draws lie in [0, 1): on and just below each unit's advance bound
+        edges = list(itertools.product(*[
+            [d for d in (0.0, np.nextafter(p, 0.0), p) if d < 1.0]
+            for p in probs]))
+        for draws in edges + rng.random((4, env.num_units)).tolist():
+            mask = sum(1 << u for u, (d, p) in enumerate(zip(draws, probs))
+                       if d < p)
+            for ai, action in enumerate(env.actions):
+                nxt = env.transition(state, action, _FixedDraws(draws))
+                assert nxt == MdpState(k + 1, price_codes[succ[code][mask]],
+                                       cap_set[after[cap][ai]])
+
+
+def test_training_output_is_pinned(smoke_config, tmp_path):
+    """Artifacts of a fixed small run, recorded with the learner that called
+    `MdpEnv.reward` and `MdpEnv.transition` on a `Generator` each step: the
+    tables and block draws must not move a bit of them."""
+    env = MdpEnv(smoke_config.planning, smoke_config.storage,
+                 outage_cost=lambda k, caps: 50_000.0 * k
+                 / (1.0 + sum(caps) / 1000.0))
+    rl, n = smoke_config.rl, 3_000
+    qt, curve = train(env, n, rl.gamma,
+                      DecaySchedule(rl.alpha_start, rl.alpha_end, n),
+                      DecaySchedule(rl.epsilon_start, rl.epsilon_end, n),
+                      seed=7)
+    save_qtable(qt, tmp_path / "qtable.jsonl", "pinned", env.num_units,
+                metadata={"episodes": n})
+    curve.save(tmp_path / "learning_curve.csv")
+
+    def sha(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert len(qt) == 4_368
+    assert sha("qtable.jsonl") == (
+        "e7d7d2000c253710f9edb4810177c9894a5ca99a2270115d6eb94cc3bf7d727f")
+    assert sha("learning_curve.csv") == (
+        "e51e08c7f39ea13c2b224e8df02aae13f79a391c1ce935ecb6e50c4d99ff5212")

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from storeplan.rng import spawn_key, stream
+from storeplan.rng import BlockDraws, spawn_key, stream
 
 
 def test_same_key_same_draws():
@@ -26,3 +27,41 @@ def test_spawn_key_is_stable():
     # every stored artifact's reproducibility
     assert spawn_key("train") == (1550247075,)
     assert spawn_key("train", 5, 7) == (1550247075, 5, 7)
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+@pytest.mark.parametrize("seed", [0, 7, 1729])
+def test_block_draws_match_generator(seed, block):
+    # block 3 refills mid-sequence, between a word's two 32-bit halves too
+    gen, draws = stream(seed, "train"), BlockDraws(stream(seed, "train"), block)
+    calls = np.random.default_rng(seed).integers(3, size=2_000)
+    sizes = [1, 2, 3, 7, 13, 3_000_000_000, 2**32 - 1]
+    for i, call in enumerate(calls):
+        if call == 0:
+            assert draws.random() == gen.random()
+        elif call == 1:
+            assert draws.random(i % 5) == gen.random(i % 5).tolist()
+        else:
+            n = sizes[i % len(sizes)]
+            assert draws.integers(n) == gen.integers(n)
+
+
+def test_block_draws_integers_one_draws_nothing():
+    gen, draws = stream(3, "one"), BlockDraws(stream(3, "one"))
+    assert [draws.integers(1) for _ in range(5)] == [0] * 5
+    assert draws.random(4) == gen.random(4).tolist()
+
+
+def test_block_draws_rejection_loop_matches():
+    # 2**32 mod 3e9 leaves a rejection zone of 30 % of the 32-bit draws
+    gen, draws = stream(5, "lemire"), BlockDraws(stream(5, "lemire"), 5)
+    picks = [draws.integers(3_000_000_000) for _ in range(500)]
+    assert picks == gen.integers(3_000_000_000, size=500).tolist()
+    assert draws.random() == gen.random()
+
+
+def test_block_draws_reject_out_of_range():
+    draws = BlockDraws(stream(0, "range"))
+    for n in (0, 2**32):
+        with pytest.raises(ValueError):
+            draws.integers(n)
