@@ -25,7 +25,7 @@ __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
     "encode_state", "decode_state",
     "count_states_component_product", "count_states_reachable",
-    "backward_induction",
+    "PeriodGrid", "period_grids", "backward_induction",
 ]
 
 
@@ -223,6 +223,41 @@ def _chain_matrix(now: tuple[int, ...], nxt: tuple[int, ...],
     return mat
 
 
+class PeriodGrid(NamedTuple):
+    """One period's reachable states and what each action costs there.
+
+    `prices[u]` holds unit u's reachable price indices and `caps` the
+    reachable capacity vectors. Per action index a, `after[a][c]` is the
+    capacity vector the action leaves from `caps[c]` and `outage[a][c]` its
+    outage cost. `invest[a][i]` is the action's investment at price index
+    `prices[unit][i]` of its unit, on whose price alone it depends; it is
+    None for the no-op, which costs nothing.
+    """
+
+    prices: tuple[tuple[int, ...], ...]
+    caps: tuple[tuple[float, ...], ...]
+    after: list[list[tuple[float, ...]]]
+    outage: list[list[float]]
+    invest: list[list[float] | None]
+
+
+def period_grids(env: MdpEnv) -> list[PeriodGrid]:
+    """The `PeriodGrid` of each period 1..H, rewards from the env's memos."""
+    prices, caps = _reachable_grid(env.planning, env.storage)
+    units = env.num_units
+    grids = []
+    for k, (p_sets, c_set) in enumerate(zip(prices, caps), start=1):
+        after = [[env.apply_action(MdpState(k, (), c), action) for c in c_set]
+                 for action in env.actions]
+        outage = [[env.outage(k, c) for c in row] for row in after]
+        invest = [None if action.is_noop else
+                  [env.investment(MdpState(k, (i,) * units, ()), action)
+                   for i in p_sets[action.unit]]
+                  for action in env.actions]
+        grids.append(PeriodGrid(p_sets, c_set, after, outage, invest))
+    return grids
+
+
 def backward_induction(env: MdpEnv, gamma: float,
                        choose: Callable[[MdpState], int] | None = None
                        ) -> tuple[float, float | None]:
@@ -231,43 +266,40 @@ def backward_induction(env: MdpEnv, gamma: float,
     One backward pass over each period's reachable states, held as an array
     over (unit price indices..., capacity vector). The price chains are
     independent, so the expectation over next prices is one `tensordot` per
-    unit; rewards come from the environment's memos once per (capacity
-    vector, action), with prices as array axes. Returns `(optimum, value)`,
-    where `value` is the exact value of the policy `choose(state) -> action
-    index`, or None when no policy is given.
+    unit; rewards come from `period_grids`, with prices as array axes.
+    Returns `(optimum, value)`, where `value` is the exact value of the
+    policy `choose(state) -> action index`, or None when no policy is given.
     """
     horizon = env.planning.horizon_periods
-    prices, caps = _reachable_grid(env.planning, env.storage)
+    grids = period_grids(env)
     units = env.num_units
     later = None  # [optimum, policy] values over period k + 1's grid
     for k in range(horizon, 0, -1):
-        p_sets, c_set = prices[k - 1], caps[k - 1]
+        grid = grids[k - 1]
+        p_sets, c_set = grid.prices, grid.caps
         if later is not None:
             for u in range(units):
                 advance = env.storage[u].advance_prob_schedule[k - 1]
-                mat = _chain_matrix(p_sets[u], prices[k][u], advance, horizon)
+                mat = _chain_matrix(p_sets[u], grids[k].prices[u], advance,
+                                    horizon)
                 later = np.moveaxis(np.tensordot(mat, later, axes=(1, u + 1)),
                                     0, u + 1)
-            pos = {c: n for n, c in enumerate(caps[k])}
+            pos = {c: n for n, c in enumerate(grids[k].caps)}
         shape = (1 + (choose is not None),) + tuple(map(len, p_sets)) + (
             len(c_set),)
         if choose is not None:
-            grid = itertools.product(*p_sets, c_set)
+            grid_states = itertools.product(*p_sets, c_set)
             pick = np.reshape([choose(MdpState(k, tuple(idx), c))
-                               for *idx, c in grid], shape[1:])
+                               for *idx, c in grid_states], shape[1:])
         values = np.full(shape, -np.inf)
         for ai, action in enumerate(env.actions):
-            after = [env.apply_action(MdpState(k, (), c), action)
-                     for c in c_set]
-            q = -np.array([env.outage(k, c) for c in after])
-            if not action.is_noop:
-                # the investment depends on the acting unit's price alone
-                invest = [env.investment(MdpState(k, (i,) * units, ()), action)
-                          for i in p_sets[action.unit]]
-                q = q - np.reshape(invest, [-1 if v == action.unit else 1
-                                            for v in range(units + 1)])
+            q = -np.array(grid.outage[ai])
+            if grid.invest[ai] is not None:
+                q = q - np.reshape(grid.invest[ai],
+                                   [-1 if v == action.unit else 1
+                                    for v in range(units + 1)])
             if later is not None:
-                q = q + gamma * later[..., [pos[c] for c in after]]
+                q = q + gamma * later[..., [pos[c] for c in grid.after[ai]]]
             q = np.broadcast_to(q, shape)
             np.maximum(values[0], q[0], out=values[0])
             if choose is not None:

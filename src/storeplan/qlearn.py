@@ -18,7 +18,7 @@ from operator import lt
 from pathlib import Path
 
 from .config import IncompatibleArtifact
-from .mdp import MdpEnv, MdpState, _reachable_grid, decode_state, encode_state
+from .mdp import MdpEnv, MdpState, decode_state, encode_state, period_grids
 from .rng import BlockDraws, stream
 
 __all__ = [
@@ -126,10 +126,10 @@ def _period_tables(env: MdpEnv):
     the mixed-radix number of the units' positions in their reachable price
     sets, unit 0 most significant as in `itertools.product`, and `c` is the
     capacity vector's position in the period's reachable set `C_k`; both
-    come from `mdp._reachable_grid`. Returns `(periods, grids, size)`.
+    come from `mdp.period_grids`. Returns `(periods, grids, size)`.
     `periods[k - 1]` is `(invest, outage, probs, after, succ, offset,
-    width)`: `invest[code][a]` and `outage[c][a]` make up the reward of
-    action a, `after[c][a]` and `succ[code][mask]` are the next period's
+    width)`: `invest[code][a]` and `outage[a][c]` make up the reward of
+    action a, `after[a][c]` and `succ[code][mask]` are the next period's
     capacity position and price code, and `offset` and `width` number the
     next period's states; the last three and `after` are None in the last
     period. Bit u of an advance mask is set when unit u's price advances,
@@ -137,31 +137,32 @@ def _period_tables(env: MdpEnv):
     `(price tuples by code, C_k, offset_k)`.
     """
     horizon = env.planning.horizon_periods
-    prices, caps = _reachable_grid(env.planning, env.storage)
-    codes = [list(product(*p)) for p in prices]
+    grids = period_grids(env)
+    codes = [list(product(*g.prices)) for g in grids]
     offsets = list(accumulate(
-        (len(p) * len(c) for p, c in zip(codes, caps)), initial=0))
+        (len(c) * len(g.caps) for c, g in zip(codes, grids)), initial=0))
     periods = []
-    for k in range(1, horizon + 1):
-        placed = [[env.apply_action(MdpState(k, (), c), a)
-                   for a in env.actions] for c in caps[k - 1]]
-        outage = [[env.outage(k, c) for c in row] for row in placed]
-        invest = [[env.investment(MdpState(k, idx, ()), a)
-                   for a in env.actions] for idx in codes[k - 1]]
+    for k, grid in enumerate(grids, start=1):
+        spot = [{i: n for n, i in enumerate(p)} for p in grid.prices]
+        invest = [[0.0 if cost is None else cost[spot[a.unit][idx[a.unit]]]
+                   for a, cost in zip(env.actions, grid.invest)]
+                  for idx in codes[k - 1]]
         probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
         after = succ = offset = width = None
         if k < horizon:
-            pos = {c: n for n, c in enumerate(caps[k])}
-            after = [[pos[c] for c in row] for row in placed]
+            pos = {c: n for n, c in enumerate(grids[k].caps)}
+            after = [[pos[c] for c in row] for row in grid.after]
             code = {idx: n for n, idx in enumerate(codes[k])}
             # a mask with a zero-probability outcome is never drawn: None
             succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
                                     for u, i in enumerate(idx)))
                      for m in range(1 << env.num_units)]
                     for idx in codes[k - 1]]
-            offset, width = offsets[k], len(caps[k])
-        periods.append((invest, outage, probs, after, succ, offset, width))
-    return periods, list(zip(codes, caps, offsets)), offsets[-1]
+            offset, width = offsets[k], len(grids[k].caps)
+        periods.append((invest, grid.outage, probs, after, succ, offset,
+                        width))
+    numbering = [(c, g.caps, o) for c, g, o in zip(codes, grids, offsets)]
+    return periods, numbering, offsets[-1]
 
 
 def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
@@ -209,14 +210,14 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
                 ai = integers(num_actions)
             else:
                 ai = greedy_index(row, draws)
-            r = -invest[code][ai] - outage[cap][ai]
+            r = -invest[code][ai] - outage[ai][cap]
             mask = sum(compress(bits, map(lt, random(units), probs)))
             visits[ai] += 1
             step = max(a_val, 1.0 / visits[ai])
             if after is None:
                 q_update(row, ai, r, 0.0, step, gamma, True)
             else:
-                code, cap = succ[code][mask], after[cap][ai]
+                code, cap = succ[code][mask], after[ai][cap]
                 s = offset + code * width + cap
                 entry = rows[s]
                 if entry is None:

@@ -16,6 +16,7 @@ __all__ = ["stream", "spawn_key", "BlockDraws"]
 
 _UNIT = 1.0 / (1 << 53)
 _LOW32 = 0xFFFFFFFF
+_BLOCK = 1024  # raw words read per refill
 
 
 def spawn_key(tag: str, *indices: int) -> tuple[int, ...]:
@@ -39,16 +40,16 @@ class BlockDraws:
     TOMACS 29(1), 2019) on 32-bit draws, as numpy runs it: a 32-bit draw is
     the low half of a fresh word, and the high half is kept for the next
     32-bit draw; doubles never touch the kept half, and `integers(1)` draws
-    nothing. The wrapped generator runs up to a block ahead, so it is not
-    drawn from again.
+    nothing. The wrapped generator runs up to a block of 1,024 words ahead,
+    so it is not drawn from again.
     """
 
-    def __init__(self, generator: np.random.Generator, block: int = 1024):
+    def __init__(self, generator: np.random.Generator):
         bits = generator.bit_generator
         state = bits.state
         self._half = state["uinteger"] if state["has_uint32"] else None
         self._words = itertools.chain.from_iterable(
-            iter(lambda: bits.random_raw(block).tolist(), None))
+            iter(lambda: bits.random_raw(_BLOCK).tolist(), None))
         self._word = self._words.__next__
 
     def random(self, size: int | None = None):

@@ -213,7 +213,7 @@ def test_table_rewards_equal_env_rewards():
     for k, code, cap, state in _numbered_states(env):
         invest, outage = periods[k - 1][:2]
         for ai, action in enumerate(env.actions):
-            assert -invest[code][ai] - outage[cap][ai] == env.reward(state,
+            assert -invest[code][ai] - outage[ai][cap] == env.reward(state,
                                                                      action)
             checked += 1
     assert checked > 1_000
@@ -247,13 +247,13 @@ def test_table_successors_equal_env_transitions():
             for ai, action in enumerate(env.actions):
                 nxt = env.transition(state, action, _FixedDraws(draws))
                 assert nxt == MdpState(k + 1, price_codes[succ[code][mask]],
-                                       cap_set[after[cap][ai]])
+                                       cap_set[after[ai][cap]])
 
 
 def test_training_output_is_pinned(smoke_config, tmp_path):
-    """Artifacts of a fixed small run, recorded with the learner that called
-    `MdpEnv.reward` and `MdpEnv.transition` on a `Generator` each step: the
-    tables and block draws must not move a bit of them."""
+    """Hashes of a fixed small run's artifacts. They equal what stepping
+    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` gives,
+    so the tables and block draws must not move a bit of them."""
     env = MdpEnv(smoke_config.planning, smoke_config.storage,
                  outage_cost=lambda k, caps: 50_000.0 * k
                  / (1.0 + sum(caps) / 1000.0))

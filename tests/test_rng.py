@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storeplan import rng
 from storeplan.rng import BlockDraws, spawn_key, stream
 
 
@@ -31,9 +32,11 @@ def test_spawn_key_is_stable():
 
 @pytest.mark.parametrize("block", [1024, 3])
 @pytest.mark.parametrize("seed", [0, 7, 1729])
-def test_block_draws_match_generator(seed, block):
-    # block 3 refills mid-sequence, between a word's two 32-bit halves too
-    gen, draws = stream(seed, "train"), BlockDraws(stream(seed, "train"), block)
+def test_block_draws_match_generator(seed, block, monkeypatch):
+    # block 3 refills mid-sequence, between a word's two 32-bit halves too;
+    # the 2,000 calls read more than 1,024 words, so block 1,024 refills too
+    monkeypatch.setattr(rng, "_BLOCK", block)
+    gen, draws = stream(seed, "train"), BlockDraws(stream(seed, "train"))
     calls = np.random.default_rng(seed).integers(3, size=2_000)
     sizes = [1, 2, 3, 7, 13, 3_000_000_000, 2**32 - 1]
     for i, call in enumerate(calls):
@@ -52,9 +55,10 @@ def test_block_draws_integers_one_draws_nothing():
     assert draws.random(4) == gen.random(4).tolist()
 
 
-def test_block_draws_rejection_loop_matches():
+def test_block_draws_rejection_loop_matches(monkeypatch):
     # 2**32 mod 3e9 leaves a rejection zone of 30 % of the 32-bit draws
-    gen, draws = stream(5, "lemire"), BlockDraws(stream(5, "lemire"), 5)
+    monkeypatch.setattr(rng, "_BLOCK", 5)
+    gen, draws = stream(5, "lemire"), BlockDraws(stream(5, "lemire"))
     picks = [draws.integers(3_000_000_000) for _ in range(500)]
     assert picks == gen.integers(3_000_000_000, size=500).tolist()
     assert draws.random() == gen.random()
