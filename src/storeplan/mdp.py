@@ -6,8 +6,9 @@ as independent per-unit Markov chains that either advance one step down their
 decline schedule or stay put at each period boundary; the index can therefore
 lag the period. Rewards are negative costs: the annualized investment charged
 over the remaining horizon plus the predicted outage cost for the period.
-The process is small enough to solve exactly by backward induction over its
-reachable states, which is what the learned policy is checked against.
+`period_tables` numbers the reachable states and tabulates rewards and
+successors on them once; the learner trains on these tables, and the exact
+backward induction the learned policy is checked against runs on them too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
     "encode_state", "decode_state",
     "count_states_component_product", "count_states_reachable",
-    "PeriodGrid", "period_grids", "backward_induction",
+    "period_tables", "backward_induction",
 ]
 
 
@@ -161,21 +162,6 @@ def count_states_component_product(num_units: int, num_levels: int,
     return states, states * (num_units * num_levels + 1)
 
 
-def _price_steps(idx: int, advance: float,
-                 horizon: int) -> dict[int, float]:
-    """Next price index -> probability for one unit's chain at a boundary.
-
-    Outcomes of probability zero are left out, so they are never reachable.
-    """
-    steps: dict[int, float] = {}
-    if advance < 1.0:
-        steps[idx] = 1.0 - advance
-    if advance > 0.0:
-        nxt = min(idx + 1, horizon)
-        steps[nxt] = steps.get(nxt, 0.0) + advance
-    return steps
-
-
 def _reachable_grid(planning: PlanningConfig,
                     storage: tuple[StorageTechnology, ...]):
     """Per period, each unit's reachable price indices and capacity vectors.
@@ -191,10 +177,15 @@ def _reachable_grid(planning: PlanningConfig,
     prices = [((1,),) * units]
     caps = [((0.0,) * units,)]
     for k in range(1, horizon):
-        prices.append(tuple(
-            tuple(sorted({j for i in prices[-1][u] for j in _price_steps(
-                i, storage[u].advance_prob_schedule[k - 1], horizon)}))
-            for u in range(units)))
+        step = []
+        for u, tech in enumerate(storage):
+            p = tech.advance_prob_schedule[k - 1]
+            # an outcome of probability zero is never reachable
+            moves = [m for m, possible in ((0, p < 1.0), (1, p > 0.0))
+                     if possible]
+            step.append(tuple(sorted({min(i + m, horizon)
+                                      for i in prices[-1][u] for m in moves})))
+        prices.append(tuple(step))
         nxt = set(caps[-1])
         for c in caps[-1]:
             for u in range(units):
@@ -212,98 +203,90 @@ def count_states_reachable(planning: PlanningConfig,
     return sum(math.prod(map(len, p)) * len(c) for p, c in zip(prices, caps))
 
 
-def _chain_matrix(now: tuple[int, ...], nxt: tuple[int, ...],
-                  advance: float, horizon: int) -> np.ndarray:
-    """[i, j]: probability that a unit at price index now[i] goes to nxt[j]."""
-    col = {j: n for n, j in enumerate(nxt)}
-    mat = np.zeros((len(now), len(nxt)))
-    for row, i in enumerate(now):
-        for j, prob in _price_steps(i, advance, horizon).items():
-            mat[row, col[j]] = prob
-    return mat
+def period_tables(env: MdpEnv):
+    """Number the reachable states and tabulate the model on them.
 
-
-class PeriodGrid(NamedTuple):
-    """One period's reachable states and what each action costs there.
-
-    `prices[u]` holds unit u's reachable price indices and `caps` the
-    reachable capacity vectors. Per action index a, `after[a][c]` is the
-    capacity vector the action leaves from `caps[c]` and `outage[a][c]` its
-    outage cost. `invest[a][i]` is the action's investment at price index
-    `prices[unit][i]` of its unit, on whose price alone it depends; it is
-    None for the no-op, which costs nothing.
+    A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
+    the mixed-radix number of the units' positions in their reachable price
+    sets, unit 0 most significant as in `itertools.product`, and `c` is the
+    capacity vector's position in the period's sorted reachable set `C_k`.
+    Returns `(periods, numbering, size)`. `periods[k - 1]` is `(invest,
+    outage, probs, after, succ, offset, width)`: `invest[code][a]` and
+    `outage[a][c]` make up the reward of action a, `after[a][c]` and
+    `succ[code][mask]` are the next period's capacity position and price
+    code, and `offset` and `width` number the next period's states; the last
+    three and `after` are None in the last period. Bit u of an advance mask
+    is set when unit u's price advances, which it does with probability
+    `probs[u]`; `succ` holds None where a mask of probability zero would
+    leave the reachable set. `numbering[k - 1]` is `(price tuples by code,
+    C_k, offset_k)`. Rewards come from the env's memos, so they equal
+    `MdpEnv.reward`.
     """
-
-    prices: tuple[tuple[int, ...], ...]
-    caps: tuple[tuple[float, ...], ...]
-    after: list[list[tuple[float, ...]]]
-    outage: list[list[float]]
-    invest: list[list[float] | None]
-
-
-def period_grids(env: MdpEnv) -> list[PeriodGrid]:
-    """The `PeriodGrid` of each period 1..H, rewards from the env's memos."""
+    horizon = env.planning.horizon_periods
     prices, caps = _reachable_grid(env.planning, env.storage)
-    units = env.num_units
-    grids = []
-    for k, (p_sets, c_set) in enumerate(zip(prices, caps), start=1):
-        after = [[env.apply_action(MdpState(k, (), c), action) for c in c_set]
-                 for action in env.actions]
-        outage = [[env.outage(k, c) for c in row] for row in after]
-        invest = [None if action.is_noop else
-                  [env.investment(MdpState(k, (i,) * units, ()), action)
-                   for i in p_sets[action.unit]]
-                  for action in env.actions]
-        grids.append(PeriodGrid(p_sets, c_set, after, outage, invest))
-    return grids
+    codes = [list(itertools.product(*p)) for p in prices]
+    periods, numbering, offset = [], [], 0
+    for k in range(1, horizon + 1):
+        c_set = caps[k - 1]
+        numbering.append((codes[k - 1], c_set, offset))
+        offset += len(codes[k - 1]) * len(c_set)
+        after_caps = [[env.apply_action(MdpState(k, (), c), action)
+                       for c in c_set] for action in env.actions]
+        outage = [[env.outage(k, c) for c in row] for row in after_caps]
+        invest = [[env.investment(MdpState(k, idx, ()), action)
+                   for action in env.actions] for idx in codes[k - 1]]
+        probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
+        after = succ = next_offset = width = None
+        if k < horizon:
+            pos = {c: n for n, c in enumerate(caps[k])}
+            after = [[pos[c] for c in row] for row in after_caps]
+            code = {idx: n for n, idx in enumerate(codes[k])}
+            succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
+                                    for u, i in enumerate(idx)))
+                     for m in range(1 << env.num_units)]
+                    for idx in codes[k - 1]]
+            next_offset, width = offset, len(caps[k])
+        periods.append((invest, outage, probs, after, succ, next_offset,
+                        width))
+    return periods, numbering, offset
 
 
 def backward_induction(env: MdpEnv, gamma: float,
-                       choose: Callable[[MdpState], int] | None = None
-                       ) -> tuple[float, float | None]:
-    """Exact expected discounted reward from the initial state (Bellman).
+                       choose: Callable[[MdpState], int]
+                       ) -> tuple[float, float]:
+    """Exact expected discounted rewards from the initial state (Bellman).
 
-    One backward pass over each period's reachable states, held as an array
-    over (unit price indices..., capacity vector). The price chains are
-    independent, so the expectation over next prices is one `tensordot` per
-    unit; rewards come from `period_grids`, with prices as array axes.
-    Returns `(optimum, value)`, where `value` is the exact value of the
-    policy `choose(state) -> action index`, or None when no policy is given.
+    One backward pass over `period_tables`, each period's values an array
+    over (price code, capacity position). The expectation over next prices
+    sums the boundary's advance masks, each weighted by the product over
+    units of p (unit advances) or 1 - p (unit stays); masks of weight zero
+    are skipped. Returns `(optimum, value)`, where `value` is the exact value
+    of the policy `choose(state) -> action index`.
     """
-    horizon = env.planning.horizon_periods
-    grids = period_grids(env)
-    units = env.num_units
-    later = None  # [optimum, policy] values over period k + 1's grid
-    for k in range(horizon, 0, -1):
-        grid = grids[k - 1]
-        p_sets, c_set = grid.prices, grid.caps
+    periods, numbering, _ = period_tables(env)
+    later = None  # [optimum, policy] values over period k + 1's states
+    for k in range(env.planning.horizon_periods, 0, -1):
+        invest, outage, probs, after, succ, _, _ = periods[k - 1]
+        price_codes, c_set, _ = numbering[k - 1]
+        expect = None
         if later is not None:
-            for u in range(units):
-                advance = env.storage[u].advance_prob_schedule[k - 1]
-                mat = _chain_matrix(p_sets[u], grids[k].prices[u], advance,
-                                    horizon)
-                later = np.moveaxis(np.tensordot(mat, later, axes=(1, u + 1)),
-                                    0, u + 1)
-            pos = {c: n for n, c in enumerate(grids[k].caps)}
-        shape = (1 + (choose is not None),) + tuple(map(len, p_sets)) + (
-            len(c_set),)
-        if choose is not None:
-            grid_states = itertools.product(*p_sets, c_set)
-            pick = np.reshape([choose(MdpState(k, tuple(idx), c))
-                               for *idx, c in grid_states], shape[1:])
+            weights = [math.prod(p if m >> u & 1 else 1.0 - p
+                                 for u, p in enumerate(probs))
+                       for m in range(1 << env.num_units)]
+            expect = sum(w * later[:, [row[m] for row in succ]]
+                         for m, w in enumerate(weights) if w)
+        shape = (2, len(price_codes), len(c_set))
+        pick = np.reshape([choose(MdpState(k, idx, c))
+                           for idx in price_codes for c in c_set], shape[1:])
+        invest = np.array(invest)
         values = np.full(shape, -np.inf)
-        for ai, action in enumerate(env.actions):
-            q = -np.array(grid.outage[ai])
-            if grid.invest[ai] is not None:
-                q = q - np.reshape(grid.invest[ai],
-                                   [-1 if v == action.unit else 1
-                                    for v in range(units + 1)])
-            if later is not None:
-                q = q + gamma * later[..., [pos[c] for c in grid.after[ai]]]
+        for ai in range(env.num_actions):
+            q = -invest[:, ai, None] - np.array(outage[ai])
+            if expect is not None:
+                q = q + gamma * expect[:, :, after[ai]]
             q = np.broadcast_to(q, shape)
             np.maximum(values[0], q[0], out=values[0])
-            if choose is not None:
-                np.copyto(values[1], q[1], where=pick == ai)
+            np.copyto(values[1], q[1], where=pick == ai)
         later = values
-    optimum, *value = later.ravel().tolist()
-    return optimum, (value[0] if value else None)
+    optimum, value = later.ravel().tolist()
+    return optimum, value

@@ -103,16 +103,34 @@ def default_scenarios() -> dict[str, PriceScenario]:
 
 
 def load_scenarios(path) -> dict[str, PriceScenario]:
+    """Read a scenario file, checking its shapes as outside input.
+
+    Each scenario is an object whose `advance` maps unit names to lists of
+    JSON booleans; anything else raises ValueError naming the scenario and
+    the key.
+    """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != SCENARIO_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path}: not a scenario file")
+    if not isinstance(doc.get("scenarios"), dict):
+        raise ValueError(f"{path}: 'scenarios' must be an object")
     out = {}
     for sid, body in doc["scenarios"].items():
-        advance = {name: tuple(bool(b) for b in flags)
-                   for name, flags in body["advance"].items()}
-        out[sid] = PriceScenario(id=sid,
-                                 description=body.get("description", ""),
-                                 advance=advance)
+        where = f"{path}: scenario {sid}"
+        if not isinstance(body, dict) or not isinstance(body.get("advance"),
+                                                        dict):
+            raise ValueError(f"{where}: 'advance' must be an object")
+        if not isinstance(body.get("description", ""), str):
+            raise ValueError(f"{where}: 'description' must be a string")
+        for name, flags in body["advance"].items():
+            if not (isinstance(flags, list)
+                    and all(isinstance(b, bool) for b in flags)):
+                raise ValueError(f"{where}: 'advance' {name!r} must be a "
+                                 f"list of true/false")
+        out[sid] = PriceScenario(
+            id=sid, description=body.get("description", ""),
+            advance={name: tuple(flags)
+                     for name, flags in body["advance"].items()})
     return out
 
 
@@ -321,7 +339,10 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             period=s.period, horizon_periods=plan.horizon_periods,
             years_per_period=plan.years_per_period, rate=plan.interest_rate,
             lifetime_years=tech.lifetime_schedule[s.period - 1])
+    # sums run left to right with +=: sum() compensates from Python 3.12 on,
+    # which would make the bytes written depend on the interpreter
     samples = []
+    outage = 0.0
     for t in range(trials):
         rng = stream(seed, "eval:trial", t)
         total = 0.0
@@ -329,11 +350,14 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             trace = ctx.period_trace(rng)
             total += ctx.period_cost(s.period, s.capacity_after, trace)
         samples.append(total)
+        outage += total
     n = len(samples)
-    mean_outage = sum(samples) / n
+    mean_outage = outage / n
     if n > 1:
-        var = sum((x - mean_outage) ** 2 for x in samples) / (n - 1)
-        stderr = math.sqrt(var / n)
+        squares = 0.0
+        for x in samples:
+            squares += (x - mean_outage) ** 2
+        stderr = math.sqrt(squares / (n - 1) / n)
     else:
         stderr = math.inf
     return PolicyValue(mean_total_cost=invest + mean_outage,

@@ -1,24 +1,24 @@
 """Tabular Q-learning over the expansion process, with JSONL persistence.
 
 The table is a dict keyed by state, holding one q-value and one visit count
-per action; training fills rows of numbered states and converts them at the
-end. Exploration and the learning rate both decay linearly over the run, and
-the step size of a pair never drops below one over its visit count. The
-learning curve tracks mean undiscounted episode reward per batch, with batch
-boundaries expressed as percentiles of the run so curves from runs of
-different lengths line up.
+per action; training fills rows of the states numbered by
+`mdp.period_tables` and converts them at the end. Exploration and the
+learning rate both decay linearly over the run, and the step size of a pair
+never drops below one over its visit count. The learning curve tracks mean
+undiscounted episode reward per batch, with batch boundaries expressed as
+percentiles of the run so curves from runs of different lengths line up.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, compress, product
+from itertools import compress
 from operator import lt
 from pathlib import Path
 
 from .config import IncompatibleArtifact
-from .mdp import MdpEnv, MdpState, decode_state, encode_state, period_grids
+from .mdp import MdpEnv, MdpState, decode_state, encode_state, period_tables
 from .rng import BlockDraws, stream
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 QTABLE_FORMAT = "storeplan-qtable-v1"
+BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,6 @@ class QTable:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, state: MdpState) -> bool:
-        return state in self._table
 
     def entry(self, state: MdpState) -> tuple[list[float], list[int]]:
         e = self._table.get(state)
@@ -119,55 +117,8 @@ class LearningCurve:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _period_tables(env: MdpEnv):
-    """Number the reachable states and tabulate what a step reads.
-
-    A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
-    the mixed-radix number of the units' positions in their reachable price
-    sets, unit 0 most significant as in `itertools.product`, and `c` is the
-    capacity vector's position in the period's reachable set `C_k`; both
-    come from `mdp.period_grids`. Returns `(periods, grids, size)`.
-    `periods[k - 1]` is `(invest, outage, probs, after, succ, offset,
-    width)`: `invest[code][a]` and `outage[a][c]` make up the reward of
-    action a, `after[a][c]` and `succ[code][mask]` are the next period's
-    capacity position and price code, and `offset` and `width` number the
-    next period's states; the last three and `after` are None in the last
-    period. Bit u of an advance mask is set when unit u's price advances,
-    which it does when its draw is below `probs[u]`. `grids[k - 1]` is
-    `(price tuples by code, C_k, offset_k)`.
-    """
-    horizon = env.planning.horizon_periods
-    grids = period_grids(env)
-    codes = [list(product(*g.prices)) for g in grids]
-    offsets = list(accumulate(
-        (len(c) * len(g.caps) for c, g in zip(codes, grids)), initial=0))
-    periods = []
-    for k, grid in enumerate(grids, start=1):
-        spot = [{i: n for n, i in enumerate(p)} for p in grid.prices]
-        invest = [[0.0 if cost is None else cost[spot[a.unit][idx[a.unit]]]
-                   for a, cost in zip(env.actions, grid.invest)]
-                  for idx in codes[k - 1]]
-        probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
-        after = succ = offset = width = None
-        if k < horizon:
-            pos = {c: n for n, c in enumerate(grids[k].caps)}
-            after = [[pos[c] for c in row] for row in grid.after]
-            code = {idx: n for n, idx in enumerate(codes[k])}
-            # a mask with a zero-probability outcome is never drawn: None
-            succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
-                                    for u, i in enumerate(idx)))
-                     for m in range(1 << env.num_units)]
-                    for idx in codes[k - 1]]
-            offset, width = offsets[k], len(grids[k].caps)
-        periods.append((invest, grid.outage, probs, after, succ, offset,
-                        width))
-    numbering = [(c, g.caps, o) for c, g, o in zip(codes, grids, offsets)]
-    return periods, numbering, offsets[-1]
-
-
 def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
-          epsilon: DecaySchedule, seed: int,
-          batches: int = 100) -> tuple[QTable, LearningCurve]:
+          epsilon: DecaySchedule, seed: int) -> tuple[QTable, LearningCurve]:
     """Run epsilon-greedy episodes from the initial state.
 
     Terminal updates bootstrap from zero. The step size of the n-th visit to
@@ -178,7 +129,7 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     table exactly.
 
     Steps run on numbered states, against the reward and successor tables
-    of `_period_tables`, built before the first episode. `BlockDraws` hands
+    of `mdp.period_tables`, built before the first episode. `BlockDraws` hands
     out the draws in the order that stepping `MdpEnv.reward` and
     `MdpEnv.transition` on the seed's `Generator` takes them, so the table
     is the one those would give, bit for bit.
@@ -187,10 +138,10 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
         raise ValueError("episodes must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    batches = min(batches, episodes)
+    batches = min(BATCHES, episodes)
     draws = BlockDraws(stream(seed, "train"))
     random, integers = draws.random, draws.integers
-    periods, grids, size = _period_tables(env)
+    periods, numbering, size = period_tables(env)
     num_actions, units = env.num_actions, env.num_units
     bits = [1 << u for u in range(units)]
     rows = [None] * size
@@ -232,7 +183,7 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
             acc, acc_n = 0.0, 0
             next_boundary += 1
     qt = QTable(num_actions)
-    for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
+    for k, (price_codes, cap_set, offset) in enumerate(numbering, start=1):
         width = len(cap_set)
         for s in range(offset, offset + len(price_codes) * width):
             if rows[s] is not None:

@@ -174,6 +174,24 @@ def test_zero_size_exits_two(pipeline_dir, tmp_path, stage, sizes):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("doc, match", [
+    ([], "not a scenario file"),
+    ({"format": "storeplan-scenarios-v1",
+      "scenarios": {"1": {"advance": [1, 2]}}}, "scenario 1: 'advance'"),
+    ({"format": "storeplan-scenarios-v1",
+      "scenarios": {"1": {"advance": {"li_ion": 5}}}},
+     "scenario 1: 'advance' 'li_ion'"),
+])
+def test_malformed_scenarios_exit_two(pipeline_dir, tmp_path, doc, match):
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("policy", "--config", SMOKE, "--qtable",
+                   str(pipeline_dir / "qtable.jsonl"), "--scenario", "1",
+                   "--scenarios", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert match in proc.stderr
+    assert not (tmp_path / "out").exists()
+
 def test_mismatched_forest_exits_three(pipeline_dir, tmp_path):
     # the smoke-trained forest must be rejected under the case-study config
     proc = run_cli("solve", "--config", CASE, "--forest",

@@ -69,6 +69,15 @@ def test_scenarios_round_trip_through_json(tmp_path, case_config):
     assert load_scenarios(path) == default_scenarios()
 
 
+def test_scenario_flags_must_be_json_booleans(tmp_path):
+    # bool("false") is True: read loosely, the string would advance a price
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps({
+        "format": "storeplan-scenarios-v1",
+        "scenarios": {"x": {"advance": {"li_ion": ["false", True, True]}}}}))
+    with pytest.raises(ValueError, match="scenario x: 'advance' 'li_ion'"):
+        load_scenarios(path)
+
 def test_extraction_follows_visited_argmax(case_config):
     """Handcrafted table: the best visited action wins even when a better
     unvisited q-value sits beside it."""
@@ -267,3 +276,16 @@ def test_never_invest_costs_only_outages(case_config):
     value = evaluate_policy(ctx, never, trials=3, seed=1)
     assert value.investment_cost == 0.0
     assert value.mean_total_cost == value.mean_outage_cost
+
+
+def test_evaluation_adds_trials_left_to_right(case_config):
+    # sum() compensates from Python 3.12 on and would give 1/3 here; added
+    # left to right, 1e16 + 1.0 rounds back to 1e16 on every interpreter
+    ctx = SimulationContext(case_config)
+    totals = iter([1e16, 1.0, -1e16])
+    ctx.period_cost = lambda period, caps, trace: (
+        next(totals) if period == 1 else 0.0)
+    never = never_invest_report(case_env(case_config),
+                                default_scenarios()["1"])
+    value = evaluate_policy(ctx, never, trials=3, seed=1)
+    assert value.mean_outage_cost == 0.0

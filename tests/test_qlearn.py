@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from storeplan.config import IncompatibleArtifact
-from storeplan.mdp import MdpEnv, MdpState
+from storeplan.mdp import MdpEnv, MdpState, period_tables
 from storeplan.qlearn import (DecaySchedule, LearningCurve, QTable,
-                              _period_tables, greedy_index, load_qtable,
-                              q_update, save_qtable, train)
+                              greedy_index, load_qtable, q_update,
+                              save_qtable, train)
 from storeplan.rng import stream
 
 from test_mdp import make_env, planning, tech
@@ -61,10 +61,10 @@ def test_greedy_ties_split_uniformly():
 def test_qtable_entry_creates_zero_row():
     qt = QTable(4)
     s = MdpState(1, (1,), (0.0,))
-    assert s not in qt
+    assert len(qt) == 0
     row, visits = qt.entry(s)
     assert row == [0.0] * 4 and visits == [0] * 4
-    assert s in qt and len(qt) == 1
+    assert list(qt.items()) == [(s, (row, visits))]
 
 
 def test_qtable_accessors_return_copies():
@@ -195,7 +195,7 @@ def _mixed_env():
 def _numbered_states(env):
     """(period, price code, capacity position, state) over every reachable
     state, from the numbering the learner trains on."""
-    _, grids, size = _period_tables(env)
+    _, grids, size = period_tables(env)
     states = []
     for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
         for code, idx in enumerate(price_codes):
@@ -208,7 +208,7 @@ def _numbered_states(env):
 
 def test_table_rewards_equal_env_rewards():
     env = _mixed_env()
-    periods, _, _ = _period_tables(env)
+    periods, _, _ = period_tables(env)
     checked = 0
     for k, code, cap, state in _numbered_states(env):
         invest, outage = periods[k - 1][:2]
@@ -230,7 +230,7 @@ class _FixedDraws:
 
 def test_table_successors_equal_env_transitions():
     env = _mixed_env()
-    periods, grids, _ = _period_tables(env)
+    periods, grids, _ = period_tables(env)
     rng = stream(4, "successors")
     for k, code, cap, state in _numbered_states(env):
         _, _, probs, after, succ, _, _ = periods[k - 1]
