@@ -121,8 +121,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     forest = load_forest(args.forest, expected_config_hash=digest)
-    env = MdpEnv(cfg.planning, cfg.storage,
-                 outage_cost=forest.predict_outage_cost)
+    env = MdpEnv(cfg.planning, cfg.storage, outage_cost=forest.predict)
     episodes = cfg.rl.episodes if args.episodes is None else args.episodes
     seed = cfg.master_seed if args.seed is None else args.seed
     run = {"episodes": episodes, "gamma": cfg.rl.gamma, "seed": seed}
@@ -144,9 +143,11 @@ def cmd_solve(args) -> int:
           f"{bound_states} states / {bound_pairs} pairs)")
     print(f"final batch mean reward {curve.mean_total_reward[-1]:.0f}")
     # the gap says whether more training could still improve the plan: the
-    # learned policy is the rule `policy` extracts with, valued exactly
+    # learned policy is the rule `policy` extracts with, valued exactly;
+    # states without a row take no-op, as that rule gives them
     optimum, learned = backward_induction(
-        env, cfg.rl.gamma, choose=lambda s: visited_greedy(qtable, s))
+        env, cfg.rl.gamma,
+        ((s, visited_greedy(q, v)) for s, (q, v) in qtable.items()))
     gap = optimum - learned
     share = f" ({gap / abs(optimum):.1%})" if optimum else ""
     print(f"exact DP: optimum {optimum:.0f}, learned policy {learned:.0f}, "
@@ -154,12 +155,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _no_outage_cost(rows) -> list[float]:
+    # extraction and never-invest reports read no outage costs
+    return [0.0] * len(rows)
+
+
 def cmd_policy(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     qtable, _ = load_qtable(args.qtable, expected_config_hash=digest)
     scenario = _scenario(args)
-    env = MdpEnv(cfg.planning, cfg.storage, outage_cost=lambda k, caps: 0.0)
+    env = MdpEnv(cfg.planning, cfg.storage, outage_cost=_no_outage_cost)
     report = extract_policy(qtable, env, scenario)
     out = _out_dir(args)
     path = out / f"policy_{args.scenario}.csv"
@@ -182,7 +188,7 @@ def cmd_evaluate(args) -> int:
     ctx = SimulationContext(cfg)
     if args.policy == "never-invest":
         env = MdpEnv(cfg.planning, cfg.storage,
-                     outage_cost=lambda k, caps: 0.0)
+                     outage_cost=_no_outage_cost)
         report = never_invest_report(env, _scenario(args))
     else:
         report = read_policy_csv(args.policy, cfg.storage,

@@ -9,7 +9,8 @@ energy cap * dod, so every unit keeps the same fractional state of charge and
 the fleet acts as one store: deliverable energy S_d = sum(cap * dod * eff) and
 recharge capacity S_c = sum(cap * dod / eff). Dispatch steps that one store.
 A deficit drains the deliverable energy left kWh for kWh; a surplus refills it
-at S_d / S_c per kWh, up to S_d.
+at S_d / S_c per kWh, up to S_d. Outages are independent of each other, so
+`OutageDispatcher.serve` steps many of them at once, one array lane each.
 """
 
 from __future__ import annotations
@@ -96,71 +97,79 @@ class OutageDispatcher:
                  growth_rate: float, horizon_hours: int):
         self.facilities = tuple(sorted(facilities, key=lambda f: f.priority_rank))
         self.horizon_hours = horizon_hours
-        ren = (solar_power(irradiance.values, renewables)
-               + wind_power(wind.values, renewables))
-        self._renewable = ren.tolist()
-        self._critical = [
-            (fac.count * fac.critical_factor * profiles[fac.profile].values).tolist()
-            for fac in self.facilities
-        ]
+        self._renewable = (solar_power(irradiance.values, renewables)
+                           + wind_power(wind.values, renewables))
+        self._critical = np.array([
+            fac.count * fac.critical_factor * profiles[fac.profile].values
+            for fac in self.facilities]).reshape(len(self.facilities),
+                                                 HOURS_PER_YEAR)
         n_years = -(-horizon_hours // HOURS_PER_YEAR)
-        self._growth = [(1.0 + growth_rate) ** y for y in range(n_years)]
+        self._growth = np.array([(1.0 + growth_rate) ** y
+                                 for y in range(n_years)])
 
     def critical_demand(self, t: int) -> list[float]:
         """Critical load per facility class at absolute hour t, priority order."""
         factor = self._growth[t // HOURS_PER_YEAR]
-        h = t % HOURS_PER_YEAR
-        return [base[h] * factor for base in self._critical]
+        return (self._critical[:, t % HOURS_PER_YEAR] * factor).tolist()
 
-    def serve(self, level: float, s_d: float, s_c: float, start_hour: int,
-              duration_hours: int, depths: list | None = None
-              ) -> tuple[float, list[float]]:
-        """Serve one outage from a store holding `level` of its S_d kWh.
+    def serve(self, level, s_d, s_c, start_hour, duration_hours,
+              depths: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Serve outages, one per lane, each from a store holding `level` of
+        its S_d kWh.
 
-        Returns the deliverable energy left and the critical energy lost per
-        facility class, summed over the hours. When given, `depths` receives
-        how many classes were served in each hour.
+        Every argument holds one value per lane. The lanes step hour by hour
+        together, and a lane drops out when its outage ends. Returns the
+        deliverable energy left per lane and the critical energy lost,
+        summed over the hours, shaped (lanes, facility classes). When given,
+        `depths[j, i]` receives how many classes lane i served in its hour
+        j.
         """
-        if start_hour < 0 or start_hour + duration_hours > self.horizon_hours:
+        # longest outages first, so the lanes still running are a prefix
+        order = np.argsort(-np.asarray(duration_hours), kind="stable")
+        start, duration = (np.asarray(a, dtype=np.int64)[order]
+                           for a in (start_hour, duration_hours))
+        level, s_d, s_c = (np.asarray(a, dtype=float)[order]
+                           for a in (level, s_d, s_c))
+        if len(start) and (start.min() < 0 or (start + duration).max()
+                           > self.horizon_hours):
             raise ValueError("outage extends past the simulation horizon")
-        refill = s_d / s_c if s_c > 0 else 0.0
-        lost = [0.0] * len(self._critical)
-        renewable = self._renewable
-        growth = self._growth
-        critical = self._critical
-        for t in range(start_hour, start_hour + duration_hours):
+        refill = np.divide(s_d, s_c, out=np.zeros_like(s_d), where=s_c > 0)
+        lost = np.zeros((len(start), len(self._critical)))
+        for j in range(int(duration.max(initial=0))):
+            n = int(np.count_nonzero(duration > j))
+            t = start[:n] + j
             h = t % HOURS_PER_YEAR
-            factor = growth[t // HOURS_PER_YEAR]
-            ren = renewable[h]
-            budget = ren + level + 1e-9
-            demand_total = 0.0
-            depth = 0
-            for g, base in enumerate(critical):
+            factor = self._growth[t // HOURS_PER_YEAR]
+            ren = self._renewable[h]
+            left = level[:n]
+            budget = ren + left + 1e-9
+            demand_total = np.zeros(n)
+            served = np.ones(n, dtype=bool)
+            depth = np.zeros(n, dtype=np.int64)
+            for g, base in enumerate(self._critical):
                 d = base[h] * factor
-                if depth == g and demand_total + d <= budget:
-                    demand_total += d
-                    depth = g + 1
-                else:
-                    lost[g] += d
+                served &= demand_total + d <= budget
+                np.add(demand_total, d, out=demand_total, where=served)
+                np.add(lost[:n, g], d, out=lost[:n, g], where=~served)
+                depth += served
             if depths is not None:
-                depths.append(depth)
-            if demand_total >= ren:
-                level -= demand_total - ren
-                if level < 0.0:
-                    level = 0.0
-            else:
-                level += (ren - demand_total) * refill
-                if level > s_d:
-                    level = s_d
-        return level, lost
+                depths[j, order[:n]] = depth
+            short = demand_total >= ren
+            level[:n] = np.where(
+                short, np.maximum(left - (demand_total - ren), 0.0),
+                np.minimum(left + (ren - demand_total) * refill[:n], s_d[:n]))
+        back = np.argsort(order)
+        return level[back], lost[back]
 
     def simulate(self, fleet: StorageFleet, start_hour: int,
                  duration_hours: int) -> OutageServiceResult:
         """Serve one outage from the given fleet state; the input fleet is not mutated.
 
-        The fleet enters `serve` at its shared fraction of charge, the least
-        (charge - floor) / (capacity - floor) over units with capacity, and
-        each unit leaves at its floor plus the final fraction of its span.
+        The fleet enters `serve` as one lane, at its shared fraction of
+        charge: the least (charge - floor) / (capacity - floor) over units
+        with capacity. Each unit leaves at its floor plus the final fraction
+        of its span.
         """
         s_d, s_c = fleet.energy()
         floor = fleet.min_level
@@ -168,15 +177,15 @@ class OutageDispatcher:
         active = fleet.capacity > 0
         share = (float(((fleet.charge - floor)[active] / span[active]).min())
                  if active.any() else 0.0)
-        depths: list[int] = []
-        level, _ = self.serve(share * s_d, s_d, s_c, start_hour,
-                              duration_hours, depths)
+        depths = np.zeros((duration_hours, 1), dtype=np.int64)
+        level, _ = self.serve([share * s_d], [s_d], [s_c], [start_hour],
+                              [duration_hours], depths)
         n_fac = len(self.facilities)
-        served = np.arange(n_fac) < np.array(depths, dtype=int)[:, None]
+        served = np.arange(n_fac) < depths
         demand = np.array([self.critical_demand(t) for t in
                            range(start_hour, start_hour + duration_hours)],
                           dtype=float).reshape(duration_hours, n_fac)
         return OutageServiceResult(
             start_hour=start_hour, served=served,
             lost_kwh=np.where(served, 0.0, demand),
-            final_charge=floor + (level / s_d if s_d > 0 else 0.0) * span)
+            final_charge=floor + (level[0] / s_d if s_d > 0 else 0.0) * span)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,13 +67,14 @@ def decode_state(text: str, num_units: int) -> MdpState:
 class MdpEnv:
     """Transition and reward model shared by the solver and policy tooling.
 
-    `outage_cost(period, capacities) -> $` is injected so the same dynamics
-    run against the forest surrogate, raw Monte Carlo, or a test stub.
+    `outage_cost(rows) -> $ per row`, over rows of (period, capacity...),
+    is injected so the same dynamics run against the forest surrogate, raw
+    Monte Carlo, or a test stub.
     """
 
     def __init__(self, planning: PlanningConfig,
                  storage: tuple[StorageTechnology, ...],
-                 outage_cost: Callable[[int, tuple[float, ...]], float]):
+                 outage_cost: Callable[[list[list[float]]], Sequence[float]]):
         self.planning = planning
         self.storage = tuple(storage)
         self.outage_cost = outage_cost
@@ -123,14 +124,20 @@ class MdpEnv:
             self._invest_memo[key] = cost
         return cost
 
+    def outages(self, points) -> list[float]:
+        """Predicted outage costs at (period, post-action capacities) points,
+        memoized; the points not yet memoized go to `outage_cost` in one
+        batch."""
+        memo = self._outage_memo
+        missing = list(dict.fromkeys(p for p in points if p not in memo))
+        if missing:
+            costs = self.outage_cost([[k, *caps] for k, caps in missing])
+            memo.update(zip(missing, map(float, costs)))
+        return [memo[p] for p in points]
+
     def outage(self, period: int, caps: tuple[float, ...]) -> float:
         """Predicted outage cost at post-action capacities, memoized."""
-        key = (period, caps)
-        cost = self._outage_memo.get(key)
-        if cost is None:
-            cost = float(self.outage_cost(period, caps))
-            self._outage_memo[key] = cost
-        return cost
+        return self.outages([(period, caps)])[0]
 
     def reward(self, state: MdpState, action: MdpAction) -> float:
         return (-self.investment(state, action)
@@ -225,21 +232,26 @@ def period_tables(env: MdpEnv):
     horizon = env.planning.horizon_periods
     prices, caps = _reachable_grid(env.planning, env.storage)
     codes = [list(itertools.product(*p)) for p in prices]
+    # capacities after each action [period - 1][action][capacity position]
+    after_caps = [[[env.apply_action(MdpState(k, (), c), action)
+                    for c in caps[k - 1]] for action in env.actions]
+                  for k in range(1, horizon + 1)]
+    env.outages([(k, c) for k, grid in enumerate(after_caps, start=1)
+                 for row in grid for c in row])  # one batch for all periods
     periods, numbering, offset = [], [], 0
     for k in range(1, horizon + 1):
         c_set = caps[k - 1]
         numbering.append((codes[k - 1], c_set, offset))
         offset += len(codes[k - 1]) * len(c_set)
-        after_caps = [[env.apply_action(MdpState(k, (), c), action)
-                       for c in c_set] for action in env.actions]
-        outage = [[env.outage(k, c) for c in row] for row in after_caps]
+        outage = [env.outages([(k, c) for c in row])
+                  for row in after_caps[k - 1]]
         invest = [[env.investment(MdpState(k, idx, ()), action)
                    for action in env.actions] for idx in codes[k - 1]]
         probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
         after = succ = next_offset = width = None
         if k < horizon:
             pos = {c: n for n, c in enumerate(caps[k])}
-            after = [[pos[c] for c in row] for row in after_caps]
+            after = [[pos[c] for c in row] for row in after_caps[k - 1]]
             code = {idx: n for n, idx in enumerate(codes[k])}
             succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
                                     for u, i in enumerate(idx)))
@@ -252,7 +264,7 @@ def period_tables(env: MdpEnv):
 
 
 def backward_induction(env: MdpEnv, gamma: float,
-                       choose: Callable[[MdpState], int]
+                       picks: Iterable[tuple[MdpState, int]]
                        ) -> tuple[float, float]:
     """Exact expected discounted rewards from the initial state (Bellman).
 
@@ -261,13 +273,23 @@ def backward_induction(env: MdpEnv, gamma: float,
     sums the boundary's advance masks, each weighted by the product over
     units of p (unit advances) or 1 - p (unit stays); masks of weight zero
     are skipped. Returns `(optimum, value)`, where `value` is the exact value
-    of the policy `choose(state) -> action index`.
+    of the policy that takes action index `ai` at each `(state, ai)` pair of
+    `picks` and no-op (index 0) at every other reachable state.
     """
     periods, numbering, _ = period_tables(env)
+    chosen = [np.zeros((len(codes), len(c_set)), dtype=int)
+              for codes, c_set, _ in numbering]
+    positions = [({idx: n for n, idx in enumerate(codes)},
+                  {c: n for n, c in enumerate(c_set)})
+                 for codes, c_set, _ in numbering]
+    for state, ai in picks:
+        code_pos, cap_pos = positions[state.period - 1]
+        chosen[state.period - 1][code_pos[state.price_idx],
+                                 cap_pos[state.capacity]] = ai
     later = None  # [optimum, policy] values over period k + 1's states
     for k in range(env.planning.horizon_periods, 0, -1):
         invest, outage, probs, after, succ, _, _ = periods[k - 1]
-        price_codes, c_set, _ = numbering[k - 1]
+        pick = chosen[k - 1]
         expect = None
         if later is not None:
             weights = [math.prod(p if m >> u & 1 else 1.0 - p
@@ -275,9 +297,7 @@ def backward_induction(env: MdpEnv, gamma: float,
                        for m in range(1 << env.num_units)]
             expect = sum(w * later[:, [row[m] for row in succ]]
                          for m, w in enumerate(weights) if w)
-        shape = (2, len(price_codes), len(c_set))
-        pick = np.reshape([choose(MdpState(k, idx, c))
-                           for idx in price_codes for c in c_set], shape[1:])
+        shape = (2,) + pick.shape
         invest = np.array(invest)
         values = np.full(shape, -np.inf)
         for ai in range(env.num_actions):

@@ -56,7 +56,7 @@ CV_FOLDS = 5
 # first (Press et al., Numerical Recipes, section 6.2).
 _ERFC_FIT = (0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
              -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223)
-_PREDICT_BLOCK = 1024
+_PREDICT_BLOCK = 256
 
 
 def reachable_capacity_values(levels, max_picks: int) -> tuple[float, ...]:
@@ -140,10 +140,12 @@ def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
     row_rng = stream(master_seed, "dataset:row", row)
     k = int(row_rng.integers(1, plan.horizon_periods + 1))
     caps = row_rng.choice(np.asarray(values, dtype=float), size=units)
+    jobs = [(k, caps, ctx.period_trace(stream(master_seed, "dataset:trial",
+                                              row, t)))
+            for t in range(trials)]
     total = 0.0
-    for t in range(trials):
-        trial_rng = stream(master_seed, "dataset:trial", row, t)
-        total += ctx.trial_outage_cost(k, caps, trial_rng)
+    for cost in ctx.period_costs(jobs):
+        total += cost
     return k, caps, total / trials
 
 
@@ -340,7 +342,10 @@ class RegressionTree:
         weight = np.ones_like(p_node)
         for level in levels:
             weight[level] = weight[parent[level]] * p_node[level]
-        return (weight[leaves] * leaf_value).sum(axis=0)
+        # each row sums its own contiguous leaf terms, so a row's prediction
+        # has the same bits alone as in any batch
+        terms = np.ascontiguousarray((weight[leaves] * leaf_value).T)
+        return terms.sum(axis=1)
 
 
 def _best_split(X, y, idx, feats, min_leaf):

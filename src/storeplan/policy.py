@@ -153,12 +153,11 @@ class PolicyReport:
     flags: list[str] = field(default_factory=list)
 
 
-def visited_greedy(qtable: QTable, state: MdpState) -> int:
-    """Index of the best action visited at `state`, the first on a tie; 0
-    (no-op) when no action was visited there or the state is absent."""
+def visited_greedy(q_row, visits) -> int:
+    """Index of the best visited action in a state's q and visit rows, the
+    first on a tie; 0 (no-op) when no action was visited there."""
     best, best_q = 0, -math.inf
-    for i, (q, v) in enumerate(zip(qtable.q_values(state),
-                                   qtable.visit_counts(state))):
+    for i, (q, v) in enumerate(zip(q_row, visits)):
         if v > 0 and q > best_q:
             best, best_q = i, q
     return best
@@ -181,7 +180,7 @@ def extract_policy(qtable: QTable, env: MdpEnv,
         state = MdpState(k, path[k - 1], caps)
         q_row = qtable.q_values(state)
         visits = qtable.visit_counts(state)
-        ai = visited_greedy(qtable, state)
+        ai = visited_greedy(q_row, visits)
         if visits[ai] == 0:
             flags.append(f"period {k}: state {encode_state(state)} has no "
                          f"visited action; defaulting to no-op")
@@ -320,6 +319,8 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
 
     Stream keys depend only on (seed, trial), never on the policy, so two
     policies evaluated with the same seed face identical outage traces.
+    Every trial's traces are drawn first, and one `period_costs` call
+    dispatches all their outages.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -339,16 +340,20 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             period=s.period, horizon_periods=plan.horizon_periods,
             years_per_period=plan.years_per_period, rate=plan.interest_rate,
             lifetime_years=tech.lifetime_schedule[s.period - 1])
+    jobs = []
+    for t in range(trials):
+        rng = stream(seed, "eval:trial", t)
+        jobs += [(s.period, s.capacity_after, ctx.period_trace(rng))
+                 for s in report.steps]
+    costs = iter(ctx.period_costs(jobs))
     # sums run left to right with +=: sum() compensates from Python 3.12 on,
     # which would make the bytes written depend on the interpreter
     samples = []
     outage = 0.0
-    for t in range(trials):
-        rng = stream(seed, "eval:trial", t)
+    for _ in range(trials):
         total = 0.0
-        for s in report.steps:
-            trace = ctx.period_trace(rng)
-            total += ctx.period_cost(s.period, s.capacity_after, trace)
+        for _ in report.steps:
+            total += next(costs)
         samples.append(total)
         outage += total
     n = len(samples)

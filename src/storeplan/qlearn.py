@@ -218,7 +218,8 @@ def load_qtable(path, expected_config_hash: str | None = None
         if not header_line:
             raise ValueError(f"{path}: empty q-table file")
         header = json.loads(header_line)
-        if header.get("format") != QTABLE_FORMAT:
+        if (not isinstance(header, dict)
+                or header.get("format") != QTABLE_FORMAT):
             raise ValueError(f"{path}: not a q-table file")
         if (expected_config_hash is not None
                 and header.get("config_hash") != expected_config_hash):
@@ -227,13 +228,22 @@ def load_qtable(path, expected_config_hash: str | None = None
         num_units = header["num_units"]
         qt = QTable(header["num_actions"])
         count = 0
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            state = decode_state(rec["state"], num_units)
-            q = list(map(float, rec["q"]))
-            v = list(map(int, rec["visits"]))
+            if not (isinstance(rec, dict) and isinstance(rec.get("state"), str)
+                    and isinstance(rec.get("q"), list)
+                    and isinstance(rec.get("visits"), list)):
+                raise ValueError(f"{path}: line {lineno}: a row must be an "
+                                 f"object with a 'state' string and 'q' and "
+                                 f"'visits' lists, got {line.strip()[:80]!r}")
+            try:
+                state = decode_state(rec["state"], num_units)
+                q = list(map(float, rec["q"]))
+                v = list(map(int, rec["visits"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if len(q) != qt.num_actions or len(v) != qt.num_actions:
                 raise ValueError(f"{path}: row width mismatch for {rec['state']}")
             qt._table[state] = (q, v)

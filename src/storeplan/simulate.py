@@ -3,9 +3,12 @@
 One trial simulates a single decision period: a fresh outage trace over the
 period's years, dispatch of every outage from a freshly charged fleet taken as
 one store, and the VOLL-weighted cost of whatever critical load went unserved.
+The outages of many trials are dispatched together, one lane each.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -43,20 +46,38 @@ class SimulationContext:
         plan = self.config.planning
         return generate_outages(plan.saifi, plan.caidi, plan.years_per_period, rng)
 
+    def period_costs(self, jobs) -> list[float]:
+        """Lost-load cost in $ of each `(period, capacities, trace)` job.
+
+        Each distinct fleet's energies are computed once, and one `serve`
+        call dispatches every outage of every job from a full store. A job's
+        cost adds its outages' VOLL-weighted losses left to right from 0.0.
+        """
+        period_hours = self.config.planning.years_per_period * HOURS_PER_YEAR
+        energies = {}
+        s_d, s_c, start, duration, counts = [], [], [], [], []
+        for period, capacities, trace in jobs:
+            key = (period, tuple(capacities))
+            if key not in energies:
+                energies[key] = self.fleet_for(period, capacities).energy()
+            deliverable, recharge = energies[key]
+            offset = (period - 1) * period_hours
+            outages = trace.outages
+            start += [offset + o.start_hour for o in outages]
+            duration += [o.duration_hours for o in outages]
+            s_d += [deliverable] * len(outages)
+            s_c += [recharge] * len(outages)
+            counts.append(len(outages))
+        _, lost = self.dispatcher.serve(s_d, s_d, s_c, start, duration)
+        rows = iter(lost)
+        costs = []
+        for count in counts:
+            total = 0.0
+            for row in itertools.islice(rows, count):
+                total += float(self._volls @ row)
+            costs.append(total)
+        return costs
+
     def period_cost(self, period: int, capacities, trace: OutageTrace) -> float:
         """Lost-load cost in $ of serving one period's outage trace with `capacities`."""
-        plan = self.config.planning
-        offset = (period - 1) * plan.years_per_period * HOURS_PER_YEAR
-        s_d, s_c = self.fleet_for(period, capacities).energy()
-        total = 0.0
-        for outage in trace.outages:
-            _, lost = self.dispatcher.serve(s_d, s_d, s_c,
-                                            offset + outage.start_hour,
-                                            outage.duration_hours)
-            total += float(self._volls @ np.array(lost))
-        return total
-
-    def trial_outage_cost(self, period: int, capacities,
-                          rng: np.random.Generator) -> float:
-        """One Monte Carlo trial: fresh trace, full dispatch, total cost."""
-        return self.period_cost(period, capacities, self.period_trace(rng))
+        return self.period_costs([(period, capacities, trace)])[0]

@@ -10,6 +10,12 @@ REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
 
+def pointwise(cost):
+    """An `MdpEnv` outage cost over rows of (period, capacity...), built from
+    `cost(period, capacities)` of one point."""
+    return lambda rows: [cost(int(row[0]), tuple(row[1:])) for row in rows]
+
+
 @pytest.fixture(scope="session")
 def case_config():
     return load_config(CONFIGS / "case_study.json")

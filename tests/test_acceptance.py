@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import CONFIGS
+from conftest import CONFIGS, pointwise
 from test_dispatch import flat_series, make_dispatcher, single_class
 
 from storeplan.config import HOURS_PER_YEAR, PlanningConfig, StorageTechnology
@@ -60,7 +60,7 @@ def full_forest(full_dataset):
 def trained(case_config, full_forest):
     """Environment, table, and curve for the configured full training run."""
     env = MdpEnv(case_config.planning, case_config.storage,
-                 outage_cost=full_forest.predict_outage_cost)
+                 outage_cost=full_forest.predict)
     rl = case_config.rl
     qtable, curve = train(
         env, rl.episodes, rl.gamma,
@@ -238,7 +238,7 @@ def test_criterion_07_reduced_instance_recovers_enumeration_optimum():
         return 1.10 ** (k - 1) * tier
 
     gamma = 0.9
-    env = MdpEnv(plan, (tech,), outage_cost=stub_cost)
+    env = MdpEnv(plan, (tech,), outage_cost=pointwise(stub_cost))
 
     def rollout(seq):
         state = env.initial_state()

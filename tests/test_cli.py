@@ -123,6 +123,19 @@ def test_tampered_policy_exits_two(pipeline_dir, tmp_path):
     assert "running sum" in proc.stderr
 
 
+@pytest.mark.parametrize("row", ["5", '{"state": "1,1,1,1,1,0,0,0,0", '
+                                 '"q": 5, "visits": 5}'])
+def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
+    lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    lines[1] = row
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "line 2" in proc.stderr
+
+
 def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):
     # the fit settings and schedules live only in the sidecar
     data = tmp_path / "dataset.csv"

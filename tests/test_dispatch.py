@@ -39,6 +39,94 @@ def make_dispatcher(facilities, profiles, years=1, growth=0.0):
         growth_rate=growth, horizon_hours=years * HOURS_PER_YEAR)
 
 
+def scalar_serve(disp, level, s_d, s_c, start_hour, duration_hours):
+    """The dispatch recurrence for one outage in plain Python floats.
+
+    The oracle for `OutageDispatcher.serve`: returns the level left, the
+    energy lost per class and the classes served in each hour.
+    """
+    renewable = disp._renewable.tolist()
+    critical = disp._critical.tolist()
+    growth = disp._growth.tolist()
+    refill = s_d / s_c if s_c > 0 else 0.0
+    lost = [0.0] * len(critical)
+    depths = []
+    for t in range(start_hour, start_hour + duration_hours):
+        h = t % HOURS_PER_YEAR
+        factor = growth[t // HOURS_PER_YEAR]
+        ren = renewable[h]
+        budget = ren + level + 1e-9
+        demand_total = 0.0
+        depth = 0
+        for g, base in enumerate(critical):
+            d = base[h] * factor
+            if depth == g and demand_total + d <= budget:
+                demand_total += d
+                depth = g + 1
+            else:
+                lost[g] += d
+        depths.append(depth)
+        if demand_total >= ren:
+            level -= demand_total - ren
+            if level < 0.0:
+                level = 0.0
+        else:
+            level += (ren - demand_total) * refill
+            if level > s_d:
+                level = s_d
+    return level, lost, depths
+
+
+@st.composite
+def outage_lanes(draw, horizon_hours):
+    """(level, S_d, S_c, start, duration) of one lane: empty, full or
+    part-charged stores, on outages anywhere, across a year boundary or
+    ending at the horizon."""
+    duration = draw(st.integers(1, 60))
+    where = draw(st.sampled_from(["anywhere", "year boundary", "horizon"]))
+    if where == "anywhere":
+        start = draw(st.integers(0, horizon_hours - duration))
+    elif where == "year boundary":
+        years = horizon_hours // HOURS_PER_YEAR
+        start = (draw(st.integers(1, years - 1)) * HOURS_PER_YEAR
+                 - draw(st.integers(1, duration)))
+    else:
+        start = horizon_hours - duration
+    s_d = draw(st.sampled_from([0.0, 300.0, 1282.0, 20_000.0])
+               | st.floats(1.0, 40_000.0))
+    s_c = s_d / draw(st.floats(0.5, 1.0))
+    level = s_d * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return level, s_d, s_c, start, duration
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_serve_equals_the_scalar_oracle(case_context, data):
+    """Every lane of one `serve` call is what the scalar recurrence gives for
+    that outage alone, bit for bit, whatever the other lanes hold."""
+    disp = case_context.dispatcher
+    lanes = data.draw(st.lists(outage_lanes(disp.horizon_hours),
+                               max_size=12))
+    columns = [list(c) for c in zip(*lanes)] or [[]] * 5
+    depths = np.full((max(columns[4], default=0), len(lanes)), -1)
+    left, lost = disp.serve(*columns, depths)
+    assert lost.shape == (len(lanes), len(disp.facilities))
+    for i, lane in enumerate(lanes):
+        level, lost_row, served = scalar_serve(disp, *lane)
+        assert left[i] == level
+        assert lost[i].tolist() == lost_row
+        assert depths[:, i].tolist() == served + [-1] * (len(depths)
+                                                         - len(served))
+
+
+def test_serve_rejects_any_lane_past_the_horizon():
+    facilities, profiles = single_class(100.0)
+    disp = make_dispatcher(facilities, profiles)
+    with pytest.raises(ValueError, match="horizon"):
+        disp.serve([300.0, 300.0], [300.0, 300.0], [300.0, 300.0],
+                   [0, HOURS_PER_YEAR - 2], [5, 3])
+
+
 def test_single_unit_serves_until_usable_energy_runs_out():
     # 300 kWh at 90% depth holds 270 usable; 100 kWh/h lasts exactly 2 hours
     facilities, profiles = single_class(100.0)

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pointwise
+
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
                            backward_induction, count_states_component_product,
-                           count_states_reachable, decode_state, encode_state)
+                           count_states_reachable, decode_state, encode_state,
+                           period_tables)
 from storeplan.policy import visited_greedy
 from storeplan.qlearn import DecaySchedule, train
 from storeplan.renewables import RenewableParams
@@ -39,12 +42,20 @@ def planning(horizon=4, levels=(300.0, 1000.0, 3000.0)):
         expansion_levels_kwh=tuple(levels), renewables=RENEWABLES)
 
 
+def every_state(env):
+    """Each reachable state of `env`, in `period_tables` order."""
+    _, numbering, _ = period_tables(env)
+    return [MdpState(k, idx, c)
+            for k, (codes, c_set, _) in enumerate(numbering, start=1)
+            for idx in codes for c in c_set]
+
+
 def make_env(units=2, horizon=4, advance=0.7, cost=None):
     storage = tuple(
         tech(u, (advance,) * (horizon - 1) + (0.0,), horizon)
         for u in range(units))
     return MdpEnv(planning(horizon), storage,
-                  outage_cost=cost or (lambda k, caps: 0.0))
+                  outage_cost=pointwise(cost or (lambda k, caps: 0.0)))
 
 
 def test_action_enumeration_and_indexing():
@@ -177,7 +188,7 @@ def test_reachable_count_matches_joint_enumeration():
     storage = (tech(0, (0.7, 0.0, 0.0), horizon),
                tech(1, (1.0, 0.7, 0.0), horizon))
     plan = planning(horizon, levels=(300.0, 1000.0))
-    env = MdpEnv(plan, storage, outage_cost=lambda k, caps: 0.0)
+    env = MdpEnv(plan, storage, outage_cost=pointwise(lambda k, caps: 0.0))
 
     frontier = {env.initial_state()}
     seen = set(frontier)
@@ -226,7 +237,7 @@ def test_dp_recovers_enumeration_optimum_on_reduced_instance():
         tier = 60e3 if total >= 4000 else (260e3 if total >= 1000 else 700e3)
         return 1.10 ** (k - 1) * tier
 
-    env = MdpEnv(planning(), (battery,), outage_cost=stub_cost)
+    env = MdpEnv(planning(), (battery,), outage_cost=pointwise(stub_cost))
 
     def rollout(seq):
         state, total = env.initial_state(), 0.0
@@ -240,7 +251,7 @@ def test_dp_recovers_enumeration_optimum_on_reduced_instance():
         (rollout(seq), seq)
         for seq in itertools.product(range(env.num_actions), repeat=4))
     optimum, followed = backward_induction(
-        env, gamma, choose=lambda s: best_seq[s.period - 1])
+        env, gamma, [(s, best_seq[s.period - 1]) for s in every_state(env)])
     assert optimum == pytest.approx(best_value, rel=1e-12)
     assert followed == pytest.approx(best_value, rel=1e-12)
 
@@ -259,8 +270,8 @@ def test_dp_matches_enumeration_over_price_outcomes(advance):
                     price=(400.0, 250.0, 200.0)[:horizon]),
                tech(1, advance[1] + (0.0,), horizon,
                     price=(300.0, 120.0, 100.0)[:horizon]))
-    env = MdpEnv(planning(horizon), storage, outage_cost=lambda k, caps: (
-        2e5 * k / (1 + (caps[0] + 2 * caps[1]) / 1000)))
+    env = MdpEnv(planning(horizon), storage, outage_cost=pointwise(
+        lambda k, caps: 2e5 * k / (1 + (caps[0] + 2 * caps[1]) / 1000)))
     first = env.actions.index(MdpAction(1, 1))
     top_up = env.actions.index(MdpAction(0, 0))
 
@@ -290,20 +301,27 @@ def test_dp_matches_enumeration_over_price_outcomes(advance):
     optimum = value(env.initial_state())
     followed = value(env.initial_state(), choose)
     assert followed < optimum
-    assert backward_induction(env, gamma, choose) == pytest.approx(
-        (optimum, followed), rel=1e-12)
+    assert backward_induction(
+        env, gamma, [(s, choose(s)) for s in every_state(env)]
+    ) == pytest.approx((optimum, followed), rel=1e-12)
 
 
 def test_learned_policy_value_never_exceeds_optimum(smoke_config):
     env = MdpEnv(smoke_config.planning, smoke_config.storage,
-                 outage_cost=lambda k, caps: 4e5 * k / (1 + sum(caps) / 2000))
+                 outage_cost=pointwise(
+                     lambda k, caps: 4e5 * k / (1 + sum(caps) / 2000)))
     rl, episodes = smoke_config.rl, 5_000
     qtable, _ = train(env, episodes, rl.gamma,
                       DecaySchedule(rl.alpha_start, rl.alpha_end, episodes),
                       DecaySchedule(rl.epsilon_start, rl.epsilon_end,
                                     episodes), seed=smoke_config.master_seed)
-    optimum, learned = backward_induction(
-        env, rl.gamma, choose=lambda s: visited_greedy(qtable, s))
-    _, never = backward_induction(env, rl.gamma, choose=lambda s: 0)
+    picks = [(s, visited_greedy(q, v)) for s, (q, v) in qtable.items()]
+    optimum, learned = backward_induction(env, rl.gamma, picks)
+    _, never = backward_induction(env, rl.gamma, [])
     assert learned <= optimum
     assert never <= optimum
+    # states without a row take no-op, which the rule gives them too
+    assert len(picks) < len(every_state(env))
+    assert backward_induction(env, rl.gamma, [
+        (s, visited_greedy(qtable.q_values(s), qtable.visit_counts(s)))
+        for s in every_state(env)]) == (optimum, learned)

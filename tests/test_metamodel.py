@@ -7,6 +7,7 @@ by the acceptance suite; these tests pin down the mechanics.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -70,6 +71,17 @@ def test_dataset_row_reproducible(smoke_config):
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
     assert a[2] == b[2]
+
+
+def test_dataset_output_is_pinned(smoke_config, tmp_path):
+    """Hash of a fixed small dataset. It is what dispatching each outage on
+    its own gives, so batching the dispatch must not move a bit of it."""
+    dataset = generate_dataset(SimulationContext(smoke_config),
+                               observations=40, trials=5, master_seed=11)
+    write_dataset(dataset, tmp_path / "dataset.csv")
+    assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()
+                          ).hexdigest() == (
+        "6cad6589ce82c045e9759dac540c018cb9bf2f43c13246d20f02555d4e3fa3cb")
 
 
 def test_dataset_rows_decorrelate_by_index(smoke_config):

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import pointwise
+
 from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
 from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
                               evaluate_policy, extract_policy, load_scenarios,
@@ -17,7 +19,7 @@ from storeplan.simulate import SimulationContext
 
 def case_env(config):
     return MdpEnv(config.planning, config.storage,
-                  outage_cost=lambda k, caps: 0.0)
+                  outage_cost=pointwise(lambda k, caps: 0.0))
 
 
 def test_default_scenarios_cover_eight(case_config):
@@ -182,7 +184,7 @@ def test_read_policy_accepts_repeated_schedule_price(tmp_path, case_config):
                                                              150))
     storage = (li_ion,) + case_config.storage[1:]
     env = MdpEnv(case_config.planning, storage,
-                 outage_cost=lambda k, caps: 0.0)
+                 outage_cost=pointwise(lambda k, caps: 0.0))
     path = tmp_path / "policy.csv"
     write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
                      storage, path)
@@ -198,7 +200,7 @@ def test_read_policy_carries_exact_schedule_prices(tmp_path, case_config):
                      price_schedule=(1234567, 420, 167, 150))
     storage = (li_ion,) + case_config.storage[1:]
     env = MdpEnv(case_config.planning, storage,
-                 outage_cost=lambda k, caps: 0.0)
+                 outage_cost=pointwise(lambda k, caps: 0.0))
     path = tmp_path / "policy.csv"
     write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
                      storage, path)
@@ -215,7 +217,7 @@ def test_read_policy_rejects_a_price_that_matches_two(tmp_path, case_config):
                      price_schedule=(1234568, 1234567, 167, 150))
     storage = (li_ion,) + case_config.storage[1:]
     env = MdpEnv(case_config.planning, storage,
-                 outage_cost=lambda k, caps: 0.0)
+                 outage_cost=pointwise(lambda k, caps: 0.0))
     path = tmp_path / "policy.csv"
     write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
                      storage, path)
@@ -283,9 +285,36 @@ def test_evaluation_adds_trials_left_to_right(case_config):
     # left to right, 1e16 + 1.0 rounds back to 1e16 on every interpreter
     ctx = SimulationContext(case_config)
     totals = iter([1e16, 1.0, -1e16])
-    ctx.period_cost = lambda period, caps, trace: (
-        next(totals) if period == 1 else 0.0)
+    ctx.period_costs = lambda jobs: [next(totals) if period == 1 else 0.0
+                                     for period, _, _ in jobs]
     never = never_invest_report(case_env(case_config),
                                 default_scenarios()["1"])
     value = evaluate_policy(ctx, never, trials=3, seed=1)
     assert value.mean_outage_cost == 0.0
+
+
+def test_evaluation_is_pinned(smoke_config):
+    """Exact values of a fixed small evaluation, with storage and without.
+    They are what dispatching each outage on its own gives, so batching the
+    dispatch must not move a bit of them."""
+    ctx = SimulationContext(smoke_config)
+    env = case_env(smoke_config)
+    never = never_invest_report(env, default_scenarios()["1"])
+    steps, caps = [], (0.0,) * env.num_units
+    for step, action in zip(never.steps, [MdpAction(0, 1), NO_OP,
+                                          MdpAction(2, 2), MdpAction(1, 0)]):
+        caps = env.apply_action(MdpState(step.period, (), caps), action)
+        steps.append(replace(
+            step, action=action, capacity_after=caps,
+            unit_name="" if action.is_noop else env.storage[action.unit].name,
+            level_kwh=0.0 if action.is_noop else env.levels[action.level]))
+    built = PolicyReport(scenario_id="pinned", steps=steps)
+    assert repr(evaluate_policy(ctx, built, trials=12, seed=5)) == (
+        "PolicyValue(mean_total_cost=3278390.1202851795, "
+        "investment_cost=1022518.488976874, "
+        "mean_outage_cost=2255871.6313083055, stderr=118347.76637173053, "
+        "trials=12)")
+    assert repr(evaluate_policy(ctx, never, trials=12, seed=5)) == (
+        "PolicyValue(mean_total_cost=3778004.462875148, investment_cost=0.0, "
+        "mean_outage_cost=3778004.462875148, stderr=178939.4515387843, "
+        "trials=12)")

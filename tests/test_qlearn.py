@@ -3,6 +3,7 @@ training output, and a convergence check on a tiny deterministic MDP."""
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from storeplan.qlearn import (DecaySchedule, LearningCurve, QTable,
                               save_qtable, train)
 from storeplan.rng import stream
 
+from conftest import pointwise
 from test_mdp import make_env, planning, tech
 
 
@@ -166,6 +168,48 @@ def test_load_qtable_rejects_non_qtable_file(tmp_path):
         load_qtable(path)
 
 
+def small_qtable_file(path, rows=None, states=None):
+    """A two-unit, three-action q-table file; `rows` replaces its rows."""
+    qt = QTable(3)
+    qt.entry(MdpState(1, (1, 1), (0.0, 0.0)))
+    save_qtable(qt, path, config_digest="abc123", num_units=2)
+    header, *lines = path.read_text().splitlines()
+    doc = json.loads(header)
+    if rows is not None:
+        lines = rows
+    doc["states"] = len(lines) if states is None else states
+    path.write_text("\n".join([json.dumps(doc), *lines]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row", [
+    "5",
+    "[1, 2, 3]",
+    '{"q": [0, 0, 0], "visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": 5, "visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": "000"}',
+    '{"state": "1,1,1,0,0", "q": [null, 0, 0], "visits": [0, 0, 0]}',
+    '{"state": "1,1,x,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}',
+])
+def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    with pytest.raises(ValueError, match="line 2"):
+        load_qtable(path)
+
+
+def test_load_qtable_rejects_row_width_mismatch(tmp_path):
+    row = '{"state": "1,1,1,0,0", "q": [0, 0], "visits": [0, 0]}'
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    with pytest.raises(ValueError, match="row width mismatch for 1,1,1,0,0"):
+        load_qtable(path)
+
+
+def test_load_qtable_rejects_wrong_state_count(tmp_path):
+    path = small_qtable_file(tmp_path / "qtable.jsonl", states=2)
+    with pytest.raises(ValueError, match="header claims 2 states, found 1"):
+        load_qtable(path)
+
+
 def test_final_period_action_visited_once_holds_its_reward():
     """The step floor 1/n makes a first visit's step 1, whatever the schedule:
     a last-period action tried once holds exactly the reward it saw."""
@@ -188,8 +232,8 @@ def _mixed_env():
     # holds every kind of price step and masks that are never drawn
     storage = (tech(0, (0.3, 1.0, 0.0, 0.0)), tech(1, (0.0, 0.6, 1.0, 0.0)))
     return MdpEnv(planning(), storage,
-                  outage_cost=lambda k, caps: 1_000.0 * k / (1.0 + sum(caps)
-                                                             / 700.0))
+                  outage_cost=pointwise(
+                      lambda k, caps: 1_000.0 * k / (1.0 + sum(caps) / 700.0)))
 
 
 def _numbered_states(env):
@@ -255,8 +299,8 @@ def test_training_output_is_pinned(smoke_config, tmp_path):
     `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` gives,
     so the tables and block draws must not move a bit of them."""
     env = MdpEnv(smoke_config.planning, smoke_config.storage,
-                 outage_cost=lambda k, caps: 50_000.0 * k
-                 / (1.0 + sum(caps) / 1000.0))
+                 outage_cost=pointwise(
+                     lambda k, caps: 50_000.0 * k / (1.0 + sum(caps) / 1e3)))
     rl, n = smoke_config.rl, 3_000
     qt, curve = train(env, n, rl.gamma,
                       DecaySchedule(rl.alpha_start, rl.alpha_end, n),

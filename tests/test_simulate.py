@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from storeplan.config import HOURS_PER_YEAR
+from storeplan.outages import Outage, OutageTrace
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
@@ -49,12 +50,21 @@ def test_later_periods_cost_more_for_same_trace(case_context):
     assert costs == sorted(costs)
 
 
-def test_trial_cost_matches_trace_pipeline(case_context):
-    direct = case_context.trial_outage_cost(2, (1000.0, 0.0, 0.0, 0.0),
-                                            stream(4, "sim-test"))
-    trace = case_context.period_trace(stream(4, "sim-test"))
-    assembled = case_context.period_cost(2, (1000.0, 0.0, 0.0, 0.0), trace)
-    assert direct == assembled
+def test_batched_jobs_cost_what_each_job_costs_alone(case_context):
+    """One `period_costs` call over several jobs, their outages dispatched
+    together, gives each job's own `period_cost` bit for bit."""
+    rng = stream(4, "sim-test")
+    jobs = [(k, caps, case_context.period_trace(rng))
+            for k, caps in ((2, (1000.0, 0.0, 0.0, 0.0)),
+                            (1, (0.0, 0.0, 0.0, 0.0)),
+                            (4, (3000.0, 300.0, 0.0, 9000.0)),
+                            (3, (300.0, 300.0, 300.0, 300.0)))]
+    jobs.append((1, (1000.0, 0.0, 0.0, 0.0),
+                 OutageTrace(outages=(), horizon_years=5)))
+    costs = case_context.period_costs(jobs)
+    assert costs == [case_context.period_cost(*job) for job in jobs]
+    assert costs[-1] == 0.0
+    assert case_context.period_costs([]) == []
 
 
 def test_fresh_fleet_each_outage(case_context):
@@ -63,7 +73,6 @@ def test_fresh_fleet_each_outage(case_context):
     With one small unit and two long outages, cost equals the sum of the two
     single-outage costs computed from a full fleet each time.
     """
-    from storeplan.outages import Outage, OutageTrace
     trace = OutageTrace(outages=(Outage(1000, 12), Outage(5000, 12)),
                         horizon_years=5)
     caps = (300.0, 0.0, 0.0, 0.0)
