@@ -6,15 +6,19 @@ as independent per-unit Markov chains that either advance one step down their
 decline schedule or stay put at each period boundary; the index can therefore
 lag the period. Rewards are negative costs: the annualized investment charged
 over the remaining horizon plus the predicted outage cost for the period.
-`period_tables` numbers the reachable states and tabulates rewards and
-successors on them once; the learner trains on these tables, and the exact
-backward induction the learned policy is checked against runs on them too.
+`MdpEnv.tables` numbers the reachable states and tabulates rewards and
+successors on them, once per env: the capacities after period k's actions
+are exactly period k + 1's reachable set C_{k+1}, so one outage cost query
+over every period's C_{k+1} prices every reward. The learner trains on these
+tables, and the exact backward induction the learned policy is checked
+against runs on them too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +30,7 @@ __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
     "encode_state", "decode_state",
     "count_states_component_product", "count_states_reachable",
-    "period_tables", "backward_induction",
+    "backward_induction",
 ]
 
 
@@ -90,8 +94,6 @@ class MdpEnv:
         self._advance = tuple(
             tuple(tech.advance_prob_schedule[k] for tech in self.storage)
             for k in range(planning.horizon_periods))
-        self._invest_memo: dict[tuple[int, int, int, int], float] = {}
-        self._outage_memo: dict[tuple[int, tuple[float, ...]], float] = {}
 
     def initial_state(self) -> MdpState:
         return MdpState(1, (1,) * self.num_units, (0.0,) * self.num_units)
@@ -108,40 +110,20 @@ class MdpEnv:
         if action.is_noop:
             return 0.0
         k = state.period
-        idx = state.price_idx[action.unit]
-        key = (k, action.unit, action.level, idx)
-        cost = self._invest_memo.get(key)
-        if cost is None:
-            tech = self.storage[action.unit]
-            cost = investment_cost(
-                level_kwh=self.levels[action.level],
-                unit_price=tech.price_schedule[idx - 1],
-                period=k,
-                horizon_periods=self.planning.horizon_periods,
-                years_per_period=self.planning.years_per_period,
-                rate=self.planning.interest_rate,
-                lifetime_years=tech.lifetime_schedule[k - 1])
-            self._invest_memo[key] = cost
-        return cost
-
-    def outages(self, points) -> list[float]:
-        """Predicted outage costs at (period, post-action capacities) points,
-        memoized; the points not yet memoized go to `outage_cost` in one
-        batch."""
-        memo = self._outage_memo
-        missing = list(dict.fromkeys(p for p in points if p not in memo))
-        if missing:
-            costs = self.outage_cost([[k, *caps] for k, caps in missing])
-            memo.update(zip(missing, map(float, costs)))
-        return [memo[p] for p in points]
-
-    def outage(self, period: int, caps: tuple[float, ...]) -> float:
-        """Predicted outage cost at post-action capacities, memoized."""
-        return self.outages([(period, caps)])[0]
+        tech = self.storage[action.unit]
+        return investment_cost(
+            level_kwh=self.levels[action.level],
+            unit_price=tech.price_schedule[state.price_idx[action.unit] - 1],
+            period=k,
+            horizon_periods=self.planning.horizon_periods,
+            years_per_period=self.planning.years_per_period,
+            rate=self.planning.interest_rate,
+            lifetime_years=tech.lifetime_schedule[k - 1])
 
     def reward(self, state: MdpState, action: MdpAction) -> float:
-        return (-self.investment(state, action)
-                - self.outage(state.period, self.apply_action(state, action)))
+        caps = self.apply_action(state, action)
+        outage = float(self.outage_cost([[state.period, *caps]])[0])
+        return -self.investment(state, action) - outage
 
     def transition(self, state: MdpState, action: MdpAction,
                    rng: np.random.Generator) -> MdpState:
@@ -153,6 +135,57 @@ class MdpEnv:
         idx = tuple(min(i + 1, cap_idx) if draws[u] < probs[u] else i
                     for u, i in enumerate(state.price_idx))
         return MdpState(state.period + 1, idx, caps)
+
+    @cached_property
+    def tables(self):
+        """Number the reachable states and tabulate the model on them.
+
+        A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
+        the mixed-radix number of the units' positions in their reachable
+        price sets, unit 0 most significant as in `itertools.product`, and
+        `c` is the capacity vector's position in the period's sorted
+        reachable set `C_k`. Returns `(periods, numbering, size)`.
+        `periods[k - 1]` is `(invest, outage, probs, after, succ, offset,
+        width)`: `after[a][c]` is the position in `C_{k+1}` of the
+        capacities after action a, and `outage` holds the outage cost at each
+        position of `C_{k+1}`, so action a's reward is `-invest[code][a] -
+        outage[after[a][c]]`. `succ[code][mask]` is the next period's price
+        code, and `offset` and `width` number the next period's states; these
+        three are None in the last period. Bit u of an advance mask is set
+        when unit u's price advances, which it does with probability
+        `probs[u]`; `succ` holds None where a mask of probability zero would
+        leave the reachable set. `numbering[k - 1]` is `(price tuples by code,
+        C_k, offset_k)`. Every period's outage costs come from one
+        `outage_cost` call, and the rewards equal `reward`'s.
+        """
+        horizon = self.planning.horizon_periods
+        prices, caps = _reachable_grid(self.planning, self.storage)
+        codes = [list(itertools.product(*p)) for p in prices]
+        costs = iter(map(float, self.outage_cost(
+            [[k, *c] for k in range(1, horizon + 1) for c in caps[k]])))
+        periods, numbering, offset = [], [], 0
+        for k in range(1, horizon + 1):
+            c_set, c_next = caps[k - 1], caps[k]
+            numbering.append((codes[k - 1], c_set, offset))
+            offset += len(codes[k - 1]) * len(c_set)
+            outage = list(itertools.islice(costs, len(c_next)))
+            pos = {c: n for n, c in enumerate(c_next)}
+            after = [[pos[self.apply_action(MdpState(k, (), c), action)]
+                      for c in c_set] for action in self.actions]
+            invest = [[self.investment(MdpState(k, idx, ()), action)
+                       for action in self.actions] for idx in codes[k - 1]]
+            probs = [tech.advance_prob_schedule[k - 1] for tech in self.storage]
+            succ = next_offset = width = None
+            if k < horizon:
+                code = {idx: n for n, idx in enumerate(codes[k])}
+                succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1
+                                        else i for u, i in enumerate(idx)))
+                         for m in range(1 << self.num_units)]
+                        for idx in codes[k - 1]]
+                next_offset, width = offset, len(c_next)
+            periods.append((invest, outage, probs, after, succ, next_offset,
+                            width))
+        return periods, numbering, offset
 
 
 def count_states_component_product(num_units: int, num_levels: int,
@@ -176,13 +209,13 @@ def _reachable_grid(planning: PlanningConfig,
     Price chains and the capacity vector evolve independently, so a period's
     reachable states are the product of its unit price-index sets with its
     capacity-vector set. Returns `(prices, caps)`: `prices[k - 1][u]` and
-    `caps[k - 1]` are sorted tuples.
+    `caps[k - 1]` are sorted tuples, and `caps` holds one more set than
+    `prices`, the capacities after the last period's actions.
     """
     horizon = planning.horizon_periods
     levels = planning.expansion_levels_kwh
     units = len(storage)
     prices = [((1,),) * units]
-    caps = [((0.0,) * units,)]
     for k in range(1, horizon):
         step = []
         for u, tech in enumerate(storage):
@@ -193,6 +226,8 @@ def _reachable_grid(planning: PlanningConfig,
             step.append(tuple(sorted({min(i + m, horizon)
                                       for i in prices[-1][u] for m in moves})))
         prices.append(tuple(step))
+    caps = [((0.0,) * units,)]
+    for _ in range(horizon):
         nxt = set(caps[-1])
         for c in caps[-1]:
             for u in range(units):
@@ -210,65 +245,12 @@ def count_states_reachable(planning: PlanningConfig,
     return sum(math.prod(map(len, p)) * len(c) for p, c in zip(prices, caps))
 
 
-def period_tables(env: MdpEnv):
-    """Number the reachable states and tabulate the model on them.
-
-    A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
-    the mixed-radix number of the units' positions in their reachable price
-    sets, unit 0 most significant as in `itertools.product`, and `c` is the
-    capacity vector's position in the period's sorted reachable set `C_k`.
-    Returns `(periods, numbering, size)`. `periods[k - 1]` is `(invest,
-    outage, probs, after, succ, offset, width)`: `invest[code][a]` and
-    `outage[a][c]` make up the reward of action a, `after[a][c]` and
-    `succ[code][mask]` are the next period's capacity position and price
-    code, and `offset` and `width` number the next period's states; the last
-    three and `after` are None in the last period. Bit u of an advance mask
-    is set when unit u's price advances, which it does with probability
-    `probs[u]`; `succ` holds None where a mask of probability zero would
-    leave the reachable set. `numbering[k - 1]` is `(price tuples by code,
-    C_k, offset_k)`. Rewards come from the env's memos, so they equal
-    `MdpEnv.reward`.
-    """
-    horizon = env.planning.horizon_periods
-    prices, caps = _reachable_grid(env.planning, env.storage)
-    codes = [list(itertools.product(*p)) for p in prices]
-    # capacities after each action [period - 1][action][capacity position]
-    after_caps = [[[env.apply_action(MdpState(k, (), c), action)
-                    for c in caps[k - 1]] for action in env.actions]
-                  for k in range(1, horizon + 1)]
-    env.outages([(k, c) for k, grid in enumerate(after_caps, start=1)
-                 for row in grid for c in row])  # one batch for all periods
-    periods, numbering, offset = [], [], 0
-    for k in range(1, horizon + 1):
-        c_set = caps[k - 1]
-        numbering.append((codes[k - 1], c_set, offset))
-        offset += len(codes[k - 1]) * len(c_set)
-        outage = [env.outages([(k, c) for c in row])
-                  for row in after_caps[k - 1]]
-        invest = [[env.investment(MdpState(k, idx, ()), action)
-                   for action in env.actions] for idx in codes[k - 1]]
-        probs = [tech.advance_prob_schedule[k - 1] for tech in env.storage]
-        after = succ = next_offset = width = None
-        if k < horizon:
-            pos = {c: n for n, c in enumerate(caps[k])}
-            after = [[pos[c] for c in row] for row in after_caps[k - 1]]
-            code = {idx: n for n, idx in enumerate(codes[k])}
-            succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1 else i
-                                    for u, i in enumerate(idx)))
-                     for m in range(1 << env.num_units)]
-                    for idx in codes[k - 1]]
-            next_offset, width = offset, len(caps[k])
-        periods.append((invest, outage, probs, after, succ, next_offset,
-                        width))
-    return periods, numbering, offset
-
-
 def backward_induction(env: MdpEnv, gamma: float,
                        picks: Iterable[tuple[MdpState, int]]
                        ) -> tuple[float, float]:
     """Exact expected discounted rewards from the initial state (Bellman).
 
-    One backward pass over `period_tables`, each period's values an array
+    One backward pass over `MdpEnv.tables`, each period's values an array
     over (price code, capacity position). The expectation over next prices
     sums the boundary's advance masks, each weighted by the product over
     units of p (unit advances) or 1 - p (unit stays); masks of weight zero
@@ -276,7 +258,7 @@ def backward_induction(env: MdpEnv, gamma: float,
     of the policy that takes action index `ai` at each `(state, ai)` pair of
     `picks` and no-op (index 0) at every other reachable state.
     """
-    periods, numbering, _ = period_tables(env)
+    periods, numbering, _ = env.tables
     chosen = [np.zeros((len(codes), len(c_set)), dtype=int)
               for codes, c_set, _ in numbering]
     positions = [({idx: n for n, idx in enumerate(codes)},
@@ -291,17 +273,17 @@ def backward_induction(env: MdpEnv, gamma: float,
         invest, outage, probs, after, succ, _, _ = periods[k - 1]
         pick = chosen[k - 1]
         expect = None
-        if later is not None:
+        if succ is not None:
             weights = [math.prod(p if m >> u & 1 else 1.0 - p
                                  for u, p in enumerate(probs))
                        for m in range(1 << env.num_units)]
             expect = sum(w * later[:, [row[m] for row in succ]]
                          for m, w in enumerate(weights) if w)
         shape = (2,) + pick.shape
-        invest = np.array(invest)
+        invest, outage, after = map(np.array, (invest, outage, after))
         values = np.full(shape, -np.inf)
         for ai in range(env.num_actions):
-            q = -invest[:, ai, None] - np.array(outage[ai])
+            q = -invest[:, ai, None] - outage[after[ai]]
             if expect is not None:
                 q = q + gamma * expect[:, :, after[ai]]
             q = np.broadcast_to(q, shape)

@@ -547,6 +547,8 @@ def save_forest(forest: RegressionForest, path) -> None:
 
 def load_forest(path, expected_config_hash: str | None = None) -> RegressionForest:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a forest file holds a JSON object")
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"{path}: not a {FOREST_FORMAT} forest file "
                          f"(found {doc.get('format')!r}); retrain it")

@@ -1,12 +1,12 @@
 """Tabular Q-learning over the expansion process, with JSONL persistence.
 
 The table is a dict keyed by state, holding one q-value and one visit count
-per action; training fills rows of the states numbered by
-`mdp.period_tables` and converts them at the end. Exploration and the
-learning rate both decay linearly over the run, and the step size of a pair
-never drops below one over its visit count. The learning curve tracks mean
-undiscounted episode reward per batch, with batch boundaries expressed as
-percentiles of the run so curves from runs of different lengths line up.
+per action; training fills rows of the states numbered by `MdpEnv.tables`
+and converts them at the end. Exploration and the learning rate both decay
+linearly over the run, and the step size of a pair never drops below one
+over its visit count. The learning curve tracks mean undiscounted episode
+reward per batch, with batch boundaries expressed as percentiles of the run
+so curves from runs of different lengths line up.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import lt
 from pathlib import Path
 
 from .config import IncompatibleArtifact
-from .mdp import MdpEnv, MdpState, decode_state, encode_state, period_tables
+from .mdp import MdpEnv, MdpState, decode_state, encode_state
 from .rng import BlockDraws, stream
 
 __all__ = [
@@ -129,10 +129,10 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     table exactly.
 
     Steps run on numbered states, against the reward and successor tables
-    of `mdp.period_tables`, built before the first episode. `BlockDraws` hands
-    out the draws in the order that stepping `MdpEnv.reward` and
-    `MdpEnv.transition` on the seed's `Generator` takes them, so the table
-    is the one those would give, bit for bit.
+    of `MdpEnv.tables`; the last period is the one without successors.
+    `BlockDraws` hands out the draws in the order that stepping
+    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` takes
+    them, so the table is the one those would give, bit for bit.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
@@ -141,7 +141,7 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     batches = min(BATCHES, episodes)
     draws = BlockDraws(stream(seed, "train"))
     random, integers = draws.random, draws.integers
-    periods, numbering, size = period_tables(env)
+    periods, numbering, size = env.tables
     num_actions, units = env.num_actions, env.num_units
     bits = [1 << u for u in range(units)]
     rows = [None] * size
@@ -161,14 +161,15 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
                 ai = integers(num_actions)
             else:
                 ai = greedy_index(row, draws)
-            r = -invest[code][ai] - outage[ai][cap]
+            cap = after[ai][cap]
+            r = -invest[code][ai] - outage[cap]
             mask = sum(compress(bits, map(lt, random(units), probs)))
             visits[ai] += 1
             step = max(a_val, 1.0 / visits[ai])
-            if after is None:
+            if succ is None:
                 q_update(row, ai, r, 0.0, step, gamma, True)
             else:
-                code, cap = succ[code][mask], after[ai][cap]
+                code = succ[code][mask]
                 s = offset + code * width + cap
                 entry = rows[s]
                 if entry is None:
@@ -225,9 +226,12 @@ def load_qtable(path, expected_config_hash: str | None = None
                 and header.get("config_hash") != expected_config_hash):
             raise IncompatibleArtifact(
                 f"{path}: q-table was trained under a different configuration")
+        for key in ("num_actions", "num_units", "states"):
+            if type(header.get(key)) is not int:  # bools are not counts
+                raise ValueError(f"{path}: header {key!r} must be an "
+                                 f"integer, got {header.get(key)!r}")
         num_units = header["num_units"]
         qt = QTable(header["num_actions"])
-        count = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -246,9 +250,11 @@ def load_qtable(path, expected_config_hash: str | None = None
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if len(q) != qt.num_actions or len(v) != qt.num_actions:
                 raise ValueError(f"{path}: row width mismatch for {rec['state']}")
+            if state in qt._table:
+                raise ValueError(f"{path}: line {lineno}: state "
+                                 f"{rec['state']} has a row already")
             qt._table[state] = (q, v)
-            count += 1
-    if count != header.get("states", count):
+    if len(qt) != header["states"]:
         raise ValueError(f"{path}: header claims {header['states']} states, "
-                         f"found {count}")
+                         f"found {len(qt)}")
     return qt, header

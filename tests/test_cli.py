@@ -134,6 +134,39 @@ def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
                    "--scenario", "1", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "line 2" in proc.stderr
+    assert not (tmp_path / "policy_1.csv").exists()
+
+
+@pytest.mark.parametrize("defect, match", [
+    ("mistyped header", "'num_actions' must be an integer"),
+    ("repeated state", "line 3: state"),
+])
+def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
+                                                       defect, match):
+    header, *rows = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    if defect == "mistyped header":
+        doc = json.loads(header)
+        doc["num_actions"] = str(doc["num_actions"])
+        header = json.dumps(doc)
+    else:
+        rows[1] = rows[0]  # the count still matches the header's
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert match in proc.stderr
+    assert not (tmp_path / "policy_1.csv").exists()
+
+
+def test_non_object_forest_exits_two(tmp_path):
+    forest = tmp_path / "forest.json"
+    forest.write_text("[1]\n")
+    proc = run_cli("solve", "--config", SMOKE, "--forest", str(forest),
+                   "--episodes", "10", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "JSON object" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):

@@ -12,8 +12,7 @@ from conftest import pointwise
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
                            backward_induction, count_states_component_product,
-                           count_states_reachable, decode_state, encode_state,
-                           period_tables)
+                           count_states_reachable, decode_state, encode_state)
 from storeplan.policy import visited_greedy
 from storeplan.qlearn import DecaySchedule, train
 from storeplan.renewables import RenewableParams
@@ -43,8 +42,8 @@ def planning(horizon=4, levels=(300.0, 1000.0, 3000.0)):
 
 
 def every_state(env):
-    """Each reachable state of `env`, in `period_tables` order."""
-    _, numbering, _ = period_tables(env)
+    """Each reachable state of `env`, in `MdpEnv.tables` order."""
+    _, numbering, _ = env.tables
     return [MdpState(k, idx, c)
             for k, (codes, c_set, _) in enumerate(numbering, start=1)
             for idx in codes for c in c_set]
@@ -142,19 +141,27 @@ def test_reward_queries_post_action_capacity():
     assert seen == [(1, (300.0, 300.0))]
 
 
-def test_outage_memo_avoids_repeat_queries():
+def test_tables_query_each_post_action_point_once():
+    """One `outage_cost` call covers every period: its rows are the distinct
+    (period, capacities after an action) points, and training and the DP on
+    the same env ask for no more."""
     calls = []
 
-    def counting(k, caps):
-        calls.append((k, caps))
-        return 1.0
+    def counting(rows):
+        calls.append([(int(r[0]), tuple(r[1:])) for r in rows])
+        return [1.0] * len(rows)
 
-    env = make_env(cost=counting)
-    s = MdpState(1, (1, 1), (0.0, 0.0))
-    env.reward(s, NO_OP)
-    env.reward(s, NO_OP)
-    # same period and capacities from a different price index: still cached
-    env.reward(MdpState(1, (2, 2), (0.0, 0.0)), NO_OP)
+    base = make_env(units=2, horizon=3)
+    env = MdpEnv(base.planning, base.storage, outage_cost=counting)
+    _, numbering, _ = env.tables
+    assert len(calls) == 1
+    points = {(k, env.apply_action(MdpState(k, (), c), action))
+              for k, (_, c_set, _) in enumerate(numbering, start=1)
+              for c in c_set for action in env.actions}
+    assert len(calls[0]) == len(points) and set(calls[0]) == points
+    train(env, 50, 0.9, DecaySchedule(1.0, 0.1, 50),
+          DecaySchedule(1.0, 0.3, 50), seed=2)
+    backward_induction(env, 0.9, [])
     assert len(calls) == 1
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from storeplan.config import IncompatibleArtifact
-from storeplan.mdp import MdpEnv, MdpState, period_tables
+from storeplan.mdp import MdpEnv, MdpState
 from storeplan.qlearn import (DecaySchedule, LearningCurve, QTable,
                               greedy_index, load_qtable, q_update,
                               save_qtable, train)
@@ -210,6 +210,26 @@ def test_load_qtable_rejects_wrong_state_count(tmp_path):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("num_actions", "3"), ("num_units", True), ("states", None)])
+def test_load_qtable_rejects_mistyped_header_naming_the_key(tmp_path, key,
+                                                           value):
+    path = small_qtable_file(tmp_path / "qtable.jsonl")
+    header, row = path.read_text().splitlines()
+    doc = json.loads(header)
+    doc[key] = value
+    path.write_text(json.dumps(doc) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=key):
+        load_qtable(path)
+
+
+def test_load_qtable_rejects_repeated_state(tmp_path):
+    row = '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}'
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row, row])
+    with pytest.raises(ValueError, match="line 3: state 1,1,1,0,0"):
+        load_qtable(path)
+
+
 def test_final_period_action_visited_once_holds_its_reward():
     """The step floor 1/n makes a first visit's step 1, whatever the schedule:
     a last-period action tried once holds exactly the reward it saw."""
@@ -239,7 +259,7 @@ def _mixed_env():
 def _numbered_states(env):
     """(period, price code, capacity position, state) over every reachable
     state, from the numbering the learner trains on."""
-    _, grids, size = period_tables(env)
+    _, grids, size = env.tables
     states = []
     for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
         for code, idx in enumerate(price_codes):
@@ -252,13 +272,13 @@ def _numbered_states(env):
 
 def test_table_rewards_equal_env_rewards():
     env = _mixed_env()
-    periods, _, _ = period_tables(env)
+    periods, _, _ = env.tables
     checked = 0
     for k, code, cap, state in _numbered_states(env):
-        invest, outage = periods[k - 1][:2]
+        invest, outage, _, after = periods[k - 1][:4]
         for ai, action in enumerate(env.actions):
-            assert -invest[code][ai] - outage[ai][cap] == env.reward(state,
-                                                                     action)
+            assert (-invest[code][ai] - outage[after[ai][cap]]
+                    == env.reward(state, action))
             checked += 1
     assert checked > 1_000
 
@@ -274,11 +294,11 @@ class _FixedDraws:
 
 def test_table_successors_equal_env_transitions():
     env = _mixed_env()
-    periods, grids, _ = period_tables(env)
+    periods, grids, _ = env.tables
     rng = stream(4, "successors")
     for k, code, cap, state in _numbered_states(env):
         _, _, probs, after, succ, _, _ = periods[k - 1]
-        if after is None:
+        if succ is None:
             continue
         price_codes, cap_set, _ = grids[k]
         # draws lie in [0, 1): on and just below each unit's advance bound
