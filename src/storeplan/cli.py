@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
     qtable, curve = train(env, episodes, cfg.rl.gamma, alpha, epsilon, seed)
     out = _out_dir(args)
     qpath = out / "qtable.jsonl"
-    save_qtable(qtable, qpath, digest, env.num_units, metadata=run)
+    save_qtable(qtable, qpath, digest, metadata=run)
     curve.save(out / "learning_curve.csv")
     _record_artifact(out, "qtable", "qtable.jsonl", digest, "solve", run)
     _record_artifact(out, "learning_curve", "learning_curve.csv", digest,
@@ -146,8 +146,8 @@ def cmd_solve(args) -> int:
     # learned policy is the rule `policy` extracts with, valued exactly;
     # states without a row take no-op, as that rule gives them
     optimum, learned = backward_induction(
-        env, cfg.rl.gamma,
-        ((s, visited_greedy(q, v)) for s, (q, v) in qtable.items()))
+        env, cfg.rl.gamma, ((n, visited_greedy(*row))
+                            for n, row in enumerate(qtable.rows) if row))
     gap = optimum - learned
     share = f" ({gap / abs(optimum):.1%})" if optimum else ""
     print(f"exact DP: optimum {optimum:.0f}, learned policy {learned:.0f}, "
@@ -163,9 +163,9 @@ def _no_outage_cost(rows) -> list[float]:
 def cmd_policy(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
-    qtable, _ = load_qtable(args.qtable, expected_config_hash=digest)
-    scenario = _scenario(args)
     env = MdpEnv(cfg.planning, cfg.storage, outage_cost=_no_outage_cost)
+    qtable, _ = load_qtable(args.qtable, env, expected_config_hash=digest)
+    scenario = _scenario(args)
     report = extract_policy(qtable, env, scenario)
     out = _out_dir(args)
     path = out / f"policy_{args.scenario}.csv"

@@ -9,15 +9,15 @@ over the remaining horizon plus the predicted outage cost for the period.
 `MdpEnv.tables` numbers the reachable states and tabulates rewards and
 successors on them, once per env: the capacities after period k's actions
 are exactly period k + 1's reachable set C_{k+1}, so one outage cost query
-over every period's C_{k+1} prices every reward. The learner trains on these
-tables, and the exact backward induction the learned policy is checked
-against runs on them too.
+over every period's C_{k+1} prices every reward. One numbering serves the
+learner, the exact DP it is checked against, Q-table files and extraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -156,7 +156,8 @@ class MdpEnv:
         `probs[u]`; `succ` holds None where a mask of probability zero would
         leave the reachable set. `numbering[k - 1]` is `(price tuples by code,
         C_k, offset_k)`. Every period's outage costs come from one
-        `outage_cost` call, and the rewards equal `reward`'s.
+        `outage_cost` call, and the rewards equal `reward`'s. The learner,
+        the DP and the Q-table key states by this number (see `number`).
         """
         horizon = self.planning.horizon_periods
         prices, caps = _reachable_grid(self.planning, self.storage)
@@ -186,6 +187,22 @@ class MdpEnv:
             periods.append((invest, outage, probs, after, succ, next_offset,
                             width))
         return periods, numbering, offset
+
+    def number(self, state: MdpState) -> int | None:
+        """The state's number in `tables`, or None if it is not reachable."""
+        if 1 <= state.period <= self.planning.horizon_periods:
+            codes, c_set, offset = self.tables[1][state.period - 1]
+            code = bisect_left(codes, state.price_idx)  # both sets are sorted
+            cap = bisect_left(c_set, state.capacity)
+            if (codes[code:code + 1] == [state.price_idx]
+                    and c_set[cap:cap + 1] == (state.capacity,)):
+                return offset + code * len(c_set) + cap
+        return None
+
+    def states(self):
+        """Every reachable state, in the order that `tables` numbers them."""
+        return (MdpState(k, idx, c) for k, (codes, c_set, _) in enumerate(
+            self.tables[1], start=1) for idx in codes for c in c_set)
 
 
 def count_states_component_product(num_units: int, num_levels: int,
@@ -246,7 +263,7 @@ def count_states_reachable(planning: PlanningConfig,
 
 
 def backward_induction(env: MdpEnv, gamma: float,
-                       picks: Iterable[tuple[MdpState, int]]
+                       picks: Iterable[tuple[int, int]]
                        ) -> tuple[float, float]:
     """Exact expected discounted rewards from the initial state (Bellman).
 
@@ -255,23 +272,18 @@ def backward_induction(env: MdpEnv, gamma: float,
     sums the boundary's advance masks, each weighted by the product over
     units of p (unit advances) or 1 - p (unit stays); masks of weight zero
     are skipped. Returns `(optimum, value)`, where `value` is the exact value
-    of the policy that takes action index `ai` at each `(state, ai)` pair of
-    `picks` and no-op (index 0) at every other reachable state.
+    of the policy that takes action index `ai` at each `(state number, ai)`
+    pair of `picks` and no-op (index 0) at every other reachable state.
     """
-    periods, numbering, _ = env.tables
-    chosen = [np.zeros((len(codes), len(c_set)), dtype=int)
-              for codes, c_set, _ in numbering]
-    positions = [({idx: n for n, idx in enumerate(codes)},
-                  {c: n for n, c in enumerate(c_set)})
-                 for codes, c_set, _ in numbering]
-    for state, ai in picks:
-        code_pos, cap_pos = positions[state.period - 1]
-        chosen[state.period - 1][code_pos[state.price_idx],
-                                 cap_pos[state.capacity]] = ai
+    periods, numbering, size = env.tables
+    chosen = np.zeros(size, dtype=int)
+    for s, ai in picks:
+        chosen[s] = ai
+    chosen = np.split(chosen, [offset for _, _, offset in numbering[1:]])
     later = None  # [optimum, policy] values over period k + 1's states
     for k in range(env.planning.horizon_periods, 0, -1):
         invest, outage, probs, after, succ, _, _ = periods[k - 1]
-        pick = chosen[k - 1]
+        pick = chosen[k - 1].reshape(len(invest), -1)
         expect = None
         if succ is not None:
             weights = [math.prod(p if m >> u & 1 else 1.0 - p

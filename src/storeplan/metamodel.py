@@ -45,6 +45,8 @@ FOREST_FORMAT = "storeplan-forest-v2"
 
 # The trees' feature columns are (period, S_d, S_c).
 PERIOD = 0
+# A tree's node lists, as a forest file holds them.
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 # Fit settings of the config's metamodel section (its optional fields), as
 # the dataset carries them.
 FIT_KEYS = tuple(f.name for f in fields(MetamodelParams)
@@ -224,7 +226,11 @@ def read_dataset(path) -> SyntheticDataset:
     meta = json.loads(meta_path.read_text())
     if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
         raise ValueError(f"{meta_path}: not a dataset sidecar")
-    units = int(meta["num_units"])
+    for key in ("observations", "trials", "master_seed", "num_units"):
+        if type(meta.get(key)) is not int:  # bools are not counts
+            raise ValueError(f"{meta_path}: {key!r} must be an integer, "
+                             f"got {meta.get(key)!r}")
+    units = meta["num_units"]
     header = ",".join(["k", *(f"cap_{i + 1}" for i in range(units)), "cost"])
     lines = path.read_text().splitlines()
     if not lines or lines[0] != header:
@@ -538,8 +544,7 @@ def save_forest(forest: RegressionForest, path) -> None:
         "test_indices": forest.test_indices,
         "r2_test": forest.r2_test,
         "config_hash": forest.config_digest,
-        "trees": [{"feature": t.feature, "threshold": t.threshold,
-                   "left": t.left, "right": t.right, "value": t.value}
+        "trees": [{f: getattr(t, f) for f in TREE_FIELDS}
                   for t in forest.trees],
     }
     Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n")
@@ -555,8 +560,17 @@ def load_forest(path, expected_config_hash: str | None = None) -> RegressionFore
     if expected_config_hash is not None and doc.get("config_hash") != expected_config_hash:
         raise IncompatibleArtifact(
             f"{path}: forest was trained under a different configuration")
-    trees = [RegressionTree(feature=t["feature"], threshold=t["threshold"],
-                            left=t["left"], right=t["right"], value=t["value"])
+    for key, kind, name in (("trees", list, "list"), ("params", dict, "object"),
+                            ("num_features", int, "integer")):
+        if type(doc.get(key)) is not kind:  # a bool is not an integer
+            raise ValueError(f"{path}: {key!r} must be a JSON {name}, "
+                             f"got {doc.get(key)!r:.40}")
+    for i, t in enumerate(doc["trees"]):
+        if not (isinstance(t, dict)
+                and all(type(t.get(f)) is list for f in TREE_FIELDS)):
+            raise ValueError(f"{path}: 'trees'[{i}] must be an object with "
+                             f"list fields {', '.join(TREE_FIELDS)}")
+    trees = [RegressionTree(**{f: t[f] for f in TREE_FIELDS})
              for t in doc["trees"]]
     return RegressionForest(trees=trees, num_features=doc["num_features"],
                             params=doc["params"],

@@ -1,8 +1,8 @@
 """Tabular Q-learning over the expansion process, with JSONL persistence.
 
-The table is a dict keyed by state, holding one q-value and one visit count
-per action; training fills rows of the states numbered by `MdpEnv.tables`
-and converts them at the end. Exploration and the learning rate both decay
+The table holds a q-value and a visit count per action for each state that
+`MdpEnv.tables` numbers; training, the exact DP's picks and the JSONL file
+all index states by that number. Exploration and the learning rate both decay
 linearly over the run, and the step size of a pair never drops below one
 over its visit count. The learning curve tracks mean undiscounted episode
 reward per batch, with batch boundaries expressed as percentiles of the run
@@ -50,34 +50,39 @@ class DecaySchedule:
 
 
 class QTable:
-    """q-values and visit counts per (state, action), dense over actions."""
+    """Rows `(q, visits)`, dense over actions: `rows[n]` is the row of the
+    state that `MdpEnv.tables` numbers n, or None if no step reached it."""
 
-    def __init__(self, num_actions: int):
-        if num_actions < 1:
-            raise ValueError("num_actions must be positive")
-        self.num_actions = num_actions
-        self._table: dict[MdpState, tuple[list[float], list[int]]] = {}
+    def __init__(self, env: MdpEnv):
+        self.env, self.num_actions = env, env.num_actions
+        self.rows: list = [None] * env.tables[2]
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.rows) - self.rows.count(None)
 
     def entry(self, state: MdpState) -> tuple[list[float], list[int]]:
-        e = self._table.get(state)
-        if e is None:
-            e = ([0.0] * self.num_actions, [0] * self.num_actions)
-            self._table[state] = e
-        return e
+        n = self.env.number(state)
+        if n is None:
+            raise ValueError(f"state {encode_state(state)} is not reachable")
+        if self.rows[n] is None:
+            self.rows[n] = ([0.0] * self.num_actions, [0] * self.num_actions)
+        return self.rows[n]
+
+    def _row(self, state: MdpState):
+        n = self.env.number(state)
+        row = None if n is None else self.rows[n]
+        return row or ([0.0] * self.num_actions, [0] * self.num_actions)
 
     def q_values(self, state: MdpState) -> list[float]:
-        e = self._table.get(state)
-        return list(e[0]) if e else [0.0] * self.num_actions
+        return list(self._row(state)[0])
 
     def visit_counts(self, state: MdpState) -> list[int]:
-        e = self._table.get(state)
-        return list(e[1]) if e else [0] * self.num_actions
+        return list(self._row(state)[1])
 
     def items(self):
-        return self._table.items()
+        """`(state, (q, visits))` for each state with a row, by number."""
+        return ((s, row) for s, row in zip(self.env.states(), self.rows)
+                if row)
 
 
 def greedy_index(row, rng) -> int:
@@ -141,10 +146,11 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     batches = min(BATCHES, episodes)
     draws = BlockDraws(stream(seed, "train"))
     random, integers = draws.random, draws.integers
-    periods, numbering, size = env.tables
+    periods = env.tables[0]
     num_actions, units = env.num_actions, env.num_units
     bits = [1 << u for u in range(units)]
-    rows = [None] * size
+    qt = QTable(env)
+    rows = qt.rows
     rows[0] = ([0.0] * num_actions, [0] * num_actions)  # the initial state
     boundaries = [round((i + 1) * episodes / batches) for i in range(batches)]
     curve_x, curve_y = [], []
@@ -183,24 +189,17 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
             curve_y.append(acc / acc_n)
             acc, acc_n = 0.0, 0
             next_boundary += 1
-    qt = QTable(num_actions)
-    for k, (price_codes, cap_set, offset) in enumerate(numbering, start=1):
-        width = len(cap_set)
-        for s in range(offset, offset + len(price_codes) * width):
-            if rows[s] is not None:
-                code, cap = divmod(s - offset, width)
-                qt._table[MdpState(k, price_codes[code], cap_set[cap])] = rows[s]
     return qt, LearningCurve(batch_percentile=curve_x, mean_total_reward=curve_y)
 
 
 def save_qtable(qtable: QTable, path, config_digest: str | None,
-                num_units: int, metadata: dict | None = None) -> None:
+                metadata: dict | None = None) -> None:
     """JSONL: one header record, then one record per visited state."""
     header = {
         "format": QTABLE_FORMAT,
         "config_hash": config_digest,
         "num_actions": qtable.num_actions,
-        "num_units": num_units,
+        "num_units": qtable.env.num_units,
         "states": len(qtable),
     }
     if metadata:
@@ -212,8 +211,10 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
             fh.write(json.dumps({"state": enc, "q": q, "visits": v}) + "\n")
 
 
-def load_qtable(path, expected_config_hash: str | None = None
+def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
                 ) -> tuple[QTable, dict]:
+    """A q-table file's rows, placed by `env`'s numbering. The header's counts
+    must match `env`'s and each row's state must be reachable in `env`."""
     with open(path) as fh:
         header_line = fh.readline()
         if not header_line:
@@ -226,12 +227,15 @@ def load_qtable(path, expected_config_hash: str | None = None
                 and header.get("config_hash") != expected_config_hash):
             raise IncompatibleArtifact(
                 f"{path}: q-table was trained under a different configuration")
-        for key in ("num_actions", "num_units", "states"):
+        for key, want in (("num_actions", env.num_actions),
+                          ("num_units", env.num_units), ("states", None)):
             if type(header.get(key)) is not int:  # bools are not counts
                 raise ValueError(f"{path}: header {key!r} must be an "
                                  f"integer, got {header.get(key)!r}")
-        num_units = header["num_units"]
-        qt = QTable(header["num_actions"])
+            if want is not None and header[key] != want:
+                raise ValueError(f"{path}: line 1: header {key!r} is "
+                                 f"{header[key]}, but the config gives {want}")
+        qt = QTable(env)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -243,17 +247,20 @@ def load_qtable(path, expected_config_hash: str | None = None
                                  f"object with a 'state' string and 'q' and "
                                  f"'visits' lists, got {line.strip()[:80]!r}")
             try:
-                state = decode_state(rec["state"], num_units)
+                state = decode_state(rec["state"], env.num_units)
                 q = list(map(float, rec["q"]))
                 v = list(map(int, rec["visits"]))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if len(q) != qt.num_actions or len(v) != qt.num_actions:
                 raise ValueError(f"{path}: row width mismatch for {rec['state']}")
-            if state in qt._table:
+            n = env.number(state)
+            if n is None or qt.rows[n] is not None:
+                why = ("is not reachable under the config" if n is None
+                       else "has a row already")
                 raise ValueError(f"{path}: line {lineno}: state "
-                                 f"{rec['state']} has a row already")
-            qt._table[state] = (q, v)
+                                 f"{rec['state']} {why}")
+            qt.rows[n] = (q, v)
     if len(qt) != header["states"]:
         raise ValueError(f"{path}: header claims {header['states']} states, "
                          f"found {len(qt)}")

@@ -140,16 +140,26 @@ def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
 @pytest.mark.parametrize("defect, match", [
     ("mistyped header", "'num_actions' must be an integer"),
     ("repeated state", "line 3: state"),
+    ("unit count off the config", "line 1: header 'num_units' is 2"),
+    ("unreachable state", "line 2: state 9,1,1,1,1,0,0,0,0 is not reachable"),
 ])
 def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
                                                        defect, match):
     header, *rows = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    doc = json.loads(header)
     if defect == "mistyped header":
-        doc = json.loads(header)
         doc["num_actions"] = str(doc["num_actions"])
-        header = json.dumps(doc)
-    else:
+    elif defect == "unit count off the config":
+        doc["num_units"] = 2  # the smoke config has 4
+    elif defect == "repeated state":
         rows[1] = rows[0]  # the count still matches the header's
+    else:
+        # the initial state's row, moved past the horizon
+        row = json.loads(rows[0])
+        assert row["state"] == "1,1,1,1,1,0,0,0,0"
+        row["state"] = "9" + row["state"][1:]
+        rows[0] = json.dumps(row)
+    header = json.dumps(doc)
     bad = tmp_path / "qtable.jsonl"
     bad.write_text("\n".join([header, *rows]) + "\n")
     proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
@@ -159,14 +169,24 @@ def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
     assert not (tmp_path / "policy_1.csv").exists()
 
 
-def test_non_object_forest_exits_two(tmp_path):
+def test_non_object_forest_exits_two(pipeline_dir, tmp_path):
+    """A non-object document, and a valid forest with one key of the wrong
+    shape, each exit 2 naming the file and the key."""
+    good = json.loads((pipeline_dir / "forest.json").read_text())
     forest = tmp_path / "forest.json"
-    forest.write_text("[1]\n")
-    proc = run_cli("solve", "--config", SMOKE, "--forest", str(forest),
-                   "--episodes", "10", "--out", str(tmp_path / "out"))
-    assert proc.returncode == 2
-    assert "JSON object" in proc.stderr
-    assert not (tmp_path / "out").exists()
+    for key, value, match in [
+            (None, [1], "a forest file holds a JSON object"),
+            ("trees", 5, "'trees' must be a JSON list"),
+            ("trees", [5], "'trees'[0] must be an object with list fields"),
+            ("params", [], "'params' must be a JSON object"),
+            ("num_features", "5", "'num_features' must be a JSON integer")]:
+        doc = value if key is None else {**good, key: value}
+        forest.write_text(json.dumps(doc) + "\n")
+        proc = run_cli("solve", "--config", SMOKE, "--forest", str(forest),
+                       "--episodes", "10", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, (key, proc.stderr)
+        assert f"{forest}: {match}" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):

@@ -165,6 +165,27 @@ def test_tables_query_each_post_action_point_once():
     assert len(calls) == 1
 
 
+def test_number_and_states_follow_the_tables_order():
+    env = make_env(units=2, horizon=3)
+    states = every_state(env)
+    assert list(env.states()) == states
+    assert len(states) == env.tables[2]
+    for n, s in enumerate(states):
+        assert env.number(s) == n
+
+
+@pytest.mark.parametrize("state", [
+    MdpState(0, (1, 1), (0.0, 0.0)),        # before the first period
+    MdpState(4, (1, 1), (0.0, 0.0)),        # after the last
+    MdpState(1, (2, 1), (0.0, 0.0)),        # price cannot have moved yet
+    MdpState(2, (1, 1), (300.0, 300.0)),    # two installs in one period
+    MdpState(2, (1, 1), (7.0, 0.0)),        # not an expansion level
+    MdpState(2, (1,), (0.0,)),              # wrong unit count
+])
+def test_number_is_none_off_the_reachable_set(state):
+    assert make_env(units=2, horizon=3).number(state) is None
+
+
 def test_encode_decode_round_trip():
     s = MdpState(3, (2, 4), (1300.0, 0.0))
     assert decode_state(encode_state(s), 2) == s
@@ -258,7 +279,8 @@ def test_dp_recovers_enumeration_optimum_on_reduced_instance():
         (rollout(seq), seq)
         for seq in itertools.product(range(env.num_actions), repeat=4))
     optimum, followed = backward_induction(
-        env, gamma, [(s, best_seq[s.period - 1]) for s in every_state(env)])
+        env, gamma,
+        [(n, best_seq[s.period - 1]) for n, s in enumerate(every_state(env))])
     assert optimum == pytest.approx(best_value, rel=1e-12)
     assert followed == pytest.approx(best_value, rel=1e-12)
 
@@ -309,7 +331,7 @@ def test_dp_matches_enumeration_over_price_outcomes(advance):
     followed = value(env.initial_state(), choose)
     assert followed < optimum
     assert backward_induction(
-        env, gamma, [(s, choose(s)) for s in every_state(env)]
+        env, gamma, [(n, choose(s)) for n, s in enumerate(every_state(env))]
     ) == pytest.approx((optimum, followed), rel=1e-12)
 
 
@@ -322,7 +344,8 @@ def test_learned_policy_value_never_exceeds_optimum(smoke_config):
                       DecaySchedule(rl.alpha_start, rl.alpha_end, episodes),
                       DecaySchedule(rl.epsilon_start, rl.epsilon_end,
                                     episodes), seed=smoke_config.master_seed)
-    picks = [(s, visited_greedy(q, v)) for s, (q, v) in qtable.items()]
+    picks = [(n, visited_greedy(*row))
+             for n, row in enumerate(qtable.rows) if row]
     optimum, learned = backward_induction(env, rl.gamma, picks)
     _, never = backward_induction(env, rl.gamma, [])
     assert learned <= optimum
@@ -330,5 +353,5 @@ def test_learned_policy_value_never_exceeds_optimum(smoke_config):
     # states without a row take no-op, which the rule gives them too
     assert len(picks) < len(every_state(env))
     assert backward_induction(env, rl.gamma, [
-        (s, visited_greedy(qtable.q_values(s), qtable.visit_counts(s)))
-        for s in every_state(env)]) == (optimum, learned)
+        (n, visited_greedy(qtable.q_values(s), qtable.visit_counts(s)))
+        for n, s in enumerate(every_state(env))]) == (optimum, learned)

@@ -137,6 +137,11 @@ def test_read_dataset_requires_its_sidecar(tmp_path, smoke_config):
     ("dod", [[1.0]] * 4, "dod schedule"),  # would broadcast over the units
     ("efficiency", [[1.0] * 4] * 3, "efficiency and dod"),
     ("metamodel", {"colour": "red"}, "unknown key 'colour'"),
+    # counts must be JSON integers, as in a q-table header
+    ("trials", "x", "'trials' must be an integer, got 'x'"),
+    ("num_units", None, "'num_units' must be an integer, got None"),
+    ("observations", "13", "'observations' must be an integer"),
+    ("master_seed", True, "'master_seed' must be an integer, got True"),
 ])
 def test_read_dataset_rejects_tampered_sidecar(tmp_path, smoke_config, key,
                                                value, match):

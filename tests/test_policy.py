@@ -84,7 +84,7 @@ def test_extraction_follows_visited_argmax(case_config):
     """Handcrafted table: the best visited action wins even when a better
     unvisited q-value sits beside it."""
     env = case_env(case_config)
-    qt = QTable(env.num_actions)
+    qt = QTable(env)
     s1 = env.initial_state()
     row, visits = qt.entry(s1)
     buy_li_small = env.actions.index(MdpAction(0, 0))
@@ -103,7 +103,7 @@ def test_extraction_follows_visited_argmax(case_config):
 
 def test_extraction_records_scenario_prices(case_config):
     env = case_env(case_config)
-    report = extract_policy(QTable(env.num_actions), env,
+    report = extract_policy(QTable(env), env,
                             default_scenarios()["1"])
     # scenario 1 walks the full price schedule of every unit
     for k, step in enumerate(report.steps, start=1):
@@ -120,7 +120,7 @@ def test_never_invest_report_holds_zero(case_config):
 
 def test_policy_csv_round_trip(tmp_path, case_config):
     env = case_env(case_config)
-    qt = QTable(env.num_actions)
+    qt = QTable(env)
     s1 = env.initial_state()
     row, visits = qt.entry(s1)
     row[env.actions.index(MdpAction(2, 1))] = -5.0
@@ -140,7 +140,7 @@ def test_policy_csv_round_trip(tmp_path, case_config):
 def written_policy(tmp_path, config):
     """Path and lines of a CSV for li-ion 300 kWh in periods 1 and 2."""
     env = case_env(config)
-    qt = QTable(env.num_actions)
+    qt = QTable(env)
     path = default_scenarios()["1"].price_path(env.storage, 4)
     buy = env.actions.index(MdpAction(0, 0))
     caps = (0.0,) * env.num_units
@@ -240,7 +240,7 @@ def test_evaluation_is_deterministic_under_seed(case_config):
 def test_evaluation_charges_recorded_investment(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
-    qt = QTable(env.num_actions)
+    qt = QTable(env)
     row, visits = qt.entry(env.initial_state())
     ai = env.actions.index(MdpAction(1, 0))  # lead-acid 300 kWh in period 1
     row[ai] = -1.0
@@ -260,7 +260,7 @@ def test_storage_reduces_outage_cost_with_shared_trials(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
     never = never_invest_report(env, default_scenarios()["1"])
-    qt = QTable(env.num_actions)
+    qt = QTable(env)
     row, visits = qt.entry(env.initial_state())
     ai = env.actions.index(MdpAction(0, 2))
     row[ai] = -1.0

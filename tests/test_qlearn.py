@@ -60,21 +60,36 @@ def test_greedy_ties_split_uniformly():
     assert counts[0] / 40_000 == pytest.approx(0.5, abs=0.02)
 
 
+def small_env():
+    """Two units and one expansion level, so three actions."""
+    storage = make_env(units=2).storage
+    return MdpEnv(planning(levels=(300.0,)), storage,
+                  outage_cost=pointwise(lambda k, caps: 0.0))
+
+
 def test_qtable_entry_creates_zero_row():
-    qt = QTable(4)
-    s = MdpState(1, (1,), (0.0,))
-    assert len(qt) == 0
+    env = small_env()
+    qt = QTable(env)
+    s = MdpState(2, (2, 1), (0.0, 300.0))
+    assert len(qt) == 0 and len(qt.rows) == env.tables[2]
     row, visits = qt.entry(s)
-    assert row == [0.0] * 4 and visits == [0] * 4
+    assert row == [0.0] * 3 and visits == [0] * 3
+    assert len(qt) == 1 and qt.rows[env.number(s)] == (row, visits)
     assert list(qt.items()) == [(s, (row, visits))]
+    with pytest.raises(ValueError, match="not reachable"):
+        qt.entry(MdpState(2, (2, 1), (300.0, 300.0)))
 
 
 def test_qtable_accessors_return_copies():
-    qt = QTable(2)
-    s = MdpState(1, (1,), (0.0,))
+    env = small_env()
+    qt = QTable(env)
+    s = env.initial_state()
     qt.entry(s)
     qt.q_values(s)[0] = 99.0
     assert qt.q_values(s)[0] == 0.0
+    # a state off the reachable set has no row: zeros, as for an unvisited one
+    off = MdpState(9, (1, 1), (0.0, 0.0))
+    assert qt.q_values(off) == [0.0] * 3 and qt.visit_counts(off) == [0] * 3
 
 
 def test_train_visits_every_period(smoke_config):
@@ -142,37 +157,35 @@ def test_qtable_round_trip_preserves_rows(tmp_path):
     qt, _ = train(env, 150, 0.9, DecaySchedule(1.0, 0.1, 150),
                   DecaySchedule(1.0, 0.3, 150), seed=9)
     path = tmp_path / "qtable.jsonl"
-    save_qtable(qt, path, config_digest="abc123", num_units=2,
-                metadata={"episodes": 150})
-    loaded, header = load_qtable(path, expected_config_hash="abc123")
+    save_qtable(qt, path, config_digest="abc123", metadata={"episodes": 150})
+    loaded, header = load_qtable(path, env, expected_config_hash="abc123")
     assert header["episodes"] == 150
     assert len(loaded) == len(qt)
+    assert loaded.rows == qt.rows
     for s, (q, v) in qt.items():
         assert loaded.q_values(s) == q
         assert loaded.visit_counts(s) == v
 
 
 def test_load_qtable_rejects_wrong_config(tmp_path):
-    qt = QTable(3)
-    qt.entry(MdpState(1, (1, 1), (0.0, 0.0)))
-    path = tmp_path / "qtable.jsonl"
-    save_qtable(qt, path, config_digest="abc123", num_units=2)
+    path = small_qtable_file(tmp_path / "qtable.jsonl")
     with pytest.raises(IncompatibleArtifact):
-        load_qtable(path, expected_config_hash="other")
+        load_qtable(path, small_env(), expected_config_hash="other")
 
 
 def test_load_qtable_rejects_non_qtable_file(tmp_path):
     path = tmp_path / "bogus.jsonl"
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
-        load_qtable(path)
+        load_qtable(path, small_env())
 
 
 def small_qtable_file(path, rows=None, states=None):
-    """A two-unit, three-action q-table file; `rows` replaces its rows."""
-    qt = QTable(3)
-    qt.entry(MdpState(1, (1, 1), (0.0, 0.0)))
-    save_qtable(qt, path, config_digest="abc123", num_units=2)
+    """A `small_env` q-table file with the initial state's row; `rows`
+    replaces its rows."""
+    qt = QTable(small_env())
+    qt.entry(qt.env.initial_state())
+    save_qtable(qt, path, config_digest="abc123")
     header, *lines = path.read_text().splitlines()
     doc = json.loads(header)
     if rows is not None:
@@ -194,20 +207,20 @@ def small_qtable_file(path, rows=None, states=None):
 def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     with pytest.raises(ValueError, match="line 2"):
-        load_qtable(path)
+        load_qtable(path, small_env())
 
 
 def test_load_qtable_rejects_row_width_mismatch(tmp_path):
     row = '{"state": "1,1,1,0,0", "q": [0, 0], "visits": [0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     with pytest.raises(ValueError, match="row width mismatch for 1,1,1,0,0"):
-        load_qtable(path)
+        load_qtable(path, small_env())
 
 
 def test_load_qtable_rejects_wrong_state_count(tmp_path):
     path = small_qtable_file(tmp_path / "qtable.jsonl", states=2)
     with pytest.raises(ValueError, match="header claims 2 states, found 1"):
-        load_qtable(path)
+        load_qtable(path, small_env())
 
 
 @pytest.mark.parametrize("key, value", [
@@ -220,14 +233,43 @@ def test_load_qtable_rejects_mistyped_header_naming_the_key(tmp_path, key,
     doc[key] = value
     path.write_text(json.dumps(doc) + "\n" + row + "\n")
     with pytest.raises(ValueError, match=key):
-        load_qtable(path)
+        load_qtable(path, small_env())
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("num_units", 3, "line 1: header 'num_units' is 3, but the config gives 2"),
+    ("num_actions", 7, "line 1: header 'num_actions' is 7, but the config "
+                       "gives 3")])
+def test_load_qtable_rejects_header_counts_off_the_config(tmp_path, key,
+                                                          value, match):
+    path = small_qtable_file(tmp_path / "qtable.jsonl")
+    header, row = path.read_text().splitlines()
+    doc = json.loads(header)
+    doc[key] = value
+    path.write_text(json.dumps(doc) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_qtable(path, small_env())
+
+
+@pytest.mark.parametrize("state", [
+    "9,1,1,0,0",      # the initial state moved past the horizon
+    "1,1,1,300,0",    # capacity before any period could install it
+    "2,1,1,300,300",  # two installs in one period
+    "2,3,1,0,0",      # a price two steps down after one boundary
+])
+def test_load_qtable_rejects_unreachable_state(tmp_path, state):
+    row = json.dumps({"state": state, "q": [0, 0, 0], "visits": [0, 0, 0]})
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    with pytest.raises(ValueError,
+                       match=f"line 2: state {state} is not reachable"):
+        load_qtable(path, small_env())
 
 
 def test_load_qtable_rejects_repeated_state(tmp_path):
     row = '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row, row])
     with pytest.raises(ValueError, match="line 3: state 1,1,1,0,0"):
-        load_qtable(path)
+        load_qtable(path, small_env())
 
 
 def test_final_period_action_visited_once_holds_its_reward():
@@ -326,7 +368,7 @@ def test_training_output_is_pinned(smoke_config, tmp_path):
                       DecaySchedule(rl.alpha_start, rl.alpha_end, n),
                       DecaySchedule(rl.epsilon_start, rl.epsilon_end, n),
                       seed=7)
-    save_qtable(qt, tmp_path / "qtable.jsonl", "pinned", env.num_units,
+    save_qtable(qt, tmp_path / "qtable.jsonl", "pinned",
                 metadata={"episodes": n})
     curve.save(tmp_path / "learning_curve.csv")
 
