@@ -230,15 +230,20 @@ def cmd_report(args) -> int:
         values = reachable_capacity_values(
             cfg.planning.expansion_levels_kwh,
             cfg.planning.horizon_periods - 1)
-        lines = ["unit,period,capacity_kwh,predicted_cost"]
+        points, rows = [], []
         zeros = [0.0] * len(cfg.storage)
         for u, tech in enumerate(cfg.storage):
             for k in range(1, cfg.planning.horizon_periods + 1):
                 for v in values:
                     caps = list(zeros)
                     caps[u] = v
-                    pred = forest.predict_outage_cost(k, caps)
-                    lines.append(f"{tech.name},{k},{v:g},{pred!r}")
+                    points.append((tech.name, k, v))
+                    rows.append([k, *caps])
+        # one batch; each row gets the bits a one-row prediction gives
+        preds = forest.predict(rows).tolist()
+        lines = ["unit,period,capacity_kwh,predicted_cost"]
+        lines += [f"{name},{k},{v:g},{pred!r}"
+                  for (name, k, v), pred in zip(points, preds)]
         (out / "cost_surface.csv").write_text("\n".join(lines) + "\n")
         produced.append("cost_surface.csv")
     hist_years = args.histogram_years
@@ -246,8 +251,8 @@ def cmd_report(args) -> int:
     trace = generate_outages(cfg.planning.saifi, cfg.planning.caidi,
                              hist_years, rng)
     counts: dict[int, int] = {}
-    for o in trace.outages:
-        counts[o.duration_hours] = counts.get(o.duration_hours, 0) + 1
+    for d in trace.durations:
+        counts[d] = counts.get(d, 0) + 1
     lines = ["duration_hours,count"]
     for d in sorted(counts):
         lines.append(f"{d},{counts[d]}")

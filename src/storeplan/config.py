@@ -28,7 +28,7 @@ from .rng import stream
 __all__ = [
     "ConfigError", "IncompatibleArtifact", "StorageTechnology", "FacilityClass",
     "HourlySeries", "RlParams", "MetamodelParams", "PlanningConfig", "Config",
-    "load_config", "load_series", "synth_profile",
+    "load_config", "parse_json", "load_series", "synth_profile",
     "config_hash",
 ]
 
@@ -461,11 +461,20 @@ def load_config(path: str | Path) -> Config:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return _parse_document(parse_json(text, path), path.parent)
+
+
+def parse_json(text: str, path, line: int | None = None):
+    """`json.loads(text)`, where `text` is the file at `path`, or its line
+    `line` when given. Text that is not JSON raises ConfigError naming the
+    file and the line (and column) of the file where parsing stopped."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: parse error: {exc}") from exc
-    return _parse_document(doc, path.parent)
+        where = (f"line {line}" if line is not None
+                 else f"line {exc.lineno} column {exc.colno}")
+        raise ConfigError(f"{path}: {where}: not valid JSON: {exc.msg}"
+                          ) from None
 
 
 def to_document(config: Config) -> dict:

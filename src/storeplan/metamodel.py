@@ -23,12 +23,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
 from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
-                     MetamodelParams, _require_keys, _section, config_hash)
+                     MetamodelParams, _require_keys, _section, config_hash,
+                     parse_json)
 from .dispatch import fleet_energy
 from .rng import stream
 from .simulate import SimulationContext
@@ -59,6 +62,9 @@ CV_FOLDS = 5
 _ERFC_FIT = (0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
              -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223)
 _PREDICT_BLOCK = 256
+# Trial jobs `generate_dataset` dispatches per `period_costs` call, which
+# bounds the lanes and traces held at once.
+_BLOCK_JOBS = 512
 
 
 def reachable_capacity_values(levels, max_picks: int) -> tuple[float, ...]:
@@ -134,9 +140,10 @@ class SyntheticDataset:
         return self.capacity.shape[1]
 
 
-def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
-                master_seed: int) -> tuple[int, np.ndarray, float]:
-    """One dataset row, reproducible from (master_seed, row) alone."""
+def _row_jobs(ctx: SimulationContext, values, row: int, trials: int,
+              master_seed: int) -> tuple[int, np.ndarray, list]:
+    """A row's period and capacities, drawn from the row's stream, and one
+    `(period, capacities, trace)` job per trial."""
     plan = ctx.config.planning
     units = len(ctx.config.storage)
     row_rng = stream(master_seed, "dataset:row", row)
@@ -145,10 +152,14 @@ def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
     jobs = [(k, caps, ctx.period_trace(stream(master_seed, "dataset:trial",
                                               row, t)))
             for t in range(trials)]
-    total = 0.0
-    for cost in ctx.period_costs(jobs):
-        total += cost
-    return k, caps, total / trials
+    return k, caps, jobs
+
+
+def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
+                master_seed: int) -> tuple[int, np.ndarray, float]:
+    """One dataset row, reproducible from (master_seed, row) alone."""
+    k, caps, jobs = _row_jobs(ctx, values, row, trials, master_seed)
+    return k, caps, reduce(add, ctx.period_costs(jobs), 0.0) / trials
 
 
 def generate_dataset(ctx: SimulationContext, observations: int | None = None,
@@ -158,10 +169,14 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
 
     Periods are uniform over the horizon; capacities are drawn independently
     per unit from the reachable set. Each row's target averages `trials`
-    independent period simulations. The dataset also carries what the
-    surrogate takes from the config: its digest, the dod and efficiency
-    schedules the forest computes its features from, and the metamodel fit
-    settings.
+    independent period simulations. Rows are simulated in blocks of whole
+    rows holding at most `_BLOCK_JOBS` trials (one row when a row holds
+    more): each row draws its period, capacities and traces as
+    `dataset_row` does, and one `period_costs` call dispatches the block,
+    so every row equals its `dataset_row` bit for bit. The dataset also
+    carries what the surrogate takes from the config: its digest, the dod
+    and efficiency schedules the forest computes its features from, and the
+    metamodel fit settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -177,9 +192,18 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     periods = np.empty(observations, dtype=int)
     caps = np.empty((observations, len(cfg.storage)))
     costs = np.empty(observations)
-    for r in range(observations):
-        periods[r], caps[r], costs[r] = dataset_row(ctx, values, r, trials,
-                                                    master_seed)
+    step = max(1, _BLOCK_JOBS // trials)
+    for first in range(0, observations, step):
+        rows = range(first, min(first + step, observations))
+        jobs = []
+        for r in rows:
+            periods[r], caps[r], row_jobs = _row_jobs(ctx, values, r, trials,
+                                                      master_seed)
+            jobs += row_jobs
+        block = ctx.period_costs(jobs)
+        for i, r in enumerate(rows):
+            costs[r] = reduce(add, block[i * trials:(i + 1) * trials],
+                              0.0) / trials
     return SyntheticDataset(
         period=periods, capacity=caps, cost=costs, trials=trials,
         master_seed=master_seed, config_digest=config_hash(cfg),
@@ -223,7 +247,7 @@ def read_dataset(path) -> SyntheticDataset:
     if not meta_path.exists():
         raise ValueError(f"{meta_path}: missing; a dataset needs the sidecar "
                          f"gen-data writes next to it")
-    meta = json.loads(meta_path.read_text())
+    meta = parse_json(meta_path.read_text(), meta_path)
     if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
         raise ValueError(f"{meta_path}: not a dataset sidecar")
     for key in ("observations", "trials", "master_seed", "num_units"):
@@ -551,7 +575,7 @@ def save_forest(forest: RegressionForest, path) -> None:
 
 
 def load_forest(path, expected_config_hash: str | None = None) -> RegressionForest:
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(Path(path).read_text(), path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a forest file holds a JSON object")
     if doc.get("format") != FOREST_FORMAT:

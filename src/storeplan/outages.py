@@ -2,40 +2,45 @@
 
 Outage arrivals form a homogeneous Poisson process with rate SAIFI per year;
 each duration is 1 + Poisson(CAIDI - 1) hours, which guarantees a one-hour
-minimum while keeping the stated mean.
+minimum while keeping the stated mean. A trace is two flat tuples, start
+hours and durations, merged from plain lists, so drawing one costs a few
+numpy calls and no object per outage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from .config import HOURS_PER_YEAR
 
-__all__ = ["Outage", "OutageTrace", "generate_outages"]
-
-
-@dataclass(frozen=True)
-class Outage:
-    start_hour: int
-    duration_hours: int
+__all__ = ["OutageTrace", "generate_outages"]
 
 
 @dataclass(frozen=True)
 class OutageTrace:
-    """Time-ordered, non-overlapping outages over a stated horizon."""
+    """Time-ordered, non-overlapping outages over a stated horizon.
 
-    outages: tuple[Outage, ...]
+    Outage i starts at hour `starts[i]` and lasts `durations[i]` hours.
+    """
+
+    starts: tuple[int, ...]
+    durations: tuple[int, ...]
     horizon_years: float
 
     def total_hours(self) -> int:
-        return sum(o.duration_hours for o in self.outages)
+        return sum(self.durations)
 
 
 def generate_outages(saifi: float, caidi: float, horizon_years: float,
                      rng: np.random.Generator) -> OutageTrace:
-    """Sample a trace: Poisson(saifi * years) outages, uniform starts, merged overlaps."""
+    """Sample a trace: Poisson(saifi * years) outages, uniform starts, merged overlaps.
+
+    The draws are `poisson` for the count, `integers` for the starts and
+    `poisson` for the durations, in that order.
+    """
     if saifi <= 0:
         raise ValueError(f"saifi must be > 0, got {saifi}")
     if caidi <= 1:
@@ -45,15 +50,20 @@ def generate_outages(saifi: float, caidi: float, horizon_years: float,
 
     horizon_hours = int(round(horizon_years * HOURS_PER_YEAR))
     count = rng.poisson(saifi * horizon_years)
-    starts = np.sort(rng.integers(0, horizon_hours, size=count))
+    starts = rng.integers(0, horizon_hours, size=count)
+    starts.sort()
     durations = 1 + rng.poisson(caidi - 1, size=count)
 
-    merged: list[list[int]] = []
+    begins: list[int] = []  # start and end hour of each merged outage
+    ends: list[int] = []
     for start, dur in zip(starts.tolist(), durations.tolist()):
         end = min(start + dur, horizon_hours)  # truncate at the horizon edge
-        if merged and start < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
+        if ends and start < ends[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
         else:
-            merged.append([start, end])
-    outages = tuple(Outage(start_hour=s, duration_hours=e - s) for s, e in merged)
-    return OutageTrace(outages=outages, horizon_years=horizon_years)
+            begins.append(start)
+            ends.append(end)
+    return OutageTrace(starts=tuple(begins),
+                       durations=tuple(map(sub, ends, begins)),
+                       horizon_years=horizon_years)

@@ -10,12 +10,11 @@ streams across policies so comparisons difference away trace noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import StorageTechnology
+from .config import StorageTechnology, parse_json
 from .finance import investment_cost
 from .mdp import MdpAction, MdpEnv, MdpState, NO_OP, encode_state
 from .qlearn import QTable
@@ -109,7 +108,7 @@ def load_scenarios(path) -> dict[str, PriceScenario]:
     JSON booleans; anything else raises ValueError naming the scenario and
     the key.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(Path(path).read_text(), path)
     if not isinstance(doc, dict) or doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path}: not a scenario file")
     if not isinstance(doc.get("scenarios"), dict):

@@ -17,7 +17,7 @@ from itertools import compress
 from operator import lt
 from pathlib import Path
 
-from .config import IncompatibleArtifact
+from .config import IncompatibleArtifact, parse_json
 from .mdp import MdpEnv, MdpState, decode_state, encode_state
 from .rng import BlockDraws, stream
 
@@ -219,7 +219,7 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty q-table file")
-        header = json.loads(header_line)
+        header = parse_json(header_line, path, line=1)
         if (not isinstance(header, dict)
                 or header.get("format") != QTABLE_FORMAT):
             raise ValueError(f"{path}: not a q-table file")
@@ -239,7 +239,7 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            rec = parse_json(line, path, line=lineno)
             if not (isinstance(rec, dict) and isinstance(rec.get("state"), str)
                     and isinstance(rec.get("q"), list)
                     and isinstance(rec.get("visits"), list)):

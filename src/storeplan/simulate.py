@@ -3,12 +3,15 @@
 One trial simulates a single decision period: a fresh outage trace over the
 period's years, dispatch of every outage from a freshly charged fleet taken as
 one store, and the VOLL-weighted cost of whatever critical load went unserved.
-The outages of many trials are dispatched together, one lane each.
+The outages of many trials are dispatched together, one lane each, and
+priced at the classes' VOLLs in one stacked matmul.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -50,8 +53,10 @@ class SimulationContext:
         """Lost-load cost in $ of each `(period, capacities, trace)` job.
 
         Each distinct fleet's energies are computed once, and one `serve`
-        call dispatches every outage of every job from a full store. A job's
-        cost adds its outages' VOLL-weighted losses left to right from 0.0.
+        call dispatches every outage of every job from a full store. One
+        stacked `matmul` prices each outage's lost energy at the classes'
+        VOLLs, a dot product per outage with the bits of `volls @ lost_row`;
+        a job's cost adds its outages' prices left to right from 0.0.
         """
         period_hours = self.config.planning.years_per_period * HOURS_PER_YEAR
         energies = {}
@@ -62,21 +67,16 @@ class SimulationContext:
                 energies[key] = self.fleet_for(period, capacities).energy()
             deliverable, recharge = energies[key]
             offset = (period - 1) * period_hours
-            outages = trace.outages
-            start += [offset + o.start_hour for o in outages]
-            duration += [o.duration_hours for o in outages]
-            s_d += [deliverable] * len(outages)
-            s_c += [recharge] * len(outages)
-            counts.append(len(outages))
+            n = len(trace.starts)
+            start += [offset + s for s in trace.starts]
+            duration += trace.durations
+            s_d += [deliverable] * n
+            s_c += [recharge] * n
+            counts.append(n)
         _, lost = self.dispatcher.serve(s_d, s_d, s_c, start, duration)
-        rows = iter(lost)
-        costs = []
-        for count in counts:
-            total = 0.0
-            for row in itertools.islice(rows, count):
-                total += float(self._volls @ row)
-            costs.append(total)
-        return costs
+        prices = iter(np.matmul(lost[:, None, :], self._volls)[:, 0].tolist())
+        # reduce adds left to right; sum() compensates from Python 3.12 on
+        return [reduce(add, itertools.islice(prices, n), 0.0) for n in counts]
 
     def period_cost(self, period: int, capacities, trace: OutageTrace) -> float:
         """Lost-load cost in $ of serving one period's outage trace with `capacities`."""

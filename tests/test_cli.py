@@ -137,6 +137,63 @@ def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
     assert not (tmp_path / "policy_1.csv").exists()
 
 
+def test_truncated_qtable_row_exits_two_naming_file_and_line(pipeline_dir,
+                                                             tmp_path):
+    # a row cut short is not JSON; the error points at the file's line 2,
+    # not at a line and column inside that one row
+    lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    lines[1] = lines[1][:len(lines[1]) // 2]
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"{bad}: line 2: not valid JSON" in proc.stderr
+    assert not (tmp_path / "policy_1.csv").exists()
+
+
+@pytest.mark.parametrize("artifact", ["qtable header", "forest", "sidecar",
+                                      "scenarios"])
+def test_artifact_that_is_not_json_exits_two_naming_the_file(
+        pipeline_dir, tmp_path, artifact):
+    out = tmp_path / "out"
+    if artifact == "qtable header":
+        path = tmp_path / "qtable.jsonl"
+        rows = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+        path.write_text("\n".join(["{format", *rows[1:]]) + "\n")
+        where = "line 1"
+        args = ("policy", "--config", SMOKE, "--qtable", str(path),
+                "--scenario", "1")
+    elif artifact == "forest":
+        path = tmp_path / "forest.json"
+        path.write_text('{"format": \n')
+        where = "line 2 column 1"
+        args = ("solve", "--config", SMOKE, "--forest", str(path),
+                "--episodes", "10")
+    elif artifact == "sidecar":
+        data = tmp_path / "dataset.csv"
+        data.write_bytes((pipeline_dir / "dataset.csv").read_bytes())
+        path = tmp_path / "dataset.meta.json"
+        text = (pipeline_dir / "dataset.meta.json").read_text()
+        path.write_text(text.replace('"trials": ', '"trials" '))
+        line = text[:text.index('"trials"')].count("\n") + 1
+        where = f"line {line} column"
+        args = ("train-meta", "--dataset", str(data))
+    else:
+        path = tmp_path / "scenarios.json"
+        path.write_text('{"format": "storeplan-scenarios-v1",\n'
+                        '"scenarios": {"1": }}\n')
+        where = "line 2 column 20"
+        args = ("policy", "--config", SMOKE, "--qtable",
+                str(pipeline_dir / "qtable.jsonl"), "--scenario", "1",
+                "--scenarios", str(path))
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{path}: {where}" in proc.stderr
+    assert "not valid JSON" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("defect, match", [
     ("mistyped header", "'num_actions' must be an integer"),
     ("repeated state", "line 3: state"),

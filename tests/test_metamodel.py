@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storeplan import metamodel
 from storeplan.config import IncompatibleArtifact, MetamodelParams
 from storeplan.metamodel import (FIT_KEYS, SMOOTHING_GRID, SyntheticDataset,
                                  dataset_row, generate_dataset, load_forest,
@@ -82,6 +83,26 @@ def test_dataset_output_is_pinned(smoke_config, tmp_path):
     assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()
                           ).hexdigest() == (
         "6cad6589ce82c045e9759dac540c018cb9bf2f43c13246d20f02555d4e3fa3cb")
+
+
+@pytest.mark.parametrize("block_jobs, trials", [(7, 3), (2, 3)])
+def test_blocked_dataset_equals_each_row_alone(case_context, monkeypatch,
+                                               block_jobs, trials):
+    """Rows dispatched together in blocks of whole rows equal `dataset_row`
+    bit for bit, across block boundaries and in a last, shorter block; a
+    row holding more trials than a block fills one block alone."""
+    monkeypatch.setattr(metamodel, "_BLOCK_JOBS", block_jobs)
+    observations = 7  # blocks of 2 rows leave one row for the last block
+    ds = generate_dataset(case_context, observations=observations,
+                          trials=trials, master_seed=5)
+    cfg = case_context.config
+    values = reachable_capacity_values(cfg.planning.expansion_levels_kwh,
+                                       cfg.planning.horizon_periods - 1)
+    for r in range(observations):
+        k, caps, cost = dataset_row(case_context, values, r, trials, 5)
+        assert ds.period[r] == k
+        assert np.array_equal(ds.capacity[r], caps)
+        assert ds.cost[r] == cost
 
 
 def test_dataset_rows_decorrelate_by_index(smoke_config):

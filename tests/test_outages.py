@@ -6,6 +6,8 @@ must recover the configured indices. Merging can only shorten a trace, never
 lengthen it, and the result is always sorted and disjoint.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +20,60 @@ SAIFI = 1.155
 CAIDI = 5.122
 
 
+@dataclass(frozen=True)
+class Outage:
+    start_hour: int
+    duration_hours: int
+
+
+def reference_outages(saifi, caidi, horizon_years, rng):
+    """The trace generator as it was written with one object per outage:
+    the same three draws, merged through a list of [start, end] pairs."""
+    horizon_hours = int(round(horizon_years * HOURS_PER_YEAR))
+    count = rng.poisson(saifi * horizon_years)
+    starts = np.sort(rng.integers(0, horizon_hours, size=count))
+    durations = 1 + rng.poisson(caidi - 1, size=count)
+    merged = []
+    for start, dur in zip(starts.tolist(), durations.tolist()):
+        end = min(start + dur, horizon_hours)
+        if merged and start < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return tuple(Outage(start_hour=s, duration_hours=e - s) for s, e in merged)
+
+
+def test_flat_trace_matches_reference_generator():
+    """Over 2,000 random (saifi, caidi, years), several traces from one
+    generator each: the flat starts and durations are the reference's
+    outages, and both generators are left in the same state. Half the
+    counts, and about a third of the durations, have means of 10 or more,
+    where numpy samples Poisson by another method."""
+    params = np.random.default_rng(2024)
+    big_counts = big_durations = 0
+    for case in range(2_000):
+        saifi = params.uniform(0.05, 3.0)
+        years = float(params.choice([1, 2, 2.5, 5, 7, 10]))
+        if case % 2:
+            saifi = params.uniform(10.0, 40.0) / years
+        caidi = params.uniform(1.05, 30.0 if case % 4 < 2 else 11.0)
+        big_counts += saifi * years >= 10
+        big_durations += caidi - 1 >= 10
+        new, old = stream(case, "outage-oracle"), stream(case, "outage-oracle")
+        for _ in range(3):
+            trace = generate_outages(saifi, caidi, years, new)
+            ref = reference_outages(saifi, caidi, years, old)
+            assert trace.starts == tuple(o.start_hour for o in ref)
+            assert trace.durations == tuple(o.duration_hours for o in ref)
+            assert trace.horizon_years == years
+            assert new.bit_generator.state == old.bit_generator.state
+    assert big_counts >= 900 and big_durations >= 400
+
+
 def test_long_run_frequency_and_duration():
     rng = stream(11, "outage-stats")
     trace = generate_outages(SAIFI, CAIDI, 20_000, rng)
-    n = len(trace.outages)
+    n = len(trace.starts)
     assert n / 20_000 == pytest.approx(SAIFI, rel=0.03)
     assert trace.total_hours() / n == pytest.approx(CAIDI, rel=0.03)
 
@@ -29,14 +81,15 @@ def test_long_run_frequency_and_duration():
 def test_durations_never_below_one_hour():
     rng = stream(12, "outage-floor")
     trace = generate_outages(SAIFI, CAIDI, 500, rng)
-    assert all(o.duration_hours >= 1 for o in trace.outages)
+    assert all(d >= 1 for d in trace.durations)
 
 
 def test_outages_sorted_and_disjoint():
     rng = stream(13, "outage-order")
     trace = generate_outages(SAIFI, CAIDI, 2_000, rng)
-    for a, b in zip(trace.outages, trace.outages[1:]):
-        assert a.start_hour + a.duration_hours <= b.start_hour
+    for start, dur, after in zip(trace.starts, trace.durations,
+                                 trace.starts[1:]):
+        assert start + dur <= after
 
 
 def test_truncation_at_horizon_edge():
@@ -44,8 +97,8 @@ def test_truncation_at_horizon_edge():
     for seed in range(50):
         trace = generate_outages(SAIFI, CAIDI, 2, stream(seed, "outage-edge"))
         horizon_hours = 2 * HOURS_PER_YEAR
-        assert all(o.start_hour + o.duration_hours <= horizon_hours
-                   for o in trace.outages)
+        assert all(s + d <= horizon_hours
+                   for s, d in zip(trace.starts, trace.durations))
 
 
 @pytest.mark.parametrize("saifi,caidi,years", [
@@ -74,8 +127,9 @@ def test_merged_hours_never_exceed_raw_draw(seed, years):
     trace = generate_outages(SAIFI, CAIDI, years,
                              stream(seed, "outage-merge"))
     assert trace.total_hours() <= durations.sum()
-    assert len(trace.outages) <= count
+    assert len(trace.starts) <= count
 
 
 def test_empty_trace_total():
-    assert OutageTrace(outages=(), horizon_years=1).total_hours() == 0
+    assert OutageTrace(starts=(), durations=(),
+                       horizon_years=1).total_hours() == 0

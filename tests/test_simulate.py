@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import Outage, OutageTrace
+from storeplan.outages import OutageTrace
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
@@ -60,7 +60,7 @@ def test_batched_jobs_cost_what_each_job_costs_alone(case_context):
                             (4, (3000.0, 300.0, 0.0, 9000.0)),
                             (3, (300.0, 300.0, 300.0, 300.0)))]
     jobs.append((1, (1000.0, 0.0, 0.0, 0.0),
-                 OutageTrace(outages=(), horizon_years=5)))
+                 OutageTrace(starts=(), durations=(), horizon_years=5)))
     costs = case_context.period_costs(jobs)
     assert costs == [case_context.period_cost(*job) for job in jobs]
     assert costs[-1] == 0.0
@@ -73,13 +73,13 @@ def test_fresh_fleet_each_outage(case_context):
     With one small unit and two long outages, cost equals the sum of the two
     single-outage costs computed from a full fleet each time.
     """
-    trace = OutageTrace(outages=(Outage(1000, 12), Outage(5000, 12)),
+    trace = OutageTrace(starts=(1000, 5000), durations=(12, 12),
                         horizon_years=5)
     caps = (300.0, 0.0, 0.0, 0.0)
     whole = case_context.period_cost(1, caps, trace)
     parts = [case_context.period_cost(
-        1, caps, OutageTrace(outages=(o,), horizon_years=5))
-        for o in trace.outages]
+        1, caps, OutageTrace(starts=(s,), durations=(d,), horizon_years=5))
+        for s, d in zip(trace.starts, trace.durations)]
     assert whole == pytest.approx(sum(parts))
 
 
@@ -102,9 +102,71 @@ def test_period_cost_is_the_voll_weighted_dispatch(case_config,
         trace = case_context.period_trace(rng)
         offset = (k - 1) * years * HOURS_PER_YEAR
         expected = 0.0
-        for outage in trace.outages:
+        for start, duration in zip(trace.starts, trace.durations):
             result = case_context.dispatcher.simulate(
-                case_context.fleet_for(k, caps), offset + outage.start_hour,
-                outage.duration_hours)
+                case_context.fleet_for(k, caps), offset + start, duration)
             expected += float(volls @ result.lost_kwh.sum(axis=0))
         assert case_context.period_cost(k, caps, trace) == expected
+
+
+def _voll_oracle(volls, lost, counts):
+    """Each job's cost as one `volls @ row` dot per outage, added left to
+    right from 0.0."""
+    rows = iter(lost)
+    costs = []
+    for count in counts:
+        total = 0.0
+        for _ in range(count):
+            total += float(volls @ next(rows))
+        costs.append(total)
+    return costs
+
+
+def test_voll_pricing_is_the_per_outage_dot(case_config, case_context,
+                                            monkeypatch):
+    """`period_costs` prices every outage in one stacked matmul; each price
+    has the bits of `volls @ row`, on lost-energy rows of every magnitude,
+    zero rows and jobs without outages included."""
+    volls = np.array([f.voll for f in case_config.facilities_by_priority])
+    rng = np.random.default_rng(8)
+    counts = rng.integers(0, 6, size=400)
+    counts[:5] = 0
+    n = int(counts.sum())
+    lost = rng.uniform(0, 1, size=(n, len(volls))) * 10.0 ** rng.integers(
+        -3, 7, size=(n, len(volls)))
+    lost[rng.random(n) < 0.2] = 0.0
+    lost[rng.random((n, len(volls))) < 0.2] = 0.0
+    monkeypatch.setattr(case_context.dispatcher, "serve",
+                        lambda *lanes: (None, lost))
+    jobs = [(1, (0.0,) * 4, OutageTrace(starts=(0,) * c, durations=(1,) * c,
+                                        horizon_years=5))
+            for c in counts.tolist()]
+    assert case_context.period_costs(jobs) == _voll_oracle(volls, lost,
+                                                           counts)
+
+
+def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
+    """On real dispatch over random fleets and traces, the empty fleet and
+    empty traces included, one `period_costs` call gives each job the
+    per-outage dot sum of its own `serve` call's losses."""
+    volls = np.array([f.voll for f in case_config.facilities_by_priority])
+    period_hours = case_config.planning.years_per_period * HOURS_PER_YEAR
+    rng = stream(9, "sim-test")
+    values = (0.0, 300.0, 1000.0, 3000.0, 9000.0)
+    jobs = [(1, (0.0,) * 4, OutageTrace(starts=(), durations=(),
+                                        horizon_years=5))]
+    for _ in range(60):
+        caps = tuple(rng.choice(values, size=4).tolist())
+        jobs.append((int(rng.integers(1, 5)), caps,
+                     case_context.period_trace(rng)))
+    expected = []
+    for k, caps, trace in jobs:
+        s_d, s_c = case_context.fleet_for(k, caps).energy()
+        n = len(trace.starts)
+        _, lost = case_context.dispatcher.serve(
+            [s_d] * n, [s_d] * n, [s_c] * n,
+            [(k - 1) * period_hours + s for s in trace.starts],
+            trace.durations)
+        expected += _voll_oracle(volls, lost, [n])
+    assert case_context.period_costs(jobs) == expected
+    assert expected[0] == 0.0
