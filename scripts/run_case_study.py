@@ -50,9 +50,9 @@ def main() -> None:
     if args.episodes is not None:
         solve += ["--episodes", args.episodes]
     run(solve)
-    for s in range(1, args.scenarios + 1):
-        run(["policy", "--config", args.config,
-             "--qtable", out / "qtable.jsonl", "--scenario", s, "--out", out])
+    run(["policy", "--config", args.config, "--qtable", out / "qtable.jsonl",
+         *(a for s in range(1, args.scenarios + 1) for a in ("--scenario", s)),
+         "--out", out])
     for policy in (out / "policy_1.csv", "never-invest"):
         run(["evaluate", "--config", args.config, "--policy", policy,
              "--scenario", "1", "--trials", args.trials, "--out", out])

@@ -78,14 +78,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _scenario(args):
-    """The `--scenario` price scenario, from `--scenarios` or the built-ins."""
+def _scenarios(args, ids) -> list:
+    """The price scenarios named by `ids`, from `--scenarios` or the
+    built-ins; an unknown or repeated id is a validation failure."""
     scenarios = (load_scenarios(args.scenarios) if args.scenarios
                  else default_scenarios())
-    if args.scenario not in scenarios:
-        raise ConfigError(f"unknown scenario {args.scenario!r}; "
-                          f"have {sorted(scenarios)}")
-    return scenarios[args.scenario]
+    for i, sid in enumerate(ids):
+        if sid not in scenarios:
+            raise ConfigError(f"unknown scenario {sid!r}; "
+                              f"have {sorted(scenarios)}")
+        if sid in ids[:i]:
+            raise ConfigError(f"scenario {sid!r} given twice")
+    return [scenarios[sid] for sid in ids]
 
 
 def cmd_gen_data(args) -> int:
@@ -163,23 +167,24 @@ def _no_outage_cost(rows) -> list[float]:
 def cmd_policy(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
+    scenarios = _scenarios(args, args.scenario)
     env = MdpEnv(cfg.planning, cfg.storage, outage_cost=_no_outage_cost)
     qtable, _ = load_qtable(args.qtable, env, expected_config_hash=digest)
-    scenario = _scenario(args)
-    report = extract_policy(qtable, env, scenario)
     out = _out_dir(args)
-    path = out / f"policy_{args.scenario}.csv"
-    write_policy_csv(report, cfg.storage, path)
-    _record_artifact(out, f"policy_{args.scenario}", path.name, digest,
-                     "policy", {"scenario": args.scenario})
-    for step in report.steps:
-        what = "no-op" if step.action.is_noop else (
-            f"{step.unit_name} +{step.level_kwh:g} kWh")
-        print(f"period {step.period}: {what} "
-              f"(q {step.q_value:.0f}, visits {step.visit_count})")
-    for flag in report.flags:
-        print(f"warning: {flag}", file=sys.stderr)
-    print(f"wrote {path}")
+    for sid, scenario in zip(args.scenario, scenarios):
+        report = extract_policy(qtable, env, scenario)
+        path = out / f"policy_{sid}.csv"
+        write_policy_csv(report, cfg.storage, path)
+        _record_artifact(out, f"policy_{sid}", path.name, digest, "policy",
+                         {"scenario": sid})
+        for step in report.steps:
+            what = "no-op" if step.action.is_noop else (
+                f"{step.unit_name} +{step.level_kwh:g} kWh")
+            print(f"period {step.period}: {what} "
+                  f"(q {step.q_value:.0f}, visits {step.visit_count})")
+        for flag in report.flags:
+            print(f"warning: {flag}", file=sys.stderr)
+        print(f"wrote {path}")
     return 0
 
 
@@ -189,7 +194,8 @@ def cmd_evaluate(args) -> int:
     if args.policy == "never-invest":
         env = MdpEnv(cfg.planning, cfg.storage,
                      outage_cost=_no_outage_cost)
-        report = never_invest_report(env, _scenario(args))
+        (scenario,) = _scenarios(args, [args.scenario])
+        report = never_invest_report(env, scenario)
     else:
         report = read_policy_csv(args.policy, cfg.storage,
                                  cfg.planning.expansion_levels_kwh)
@@ -297,10 +303,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("policy", help="extract a scenario-conditioned plan")
+    p = sub.add_parser("policy", help="extract scenario-conditioned plans")
     p.add_argument("--config", required=True)
     p.add_argument("--qtable", required=True)
-    p.add_argument("--scenario", required=True)
+    p.add_argument("--scenario", required=True, action="append",
+                   help="repeat to extract several plans from one load")
     p.add_argument("--scenarios", default=None,
                    help="scenario preset file (defaults to bundled presets)")
     p.add_argument("--out", required=True)

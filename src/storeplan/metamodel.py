@@ -33,7 +33,7 @@ from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
                      MetamodelParams, _require_keys, _section, config_hash,
                      parse_json)
 from .dispatch import fleet_energy
-from .rng import stream
+from .rng import stream, streams
 from .simulate import SimulationContext
 
 __all__ = [
@@ -140,25 +140,29 @@ class SyntheticDataset:
         return self.capacity.shape[1]
 
 
-def _row_jobs(ctx: SimulationContext, values, row: int, trials: int,
-              master_seed: int) -> tuple[int, np.ndarray, list]:
+def _trial_streams(master_seed: int, rows, trials: int) -> list:
+    """The trial streams of `rows`, row by row, seeded in one batch."""
+    return streams(master_seed, "dataset:trial",
+                   [(r, t) for r in rows for t in range(trials)])
+
+
+def _row_jobs(ctx: SimulationContext, values, row_rng,
+              trial_rngs) -> tuple[int, np.ndarray, list]:
     """A row's period and capacities, drawn from the row's stream, and one
-    `(period, capacities, trace)` job per trial."""
+    `(period, capacities, trace)` job per trial stream."""
     plan = ctx.config.planning
     units = len(ctx.config.storage)
-    row_rng = stream(master_seed, "dataset:row", row)
     k = int(row_rng.integers(1, plan.horizon_periods + 1))
     caps = row_rng.choice(np.asarray(values, dtype=float), size=units)
-    jobs = [(k, caps, ctx.period_trace(stream(master_seed, "dataset:trial",
-                                              row, t)))
-            for t in range(trials)]
-    return k, caps, jobs
+    return k, caps, [(k, caps, ctx.period_trace(rng)) for rng in trial_rngs]
 
 
 def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
                 master_seed: int) -> tuple[int, np.ndarray, float]:
     """One dataset row, reproducible from (master_seed, row) alone."""
-    k, caps, jobs = _row_jobs(ctx, values, row, trials, master_seed)
+    k, caps, jobs = _row_jobs(ctx, values,
+                              stream(master_seed, "dataset:row", row),
+                              _trial_streams(master_seed, [row], trials))
     return k, caps, reduce(add, ctx.period_costs(jobs), 0.0) / trials
 
 
@@ -171,12 +175,13 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     per unit from the reachable set. Each row's target averages `trials`
     independent period simulations. Rows are simulated in blocks of whole
     rows holding at most `_BLOCK_JOBS` trials (one row when a row holds
-    more): each row draws its period, capacities and traces as
-    `dataset_row` does, and one `period_costs` call dispatches the block,
-    so every row equals its `dataset_row` bit for bit. The dataset also
-    carries what the surrogate takes from the config: its digest, the dod
-    and efficiency schedules the forest computes its features from, and the
-    metamodel fit settings.
+    more): one `streams` call seeds the block's row streams and another its
+    trial streams, each row draws its period, capacities and traces from
+    them as `dataset_row` does, and one `period_costs` call dispatches the
+    block, so every row equals its `dataset_row` bit for bit. The dataset
+    also carries what the surrogate takes from the config: its digest, the
+    dod and efficiency schedules the forest computes its features from, and
+    the metamodel fit settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -195,10 +200,13 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     step = max(1, _BLOCK_JOBS // trials)
     for first in range(0, observations, step):
         rows = range(first, min(first + step, observations))
+        row_rngs = streams(master_seed, "dataset:row", [(r,) for r in rows])
+        trial_rngs = _trial_streams(master_seed, rows, trials)
         jobs = []
-        for r in rows:
-            periods[r], caps[r], row_jobs = _row_jobs(ctx, values, r, trials,
-                                                      master_seed)
+        for i, r in enumerate(rows):
+            periods[r], caps[r], row_jobs = _row_jobs(
+                ctx, values, row_rngs[i],
+                trial_rngs[i * trials:(i + 1) * trials])
             jobs += row_jobs
         block = ctx.period_costs(jobs)
         for i, r in enumerate(rows):

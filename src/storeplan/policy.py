@@ -18,7 +18,7 @@ from .config import StorageTechnology, parse_json
 from .finance import investment_cost
 from .mdp import MdpAction, MdpEnv, MdpState, NO_OP, encode_state
 from .qlearn import QTable
-from .rng import stream
+from .rng import streams
 from .simulate import SimulationContext
 
 __all__ = [
@@ -318,8 +318,9 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
 
     Stream keys depend only on (seed, trial), never on the policy, so two
     policies evaluated with the same seed face identical outage traces.
-    Every trial's traces are drawn first, and one `period_costs` call
-    dispatches all their outages.
+    One `streams` call seeds every trial's stream, each trial's traces are
+    drawn from its stream, and one `period_costs` call dispatches all their
+    outages.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -340,8 +341,7 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             years_per_period=plan.years_per_period, rate=plan.interest_rate,
             lifetime_years=tech.lifetime_schedule[s.period - 1])
     jobs = []
-    for t in range(trials):
-        rng = stream(seed, "eval:trial", t)
+    for rng in streams(seed, "eval:trial", [(t,) for t in range(trials)]):
         jobs += [(s.period, s.capacity_after, ctx.period_trace(rng))
                  for s in report.steps]
     costs = iter(ctx.period_costs(jobs))

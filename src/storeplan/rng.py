@@ -2,7 +2,10 @@
 
 Every stochastic work unit (a dataset row, a simulation trial, a training run)
 owns a stream keyed by a purpose tag plus integer indices, so results do not
-depend on the order in which units execute.
+depend on the order in which units execute. `stream` seeds one unit's
+generator; `streams` seeds many units of one tag at once, as a gen-data block
+or an evaluation does for its trials, and gives each the state `stream`
+gives it.
 """
 
 from __future__ import annotations
@@ -11,12 +14,20 @@ import itertools
 import zlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "spawn_key", "BlockDraws"]
+__all__ = ["stream", "streams", "spawn_key", "BlockDraws"]
 
 _UNIT = 1.0 / (1 << 53)
 _LOW32 = 0xFFFFFFFF
 _BLOCK = 1024  # raw words read per refill
+# numpy SeedSequence's hash: a pool of four 32-bit words, mixed with
+# constants that step by a fixed multiplier at every use, (initial, step)
+_POOL = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 
 
 def spawn_key(tag: str, *indices: int) -> tuple[int, ...]:
@@ -28,6 +39,101 @@ def stream(master_seed: int, tag: str, *indices: int) -> np.random.Generator:
     """Generator for the (tag, indices) work unit under the given master seed."""
     entropy = (int(master_seed),) + spawn_key(tag, *indices)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _words(value: int) -> list[int]:
+    """`value`'s 32-bit words, lowest first, as `SeedSequence` splits an int."""
+    if value < 0:
+        raise ValueError(f"seeds and indices must be non-negative, got {value}")
+    words = [value & _LOW32]
+    value >>= 32
+    while value:
+        words.append(value & _LOW32)
+        value >>= 32
+    return words
+
+
+def _hashmix(initial: int, step: int):
+    """`SeedSequence`'s hashmix over uint32 arrays. Its constant steps the
+    same way whatever it hashes, so one call hashes a word of every key."""
+    const = initial
+
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        xor = np.uint32(const)
+        const = const * step & _LOW32
+        words = (words ^ xor) * np.uint32(const)
+        return words ^ words >> _SHIFT
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> _SHIFT
+
+
+def _pcg_seeds(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(e).generate_state(4, uint64)` for each column e of the
+    (words, keys) uint32 array `entropy`, as rows of a (keys, 4) array."""
+    length, keys = entropy.shape
+    hashmix = _hashmix(*_HASH_POOL)
+    zero = np.zeros(keys, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < length else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, length):  # words beyond the pool
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    hashmix = _hashmix(*_HASH_STATE)
+    halves = [hashmix(pool[i % _POOL]).astype(np.uint64)
+              for i in range(2 * _POOL)]
+    seeds = [lo | hi << np.uint64(32)
+             for lo, hi in zip(halves[::2], halves[1::2])]
+    return np.ascontiguousarray(np.transpose(seeds))
+
+
+class _SeedState(ISeedSequence):
+    """Hands `PCG64` the seed words `_pcg_seeds` computed for one key. PCG64
+    asks once, for `generate_state(4, np.uint64)`; nothing else asks."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
+    """`stream(master_seed, tag, *key)` for each index tuple in `keys`.
+
+    `SeedSequence`'s hash runs once over all keys of a length in words, in
+    wrapping uint32 array arithmetic, so each generator gets `stream`'s
+    PCG64 state without a `SeedSequence` of its own. A negative seed or
+    index raises `ValueError`, as `SeedSequence` does.
+    """
+    head = _words(int(master_seed)) + list(spawn_key(tag))
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    count = 0
+    for key in keys:
+        words = head.copy()
+        for i in key:
+            i = int(i)
+            if 0 <= i <= _LOW32:
+                words.append(i)
+            else:
+                words += _words(i)
+        positions, rows = groups.setdefault(len(words), ([], []))
+        positions.append(count)
+        rows.append(words)
+        count += 1
+    out = [None] * count
+    for positions, rows in groups.values():
+        seeds = _pcg_seeds(np.array(rows, dtype=np.uint32).T)
+        for pos, seed in zip(positions, seeds):
+            out[pos] = np.random.Generator(np.random.PCG64(_SeedState(seed)))
+    return out
 
 
 class BlockDraws:

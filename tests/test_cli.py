@@ -17,9 +17,9 @@ SMOKE = str(CONFIGS / "smoke.json")
 CASE = str(CONFIGS / "case_study.json")
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "storeplan", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,64 @@ def test_malformed_scenarios_exit_two(pipeline_dir, tmp_path, doc, match):
     assert proc.returncode == 2
     assert match in proc.stderr
     assert not (tmp_path / "out").exists()
+
+def test_policy_takes_several_scenarios(pipeline_dir, tmp_path):
+    # one call loads the q-table once and writes what separate calls write
+    qtable = str(pipeline_dir / "qtable.jsonl")
+    ids = ["3", "1", "2"]
+    args = [a for sid in ids for a in ("--scenario", sid)]
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", qtable, *args,
+                   "--out", str(tmp_path / "one"))
+    assert proc.returncode == 0, proc.stderr
+    stdout = []
+    for sid in ids:
+        single = run_cli("policy", "--config", SMOKE, "--qtable", qtable,
+                         "--scenario", sid, "--out", str(tmp_path / "each"))
+        assert single.returncode == 0, single.stderr
+        stdout.append(single.stdout)
+    assert proc.stdout == "".join(stdout).replace("/each/", "/one/")
+    manifests = []
+    for run in ("one", "each"):
+        entries = json.loads(
+            (tmp_path / run / "manifest.json").read_text())["artifacts"]
+        for entry in entries.values():
+            del entry["created"]
+        manifests.append(entries)
+    assert manifests[0] == manifests[1]
+    assert sorted(manifests[0]) == [f"policy_{sid}" for sid in "123"]
+    for sid in ids:
+        name = f"policy_{sid}.csv"
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "each" / name).read_bytes())
+
+
+@pytest.mark.parametrize("ids, match", [
+    (["1", "nine"], "unknown scenario 'nine'"),
+    (["1", "2", "1"], "scenario '1' given twice"),
+])
+def test_policy_bad_scenario_list_writes_nothing(pipeline_dir, tmp_path, ids,
+                                                 match):
+    args = [a for sid in ids for a in ("--scenario", sid)]
+    proc = run_cli("policy", "--config", SMOKE, "--qtable",
+                   str(pipeline_dir / "qtable.jsonl"), *args,
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert match in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage, args", [
+    ("gen-data", ("--observations", "3", "--trials", "2")),
+    ("evaluate", ("--policy", "never-invest", "--trials", "5")),
+])
+def test_negative_seed_exits_two(tmp_path, stage, args):
+    # splitting a negative seed into 32-bit words would never end
+    proc = run_cli(stage, "--config", SMOKE, *args, "--seed", "-1",
+                   "--out", str(tmp_path / "out"), timeout=120)
+    assert proc.returncode == 2
+    assert "non-negative" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
 
 def test_mismatched_forest_exits_three(pipeline_dir, tmp_path):
     # the smoke-trained forest must be rejected under the case-study config

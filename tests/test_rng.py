@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from storeplan import rng
-from storeplan.rng import BlockDraws, spawn_key, stream
+from storeplan.rng import BlockDraws, spawn_key, stream, streams
 
 
 def test_same_key_same_draws():
@@ -69,3 +69,51 @@ def test_block_draws_reject_out_of_range():
     for n in (0, 2**32):
         with pytest.raises(ValueError):
             draws.integers(n)
+
+
+def assert_streams_match(seed, tag, keys):
+    gens = streams(seed, tag, keys)
+    assert len(gens) == len(keys)
+    for key, gen in zip(keys, gens):
+        ref = stream(seed, tag, *key)
+        assert gen.bit_generator.state == ref.bit_generator.state, key
+        # an odd count of 32-bit draws leaves a kept half in the state
+        assert gen.integers(2**32, size=3).tolist() == \
+            ref.integers(2**32, size=3).tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state, key
+        assert gen.random(4).tolist() == ref.random(4).tolist()
+
+
+@pytest.mark.parametrize("width", range(7))
+@pytest.mark.parametrize("tag", ["", "dataset:trial", "eval:trial"])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
+def test_streams_match_stream(seed, tag, width):
+    # with the seed's and the tag's words, 3 or more indices overflow
+    # SeedSequence's 4-word pool and reach its loop over the remaining words
+    keys = [tuple((7 * j + 13 * i) % 50 for i in range(width))
+            for j in range(6)]
+    assert_streams_match(seed, tag, keys)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+def test_streams_mix_word_counts_in_one_batch(seed):
+    # indices of 2**32 and up take two or three words, so the batch holds
+    # keys of several entropy lengths, index counts too
+    keys = [(0, 1), (2**32, 5), (3, 2**40 + 7), (2**64 + 3, 2**32 - 1),
+            (9, 9), (), (1,), (2**32 - 1, 0, 2**33, 4, 5)]
+    assert_streams_match(seed, "mixed", keys)
+
+
+def test_streams_of_no_keys():
+    assert streams(1729, "dataset:trial", []) == []
+
+
+@pytest.mark.parametrize("seed, keys", [
+    (-1, [(0,)]),
+    (-1, []),
+    (1, [(0, 1), (2, -1)]),
+    (1, [(-2**40,)]),
+])
+def test_streams_reject_negative_seeds_and_indices(seed, keys):
+    with pytest.raises(ValueError, match="non-negative"):
+        streams(seed, "neg", keys)
