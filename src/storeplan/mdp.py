@@ -28,7 +28,7 @@ from .finance import investment_cost
 
 __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
-    "encode_state", "decode_state",
+    "format_number", "encode_state", "decode_state",
     "count_states_component_product", "count_states_reachable",
     "backward_induction",
 ]
@@ -52,10 +52,21 @@ class MdpAction(NamedTuple):
 NO_OP = MdpAction(None, None)
 
 
+def format_number(x: float) -> str:
+    """`x` as `:g` prints it when that reads back as `x`, else `repr(x)`.
+
+    `:g` keeps 6 significant digits, short for the usual kWh figures, but
+    0.1 + 0.2 or 1234567 would read back as a different float; `repr`
+    always reads back exactly.
+    """
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def encode_state(state: MdpState) -> str:
     parts = [str(state.period)]
     parts += [str(i) for i in state.price_idx]
-    parts += [f"{c:g}" for c in state.capacity]
+    parts += [format_number(c) for c in state.capacity]
     return ",".join(parts)
 
 
@@ -198,11 +209,6 @@ class MdpEnv:
                     and c_set[cap:cap + 1] == (state.capacity,)):
                 return offset + code * len(c_set) + cap
         return None
-
-    def states(self):
-        """Every reachable state, in the order that `tables` numbers them."""
-        return (MdpState(k, idx, c) for k, (codes, c_set, _) in enumerate(
-            self.tables[1], start=1) for idx in codes for c in c_set)
 
 
 def count_states_component_product(num_units: int, num_levels: int,

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .config import StorageTechnology, parse_json
 from .finance import investment_cost
-from .mdp import MdpAction, MdpEnv, MdpState, NO_OP, encode_state
+from .mdp import (MdpAction, MdpEnv, MdpState, NO_OP, encode_state,
+                  format_number)
 from .qlearn import QTable
 from .rng import streams
 from .simulate import SimulationContext
@@ -219,9 +220,10 @@ def write_policy_csv(report: PolicyReport,
               + [f"cum_capacity_kwh_{n}" for n in names])
     lines = [",".join(header)]
     for s in report.steps:
-        row = [str(s.period), s.unit_name or "none", f"{s.level_kwh:g}"]
+        row = [str(s.period), s.unit_name or "none",
+               format_number(s.level_kwh)]
         row += [f"{p:g}" for p in s.unit_prices]
-        row += [f"{c:g}" for c in s.capacity_after]
+        row += [format_number(c) for c in s.capacity_after]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     for flag in report.flags:
@@ -236,10 +238,12 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     Periods must run 1, 2, ... in order. Each unit's price must follow its
     `price_schedule`: the first entry in period 1, then at each boundary the
     same entry or the next. Each row's cumulative capacities must equal the
-    running sum of the actions so far, and the step carries that sum. Both
-    checks compare at the file's printed precision; each step carries the
-    schedule's exact price, so a printed price that matches two different
-    schedule prices is rejected.
+    running sum of the actions so far, and the step carries that sum.
+    Levels and capacities are written with `format_number`, which reads
+    back exactly, so they compare exactly. Prices are written with `:g` and
+    compare at that precision; each step carries the schedule's exact
+    price, so a printed price that matches two different schedule prices is
+    rejected.
     """
     names = [t.name for t in storage]
     lines = [ln for ln in Path(path).read_text().splitlines()
@@ -289,8 +293,7 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                 raise ValueError(f"{path}: {level_kwh} is not an expansion level")
             action = MdpAction(names.index(unit_name), lvls.index(level_kwh))
             caps[action.unit] += level_kwh
-        if [float(x) for x in parts[3 + units:]] != [float(f"{c:g}")
-                                                     for c in caps]:
+        if [float(x) for x in parts[3 + units:]] != caps:
             raise ValueError(f"{path}: period {period}: cumulative capacities "
                              f"are not the running sum of the actions")
         steps.append(PolicyStep(period=period, action=action,

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress
-from operator import lt
 from pathlib import Path
 
 from .config import IncompatibleArtifact, parse_json
-from .mdp import MdpEnv, MdpState, decode_state, encode_state
-from .rng import BlockDraws, stream
+from .mdp import MdpEnv, MdpState, decode_state, encode_state, format_number
+from .rng import BlockDraws, stream, word_limit
 
 __all__ = [
     "DecaySchedule", "QTable", "LearningCurve", "greedy_index",
-    "q_update", "train", "save_qtable", "load_qtable",
+    "train", "save_qtable", "load_qtable",
 ]
 
 QTABLE_FORMAT = "storeplan-qtable-v1"
@@ -79,11 +77,6 @@ class QTable:
     def visit_counts(self, state: MdpState) -> list[int]:
         return list(self._row(state)[1])
 
-    def items(self):
-        """`(state, (q, visits))` for each state with a row, by number."""
-        return ((s, row) for s, row in zip(self.env.states(), self.rows)
-                if row)
-
 
 def greedy_index(row, rng) -> int:
     """Argmax over a q-row, ties broken uniformly at random.
@@ -98,14 +91,6 @@ def greedy_index(row, rng) -> int:
         for _ in range(int(rng.integers(ties))):
             i = row.index(best, i + 1)
     return i
-
-
-def q_update(row, action_index: int, reward: float, next_best: float,
-             alpha: float, gamma: float, terminal: bool) -> float:
-    """In-place one-step update; returns the new q-value."""
-    target = reward if terminal else reward + gamma * next_best
-    row[action_index] += alpha * (target - row[action_index])
-    return row[action_index]
 
 
 @dataclass
@@ -135,9 +120,14 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
 
     Steps run on numbered states, against the reward and successor tables
     of `MdpEnv.tables`; the last period is the one without successors.
-    `BlockDraws` hands out the draws in the order that stepping
-    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` takes
-    them, so the table is the one those would give, bit for bit.
+    Each step reads one raw word for exploration and one per unit for the
+    price advances, and compares each word with the `word_limit` of the
+    episode's epsilon or of the unit's advance probability. Stepping
+    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` would
+    compare the word's double with the probability itself, and the two
+    comparisons agree on every word. `BlockDraws` hands out the words and
+    the action draws in that stepping's order, so the draws, the advance
+    bits and the table are the ones it gives, bit for bit.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
@@ -145,10 +135,13 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
         raise ValueError("gamma must be in [0, 1]")
     batches = min(BATCHES, episodes)
     draws = BlockDraws(stream(seed, "train"))
-    random, integers = draws.random, draws.integers
-    periods = env.tables[0]
-    num_actions, units = env.num_actions, env.num_units
-    bits = [1 << u for u in range(units)]
+    word, integers = draws.word, draws.integers
+    num_actions = env.num_actions
+    periods = [(invest, outage, [(1 << u, word_limit(p))
+                                 for u, p in enumerate(probs)],
+                after, succ, offset, width)
+               for invest, outage, probs, after, succ, offset, width
+               in env.tables[0]]
     qt = QTable(env)
     rows = qt.rows
     rows[0] = ([0.0] * num_actions, [0] * num_actions)  # the initial state
@@ -157,30 +150,33 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     acc, acc_n, next_boundary = 0.0, 0, 0
     for ep in range(episodes):
         a_val = alpha.value(ep)
-        e_val = epsilon.value(ep)
+        explore = word_limit(epsilon.value(ep))
         code = cap = 0
         entry = rows[0]
         total = 0.0
-        for invest, outage, probs, after, succ, offset, width in periods:
+        for invest, outage, advance, after, succ, offset, width in periods:
             row, visits = entry
-            if random() < e_val:
+            if word() < explore:
                 ai = integers(num_actions)
             else:
                 ai = greedy_index(row, draws)
             cap = after[ai][cap]
             r = -invest[code][ai] - outage[cap]
-            mask = sum(compress(bits, map(lt, random(units), probs)))
+            mask = 0
+            for bit, limit in advance:
+                if word() < limit:
+                    mask |= bit
             visits[ai] += 1
             step = max(a_val, 1.0 / visits[ai])
             if succ is None:
-                q_update(row, ai, r, 0.0, step, gamma, True)
+                row[ai] += step * (r - row[ai])
             else:
                 code = succ[code][mask]
                 s = offset + code * width + cap
                 entry = rows[s]
                 if entry is None:
                     entry = rows[s] = ([0.0] * num_actions, [0] * num_actions)
-                q_update(row, ai, r, max(entry[0]), step, gamma, False)
+                row[ai] += step * (r + gamma * max(entry[0]) - row[ai])
             total += r
         acc += total
         acc_n += 1
@@ -194,7 +190,13 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
 
 def save_qtable(qtable: QTable, path, config_digest: str | None,
                 metadata: dict | None = None) -> None:
-    """JSONL: one header record, then one record per visited state."""
+    """JSONL: one header record, then one record per visited state, in the
+    order of the states' names.
+
+    A row's name is `encode_state`'s: its period's price fields, named once
+    per price code, then its capacity fields, named once per capacity
+    position of the period's reachable set.
+    """
     header = {
         "format": QTABLE_FORMAT,
         "config_hash": config_digest,
@@ -204,10 +206,21 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
     }
     if metadata:
         header.update(metadata)
-    rows = sorted((encode_state(s), q, v) for s, (q, v) in qtable.items())
+    rows = qtable.rows
+    named = []
+    for k, (codes, c_set, offset) in enumerate(qtable.env.tables[1], start=1):
+        prices = [",".join(map(str, (k, *idx))) + "," for idx in codes]
+        caps = [",".join(map(format_number, c)) for c in c_set]
+        width = len(c_set)
+        for n in range(offset, offset + len(codes) * width):
+            if rows[n]:
+                code, c = divmod(n - offset, width)
+                named.append((prices[code] + caps[c], n))
+    named.sort()
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for enc, q, v in rows:
+        for enc, n in named:
+            q, v = rows[n]
             fh.write(json.dumps({"state": enc, "q": q, "visits": v}) + "\n")
 
 

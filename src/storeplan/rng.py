@@ -11,14 +11,15 @@ gives it.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "streams", "spawn_key", "BlockDraws"]
+__all__ = ["stream", "streams", "spawn_key", "word_limit", "BlockDraws"]
 
-_UNIT = 1.0 / (1 << 53)
+_SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
 _LOW32 = 0xFFFFFFFF
 _BLOCK = 1024  # raw words read per refill
 # numpy SeedSequence's hash: a pool of four 32-bit words, mixed with
@@ -136,38 +137,50 @@ def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
     return out
 
 
+def word_limit(p: float) -> int:
+    """The integer limit under which a raw word's double falls below `p`.
+
+    `Generator.random()` turns a 64-bit word w into u = (w >> 11) * 2**-53.
+    Scaling by a power of two is exact, so u < p holds exactly when the
+    integer w >> 11 is below p * 2**53, that is below ceil(p * 2**53), that
+    is when w < ceil(p * 2**53) << 11. A `p` of 0 or less (or NaN) gives 0,
+    which no word is below, and a `p` of 1 or more gives 2**64, which every
+    word is below, just as u < p behaves.
+    """
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * _SCALE) << 11
+
+
 class BlockDraws:
     """The draws a PCG64 `Generator` would make, read from raw words in blocks.
 
-    `random()` and `integers(n)` return exactly what the wrapped generator's
-    methods would, in the same order, but each costs a list read rather than
-    a numpy call. A double is a word's top 53 bits times 2**-53.
+    `word()` returns the raw 64-bit word that the wrapped generator's
+    `random()` would turn into its next double, (word >> 11) * 2**-53, so
+    `word() < word_limit(p)` is `random() < p` without the double.
+    `integers(n)` returns exactly what the generator's method would, in the
+    same order. Each costs a list read rather than a numpy call.
     `integers(n)`, for 1 <= n < 2**32, is Lemire's bounded method (ACM
     TOMACS 29(1), 2019) on 32-bit draws, as numpy runs it: a 32-bit draw is
     the low half of a fresh word, and the high half is kept for the next
-    32-bit draw; doubles never touch the kept half, and `integers(1)` draws
-    nothing. The wrapped generator runs up to a block of 1,024 words ahead,
-    so it is not drawn from again.
+    32-bit draw; `word()` never touches the kept half, and `integers(1)`
+    draws nothing. The wrapped generator runs up to a block of 1,024 words
+    ahead, so it is not drawn from again.
     """
 
     def __init__(self, generator: np.random.Generator):
         bits = generator.bit_generator
         state = bits.state
         self._half = state["uinteger"] if state["has_uint32"] else None
-        self._words = itertools.chain.from_iterable(
-            iter(lambda: bits.random_raw(_BLOCK).tolist(), None))
-        self._word = self._words.__next__
-
-    def random(self, size: int | None = None):
-        """One double in [0, 1), or a list of `size` of them."""
-        if size is None:
-            return (self._word() >> 11) * _UNIT
-        return [(w >> 11) * _UNIT for w in itertools.islice(self._words, size)]
+        self.word = itertools.chain.from_iterable(
+            iter(lambda: bits.random_raw(_BLOCK).tolist(), None)).__next__
 
     def _uint32(self) -> int:
         half = self._half
         if half is None:
-            word = self._word()
+            word = self.word()
             self._half = word >> 32
             return word & _LOW32
         self._half = None

@@ -3,6 +3,7 @@ the exact backward-induction values the learner is checked against."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from conftest import pointwise
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
                            backward_induction, count_states_component_product,
-                           count_states_reachable, decode_state, encode_state)
+                           count_states_reachable, decode_state, encode_state,
+                           format_number)
 from storeplan.policy import visited_greedy
 from storeplan.qlearn import DecaySchedule, train
 from storeplan.renewables import RenewableParams
@@ -168,7 +170,6 @@ def test_tables_query_each_post_action_point_once():
 def test_number_and_states_follow_the_tables_order():
     env = make_env(units=2, horizon=3)
     states = every_state(env)
-    assert list(env.states()) == states
     assert len(states) == env.tables[2]
     for n, s in enumerate(states):
         assert env.number(s) == n
@@ -194,6 +195,29 @@ def test_encode_decode_round_trip():
 def test_encode_uses_compact_capacity_format():
     s = MdpState(1, (1, 1), (300.0, 0.0))
     assert encode_state(s) == "1,1,1,300,0"
+
+
+def test_format_number_prints_g_only_when_it_reads_back():
+    assert [format_number(x) for x in (300.0, 0.0, 0.5, 1.25e-7)] == [
+        "300", "0", "0.5", "1.25e-07"]
+    # six significant digits would read back as 0.3 and 1234570.0
+    assert format_number(0.1 + 0.2) == "0.30000000000000004"
+    assert format_number(1234567.0) == "1234567.0"
+
+
+# levels whose sums or values `:g` cannot print exactly
+G_LOSSY_LEVELS = [(0.1, 0.2, 0.5), (1234567.0,)]
+
+
+@pytest.mark.parametrize("levels", G_LOSSY_LEVELS)
+def test_every_state_name_reads_back_as_its_state(smoke_config, levels):
+    env = MdpEnv(replace(smoke_config.planning, expansion_levels_kwh=levels),
+                 smoke_config.storage,
+                 outage_cost=pointwise(lambda k, caps: 0.0))
+    states = every_state(env)
+    assert len(states) > 10_000
+    for n, s in enumerate(states):
+        assert env.number(decode_state(encode_state(s), env.num_units)) == n
 
 
 def test_decode_rejects_wrong_width():

@@ -16,6 +16,8 @@ from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
 from storeplan.qlearn import QTable
 from storeplan.simulate import SimulationContext
 
+from test_mdp import G_LOSSY_LEVELS
+
 
 def case_env(config):
     return MdpEnv(config.planning, config.storage,
@@ -135,6 +137,32 @@ def test_policy_csv_round_trip(tmp_path, case_config):
         s.capacity_after for s in report.steps]
     assert [s.unit_prices for s in again.steps] == [
         s.unit_prices for s in report.steps]
+
+
+@pytest.mark.parametrize("levels", G_LOSSY_LEVELS)
+def test_policy_csv_round_trip_with_levels_g_cannot_print(tmp_path,
+                                                          case_config, levels):
+    # li-ion buys the first level, then the second if there is one:
+    # 0.1 + 0.2 and 1234567 * 2 print with repr, 1234567 itself too
+    planning = replace(case_config.planning, expansion_levels_kwh=levels)
+    env = MdpEnv(planning, case_config.storage,
+                 outage_cost=pointwise(lambda k, caps: 0.0))
+    qt = QTable(env)
+    path = default_scenarios()["1"].price_path(env.storage, 4)
+    caps = (0.0,) * env.num_units
+    for k, level in ((1, 0), (2, min(1, len(levels) - 1))):
+        buy = MdpAction(0, level)
+        row, visits = qt.entry(MdpState(k, path[k - 1], caps))
+        row[env.actions.index(buy)], visits[env.actions.index(buy)] = -1.0, 1
+        caps = env.apply_action(MdpState(k, path[k - 1], caps), buy)
+    report = extract_policy(qt, env, default_scenarios()["1"])
+    assert report.steps[1].capacity_after[0] in (0.1 + 0.2, 2 * 1234567.0)
+    out = tmp_path / "policy.csv"
+    write_policy_csv(report, case_config.storage, out)
+    again = read_policy_csv(out, case_config.storage, levels)
+    assert [s.action for s in again.steps] == [s.action for s in report.steps]
+    assert [s.capacity_after for s in again.steps] == [
+        s.capacity_after for s in report.steps]
 
 
 def written_policy(tmp_path, config):

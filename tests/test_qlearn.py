@@ -4,19 +4,26 @@ training output, and a convergence check on a tiny deterministic MDP."""
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storeplan.config import IncompatibleArtifact
-from storeplan.mdp import MdpEnv, MdpState
-from storeplan.qlearn import (DecaySchedule, LearningCurve, QTable,
-                              greedy_index, load_qtable, q_update,
-                              save_qtable, train)
-from storeplan.rng import stream
+from storeplan.mdp import MdpEnv, MdpState, encode_state
+from storeplan import qlearn
+from storeplan.qlearn import (BATCHES, DecaySchedule, LearningCurve, QTable,
+                              greedy_index, load_qtable, save_qtable, train)
+from storeplan.rng import BlockDraws, stream
 
 from conftest import pointwise
-from test_mdp import make_env, planning, tech
+from test_mdp import G_LOSSY_LEVELS, every_state, make_env, planning, tech
+
+
+def visited(qt):
+    """`(state, (q, visits))` for each state with a row, by number."""
+    return [(s, row) for s, row in zip(every_state(qt.env), qt.rows) if row]
 
 
 def test_decay_endpoints_and_midpoint():
@@ -32,19 +39,140 @@ def test_decay_degenerate_run_uses_end_value():
     assert DecaySchedule(1.0, 0.1, 1).value(0) == 0.1
 
 
-def test_q_update_worked_example():
+def reference_update(row, action_index, reward, next_best, alpha, gamma,
+                     terminal):
+    """The one-step Q update, in place: the target is the reward, plus the
+    discounted best next q-value unless the step ends the episode."""
+    target = reward if terminal else reward + gamma * next_best
+    row[action_index] += alpha * (target - row[action_index])
+
+
+def reference_train(env, episodes, gamma, alpha, epsilon, seed):
+    """Q-learning written out on the model itself: `MdpEnv.reward` and
+    `MdpEnv.transition` stepped on the seed's `Generator`, with no tables
+    and no raw words. Returns the rows by state number, as `QTable.rows`
+    holds them, and the learning curve."""
+    rng = stream(seed, "train")
+    horizon = env.planning.horizon_periods
+    rows = {}
+
+    def entry(state):
+        n = env.number(state)
+        if n not in rows:
+            rows[n] = ([0.0] * env.num_actions, [0] * env.num_actions)
+        return rows[n]
+
+    batches = min(BATCHES, episodes)
+    ends = [round((i + 1) * episodes / batches) for i in range(batches)]
+    curve = LearningCurve([], [])
+    acc, acc_n = 0.0, 0
+    for ep in range(episodes):
+        step_floor, explore = alpha.value(ep), epsilon.value(ep)
+        state = env.initial_state()
+        total = 0.0
+        for k in range(1, horizon + 1):
+            q, visits = entry(state)
+            if rng.random() < explore:
+                ai = int(rng.integers(env.num_actions))
+            else:
+                ai = greedy_index(q, rng)
+            action = env.actions[ai]
+            r = env.reward(state, action)
+            state = env.transition(state, action, rng)
+            visits[ai] += 1
+            step = max(step_floor, 1.0 / visits[ai])
+            terminal = k == horizon
+            next_best = 0.0 if terminal else max(entry(state)[0])
+            reference_update(q, ai, r, next_best, step, gamma, terminal)
+            total += r
+        acc += total
+        acc_n += 1
+        if ep + 1 in ends:
+            curve.batch_percentile.append(100.0 * (ep + 1) / episodes)
+            curve.mean_total_reward.append(acc / acc_n)
+            acc, acc_n = 0.0, 0
+    return rows, curve
+
+
+def test_reference_update_worked_example():
     # q 10, reward 5, best next 20, alpha 0.5, gamma 0.9 -> 16.5
     row = [10.0, 0.0]
-    q_update(row, 0, reward=5.0, next_best=20.0, alpha=0.5, gamma=0.9,
-             terminal=False)
+    reference_update(row, 0, reward=5.0, next_best=20.0, alpha=0.5,
+                     gamma=0.9, terminal=False)
     assert row[0] == pytest.approx(16.5)
 
 
-def test_q_update_terminal_ignores_bootstrap():
+def test_reference_update_terminal_ignores_bootstrap():
     row = [10.0, 0.0]
-    q_update(row, 0, reward=5.0, next_best=999.0, alpha=0.5, gamma=0.9,
-             terminal=True)
+    reference_update(row, 0, reward=5.0, next_best=999.0, alpha=0.5,
+                     gamma=0.9, terminal=True)
     assert row[0] == pytest.approx(7.5)
+
+
+# probabilities and schedule ends: the edges 0 and 1 as often as the inside
+unit_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def learner_cases(draw):
+    horizon = draw(st.integers(2, 4))
+    levels = draw(st.sampled_from([(300.0,), (300.0, 1000.0)]))
+    # free storage and a flat outage cost tie every action of a fresh row
+    free = draw(st.booleans())
+    storage = tuple(
+        tech(u, [draw(unit_values) for _ in range(horizon)], horizon,
+             price=(0.0,) * horizon if free else None)
+        for u in range(draw(st.integers(1, 2))))
+    flat, slope = draw(st.sampled_from([(0.0, 0.0), (500.0, 0.0),
+                                        (500.0, 2_000.0)]))
+    env = MdpEnv(planning(horizon, levels), storage, outage_cost=pointwise(
+        lambda k, caps: flat + slope * k / (1.0 + sum(caps) / 700.0)))
+    episodes = draw(st.integers(1, 300))
+    gamma = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    alpha = DecaySchedule(draw(unit_values), draw(unit_values), episodes)
+    epsilon = DecaySchedule(draw(unit_values), draw(unit_values), episodes)
+    return env, episodes, gamma, alpha, epsilon, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(learner_cases())
+def test_train_matches_reference_learner(case):
+    """`train` steps on tables and raw words; the reference on the model and
+    the seed's `Generator`. Rows, visit counts and curve agree bit for bit
+    (repr tells -0.0 from 0.0)."""
+    qt, curve = train(*case)
+    rows, ref_curve = reference_train(*case)
+    assert repr(dict(sorted(rows.items()))) == repr(
+        {n: row for n, row in enumerate(qt.rows) if row})
+    assert repr(curve) == repr(ref_curve)
+
+
+@pytest.mark.parametrize("word, fires", [(1 << 63, False),
+                                         ((1 << 63) - 1, True)])
+def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
+    """Every word is `word`. 2**63 reads as the double 0.5, which is not
+    below a probability of 0.5, so no step explores and no price advances;
+    the word just under it reads as 0.5 - 2**-53, so every step does."""
+    class ConstantWords(BlockDraws):
+        def __init__(self, generator):
+            super().__init__(generator)
+            self.word = lambda: word
+
+    greedy_calls = []
+
+    def counted_greedy(row, rng):
+        greedy_calls.append(1)
+        return greedy_index(row, rng)
+
+    monkeypatch.setattr(qlearn, "BlockDraws", ConstantWords)
+    monkeypatch.setattr(qlearn, "greedy_index", counted_greedy)
+    env = MdpEnv(planning(levels=(300.0,)), (tech(0, (0.5,) * 4),),
+                 outage_cost=pointwise(lambda k, caps: 0.0))
+    half = DecaySchedule(0.5, 0.5, 20)
+    qt, _ = train(env, 20, 0.9, half, half, seed=0)
+    assert len(greedy_calls) == (0 if fires else 20 * 4)
+    assert {(s.period, s.price_idx) for s, _ in visited(qt)} == {
+        (k, (k if fires else 1,)) for k in range(1, 5)}
 
 
 def test_greedy_index_picks_maximum():
@@ -75,7 +203,7 @@ def test_qtable_entry_creates_zero_row():
     row, visits = qt.entry(s)
     assert row == [0.0] * 3 and visits == [0] * 3
     assert len(qt) == 1 and qt.rows[env.number(s)] == (row, visits)
-    assert list(qt.items()) == [(s, (row, visits))]
+    assert visited(qt) == [(s, (row, visits))]
     with pytest.raises(ValueError, match="not reachable"):
         qt.entry(MdpState(2, (2, 1), (300.0, 300.0)))
 
@@ -97,7 +225,7 @@ def test_train_visits_every_period(smoke_config):
     qt, curve = train(env, episodes=200, gamma=0.9,
                       alpha=DecaySchedule(1.0, 0.1, 200),
                       epsilon=DecaySchedule(1.0, 0.1, 200), seed=5)
-    periods = {s.period for s, _ in qt.items()}
+    periods = {s.period for s, _ in visited(qt)}
     assert periods == {1, 2, 3, 4}
     assert len(curve.batch_percentile) == 100
     assert curve.batch_percentile[-1] == pytest.approx(100.0)
@@ -111,8 +239,8 @@ def test_train_is_reproducible():
     qt_b, curve_b = train(env_b, 300, 0.9, DecaySchedule(1.0, 0.05, 300),
                           DecaySchedule(1.0, 0.05, 300), seed=11)
     assert curve_a.mean_total_reward == curve_b.mean_total_reward
-    assert {s: q for s, (q, _) in qt_a.items()} == {
-        s: q for s, (q, _) in qt_b.items()}
+    assert {s: q for s, (q, _) in visited(qt_a)} == {
+        s: q for s, (q, _) in visited(qt_b)}
 
 
 def test_batches_never_exceed_episodes():
@@ -162,9 +290,26 @@ def test_qtable_round_trip_preserves_rows(tmp_path):
     assert header["episodes"] == 150
     assert len(loaded) == len(qt)
     assert loaded.rows == qt.rows
-    for s, (q, v) in qt.items():
+    for s, (q, v) in visited(qt):
         assert loaded.q_values(s) == q
         assert loaded.visit_counts(s) == v
+
+
+@pytest.mark.parametrize("levels", G_LOSSY_LEVELS)
+def test_qtable_round_trip_with_levels_g_cannot_print(smoke_config, tmp_path,
+                                                      levels):
+    env = MdpEnv(replace(smoke_config.planning, expansion_levels_kwh=levels),
+                 smoke_config.storage, outage_cost=pointwise(
+                     lambda k, caps: 1_000.0 * k / (1.0 + sum(caps))))
+    qt, _ = train(env, 300, 0.9, DecaySchedule(1.0, 0.1, 300),
+                  DecaySchedule(1.0, 0.3, 300), seed=13)
+    path = tmp_path / "qtable.jsonl"
+    save_qtable(qt, path, config_digest="abc123")
+    names = [json.loads(line)["state"]
+             for line in path.read_text().splitlines()[1:]]
+    assert names == sorted(encode_state(s) for s, _ in visited(qt))
+    loaded, _ = load_qtable(path, env, expected_config_hash="abc123")
+    assert loaded.rows == qt.rows
 
 
 def test_load_qtable_rejects_wrong_config(tmp_path):
@@ -279,7 +424,7 @@ def test_final_period_action_visited_once_holds_its_reward():
     qt, _ = train(env, 400, 0.9, DecaySchedule(1.0, 0.02, 400),
                   DecaySchedule(1.0, 0.3, 400), seed=3)
     checked = 0
-    for state, (q, visits) in qt.items():
+    for state, (q, visits) in visited(qt):
         if state.period != env.planning.horizon_periods:
             continue
         for ai, n in enumerate(visits):

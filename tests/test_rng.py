@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from storeplan import rng
-from storeplan.rng import BlockDraws, spawn_key, stream, streams
+from storeplan.rng import BlockDraws, spawn_key, stream, streams, word_limit
+
+TOP = 2**64 - 1  # the largest raw word
 
 
 def test_same_key_same_draws():
@@ -30,6 +32,33 @@ def test_spawn_key_is_stable():
     assert spawn_key("train", 5, 7) == (1550247075, 5, 7)
 
 
+def as_double(word):
+    return (word >> 11) * 2.0**-53
+
+
+def test_word_limit_identity():
+    """`word < word_limit(p)` is `as_double(word) < p`, on and next to each
+    limit and at both ends of the words."""
+    rand = np.random.default_rng(1729)
+    ps = [0.0, 2.0**-53, 0.5, 0.7, np.nextafter(1.0, 0.0), 1.0,
+          -0.5, 1.5, 5e-324, 2.0**-54, 1.0 - 2.0**-52]
+    ps += rand.random(200).tolist()
+    for p in ps:
+        limit = word_limit(p)
+        assert 0 <= limit <= 2**64 and limit % 2048 == 0
+        for w in (limit - 1, limit, 0, TOP):
+            w = min(max(w, 0), TOP)
+            assert (w < limit) == (as_double(w) < p), (p, w)
+    assert word_limit(0.0) == 0 and word_limit(1.0) == 2**64
+
+
+def assert_word_is_next_double(draws, gen):
+    u, w = gen.random(), draws.word()
+    assert as_double(w) == u
+    # the word fires against any probability above its double, and only those
+    assert w < word_limit(np.nextafter(u, 2.0)) and not w < word_limit(u)
+
+
 @pytest.mark.parametrize("block", [1024, 3])
 @pytest.mark.parametrize("seed", [0, 7, 1729])
 def test_block_draws_match_generator(seed, block, monkeypatch):
@@ -41,9 +70,10 @@ def test_block_draws_match_generator(seed, block, monkeypatch):
     sizes = [1, 2, 3, 7, 13, 3_000_000_000, 2**32 - 1]
     for i, call in enumerate(calls):
         if call == 0:
-            assert draws.random() == gen.random()
+            assert_word_is_next_double(draws, gen)
         elif call == 1:
-            assert draws.random(i % 5) == gen.random(i % 5).tolist()
+            words = [draws.word() for _ in range(i % 5)]
+            assert list(map(as_double, words)) == gen.random(i % 5).tolist()
         else:
             n = sizes[i % len(sizes)]
             assert draws.integers(n) == gen.integers(n)
@@ -52,7 +82,8 @@ def test_block_draws_match_generator(seed, block, monkeypatch):
 def test_block_draws_integers_one_draws_nothing():
     gen, draws = stream(3, "one"), BlockDraws(stream(3, "one"))
     assert [draws.integers(1) for _ in range(5)] == [0] * 5
-    assert draws.random(4) == gen.random(4).tolist()
+    for _ in range(4):
+        assert_word_is_next_double(draws, gen)
 
 
 def test_block_draws_rejection_loop_matches(monkeypatch):
@@ -61,7 +92,7 @@ def test_block_draws_rejection_loop_matches(monkeypatch):
     gen, draws = stream(5, "lemire"), BlockDraws(stream(5, "lemire"))
     picks = [draws.integers(3_000_000_000) for _ in range(500)]
     assert picks == gen.integers(3_000_000_000, size=500).tolist()
-    assert draws.random() == gen.random()
+    assert_word_is_next_double(draws, gen)
 
 
 def test_block_draws_reject_out_of_range():
