@@ -1,20 +1,22 @@
 """Command-line pipeline: dataset, surrogate, solver, policies, reports.
 
 Every artifact lands in an --out directory together with a manifest.json entry
-recording the producing command, parameters, and the configuration hash, so a
-run directory is self-describing. Exit codes: 1 for usage problems, 2 for
-validation failures (bad config, corrupt artifact), 3 for artifacts that do
-not belong to the supplied configuration.
+recording the producing command, parameters, the configuration hash and the
+stage's wall and CPU seconds, so a run directory is self-describing. Exit
+codes: 1 for usage problems, 2 for validation failures (bad config, corrupt
+artifact), 3 for artifacts that do not belong to the supplied configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import gc
 import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +55,9 @@ def _utcnow() -> str:
 
 
 def _record_artifact(out_dir: Path, name: str, filename: str,
-                     digest: str | None, command: str, params: dict) -> None:
+                     digest: str | None, args, params: dict) -> None:
+    """Add `name`'s entry to the manifest. `wall_s` and `cpu_s` are the
+    stage's wall and CPU seconds (this process) up to the entry's write."""
     manifest_path = out_dir / "manifest.json"
     manifest = {"package_version": __version__, "artifacts": {}}
     if manifest_path.exists():
@@ -63,9 +67,11 @@ def _record_artifact(out_dir: Path, name: str, filename: str,
     manifest["artifacts"][name] = {
         "path": filename,
         "config_hash": digest,
-        "command": command,
+        "command": args.command,
         "params": params,
         "created": _utcnow(),
+        "wall_s": round(time.perf_counter() - args.clock[0], 6),
+        "cpu_s": round(time.process_time() - args.clock[1], 6),
     }
     tmp = manifest_path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -100,9 +106,9 @@ def cmd_gen_data(args) -> int:
     path = out / "dataset.csv"
     write_dataset(dataset, path)
     _record_artifact(out, "dataset", "dataset.csv", dataset.config_digest,
-                     "gen-data", {"observations": len(dataset),
-                                  "trials": dataset.trials,
-                                  "seed": dataset.master_seed})
+                     args, {"observations": len(dataset),
+                            "trials": dataset.trials,
+                            "seed": dataset.master_seed})
     print(f"wrote {path} ({len(dataset)} rows x {dataset.trials} trials, "
           f"mean cost {dataset.cost.mean():.0f})")
     return 0
@@ -115,7 +121,7 @@ def cmd_train_meta(args) -> int:
     path = out / "forest.json"
     save_forest(forest, path)
     _record_artifact(out, "forest", "forest.json", forest.config_digest,
-                     "train-meta", forest.params)
+                     args, forest.params)
     print(f"wrote {path} ({len(forest.trees)} trees, "
           f"holdout R^2 {forest.r2_test:.4f})")
     return 0
@@ -136,9 +142,6 @@ def cmd_solve(args) -> int:
     qpath = out / "qtable.jsonl"
     save_qtable(qtable, qpath, digest, metadata=run)
     curve.save(out / "learning_curve.csv")
-    _record_artifact(out, "qtable", "qtable.jsonl", digest, "solve", run)
-    _record_artifact(out, "learning_curve", "learning_curve.csv", digest,
-                     "solve", {"episodes": episodes})
     bound_states, bound_pairs = count_states_component_product(
         env.num_units, len(env.levels), cfg.planning.horizon_periods)
     reachable = count_states_reachable(cfg.planning, cfg.storage)
@@ -156,6 +159,10 @@ def cmd_solve(args) -> int:
     share = f" ({gap / abs(optimum):.1%})" if optimum else ""
     print(f"exact DP: optimum {optimum:.0f}, learned policy {learned:.0f}, "
           f"gap {gap:.0f}{share}")
+    # recorded last, so that the entries' times cover the check too
+    _record_artifact(out, "qtable", "qtable.jsonl", digest, args, run)
+    _record_artifact(out, "learning_curve", "learning_curve.csv", digest,
+                     args, {"episodes": episodes})
     return 0
 
 
@@ -175,7 +182,7 @@ def cmd_policy(args) -> int:
         report = extract_policy(qtable, env, scenario)
         path = out / f"policy_{sid}.csv"
         write_policy_csv(report, cfg.storage, path)
-        _record_artifact(out, f"policy_{sid}", path.name, digest, "policy",
+        _record_artifact(out, f"policy_{sid}", path.name, digest, args,
                          {"scenario": sid})
         for step in report.steps:
             what = "no-op" if step.action.is_noop else (
@@ -207,8 +214,8 @@ def cmd_evaluate(args) -> int:
     path = out / name
     write_comparison_csv([(report, value)], path)
     _record_artifact(out, f"evaluation_{slug}", name, config_hash(cfg),
-                     "evaluate", {"policy": str(args.policy),
-                                  "trials": args.trials})
+                     args, {"policy": str(args.policy),
+                            "trials": args.trials})
     print(f"{report.scenario_id}: total {value.mean_total_cost:.0f} "
           f"(investment {value.investment_cost:.0f}, outage "
           f"{value.mean_outage_cost:.0f} +/- {value.stderr:.0f}, "
@@ -265,7 +272,7 @@ def cmd_report(args) -> int:
     (out / "duration_histogram.csv").write_text("\n".join(lines) + "\n")
     produced.append("duration_histogram.csv")
     for name in produced:
-        _record_artifact(out, name, name, digest, "report",
+        _record_artifact(out, name, name, digest, args,
                          {"run_dir": str(run)})
     print(f"wrote {len(produced)} report artifacts to {out}")
     return 0
@@ -334,9 +341,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# commands that build a Q-table, some 10^5 small objects
+_QTABLE_COMMANDS = ("solve", "policy")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.clock = (time.perf_counter(), time.process_time())
     try:
         return args.func(args)
     except IncompatibleArtifact as exc:
@@ -345,6 +357,15 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if args.command in _QTABLE_COMMANDS:
+            # A freed Q-table leaves a few thousand of its objects on the
+            # interpreter's free lists, scattered over most of the memory
+            # arenas it filled, and an arena is unmapped only when empty.
+            # A full collection clears the lists, so a process that runs
+            # commands in turn (the tests, perfbench) gets the table's
+            # memory back before the next command.
+            gc.collect()
 
 
 if __name__ == "__main__":

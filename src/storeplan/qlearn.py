@@ -26,6 +26,9 @@ __all__ = [
 
 QTABLE_FORMAT = "storeplan-qtable-v1"
 BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
+_BLOCK = 256  # q-table rows per json.loads call in load_qtable
+# entry types of saved q and visits rows, and the types q may hold
+_FLOAT, _INT, _NUMBER = {float}, {int}, (float, int)
 
 
 @dataclass(frozen=True)
@@ -188,14 +191,25 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     return qt, LearningCurve(batch_percentile=curve_x, mean_total_reward=curve_y)
 
 
+def _state_names(env: MdpEnv):
+    """Per period of `env.tables`' numbering, `(prefixes, caps, offset)`:
+    the state numbered `offset + code * len(caps) + c` is named
+    `prefixes[code] + caps[c]`, as `encode_state` names it. Each price code
+    and each capacity position is named once."""
+    for k, (codes, c_set, offset) in enumerate(env.tables[1], start=1):
+        yield ([",".join(map(str, (k, *idx))) + "," for idx in codes],
+               [",".join(map(format_number, c)) for c in c_set], offset)
+
+
 def save_qtable(qtable: QTable, path, config_digest: str | None,
                 metadata: dict | None = None) -> None:
     """JSONL: one header record, then one record per visited state, in the
-    order of the states' names.
+    order of the states' names (`_state_names`).
 
-    A row's name is `encode_state`'s: its period's price fields, named once
-    per price code, then its capacity fields, named once per capacity
-    position of the period's reachable set.
+    Every price prefix holds 1 + U commas and ends with one, so none starts
+    another; names in order are therefore price prefixes in order, each
+    followed by its period's capacity names in order, and no name list is
+    built or sorted.
     """
     header = {
         "format": QTABLE_FORMAT,
@@ -207,27 +221,92 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
     if metadata:
         header.update(metadata)
     rows = qtable.rows
-    named = []
-    for k, (codes, c_set, offset) in enumerate(qtable.env.tables[1], start=1):
-        prices = [",".join(map(str, (k, *idx))) + "," for idx in codes]
-        caps = [",".join(map(format_number, c)) for c in c_set]
-        width = len(c_set)
-        for n in range(offset, offset + len(codes) * width):
-            if rows[n]:
-                code, c = divmod(n - offset, width)
-                named.append((prices[code] + caps[c], n))
-    named.sort()
+    runs = []  # (prefix, number of its first state, capacity names, order)
+    for prefixes, caps, offset in _state_names(qtable.env):
+        width = len(caps)
+        order = sorted(range(width), key=caps.__getitem__)
+        runs += [(prefix, offset + code * width, caps, order)
+                 for code, prefix in enumerate(prefixes)]
+    runs.sort()
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for enc, n in named:
-            q, v = rows[n]
-            fh.write(json.dumps({"state": enc, "q": q, "visits": v}) + "\n")
+        for prefix, first, caps, order in runs:
+            for c in order:
+                if rows[first + c]:
+                    q, v = rows[first + c]
+                    fh.write(json.dumps({"state": prefix + caps[c], "q": q,
+                                         "visits": v}) + "\n")
+
+
+def _row_reader(env: MdpEnv):
+    """A function from one decoded q-table row to `(n, q, visits)`, where n
+    is the row's state number (None if `env` cannot reach the state).
+
+    A state named as `save_qtable` names it is found by name: its price
+    prefix gives the number of the period's first state at that price code
+    and the positions of the period's capacity names, its capacity suffix
+    its position. Any other spelling of a reachable state (`0.0` for `0`,
+    say) goes through `decode_state` and `MdpEnv.number`. `q` must hold
+    JSON numbers, which come back as floats, and `visits` non-negative
+    JSON integers; the lists JSON decoding made are kept when they already
+    hold floats and ints. With `share_zero`, which the caller may set only
+    when the row holds no negative zero, q's zeros become one shared 0.0:
+    most of a row's actions are never tried, and a float object for each
+    of their zeros would be most of a loaded table's memory. Raises
+    ValueError saying what is wrong.
+    """
+    prefixes = {}
+    for names, caps, offset in _state_names(env):
+        position = {name: c for c, name in enumerate(caps)}
+        for code, name in enumerate(names):
+            prefixes[name] = (offset + code * len(caps), position)
+    units, width = env.num_units, env.num_actions
+
+    def read(rec, share_zero=False):
+        if not (type(rec) is dict and type(state := rec.get("state")) is str
+                and type(q := rec.get("q")) is list
+                and type(visits := rec.get("visits")) is list):
+            raise ValueError(f"a row must be an object with a 'state' string "
+                             f"and 'q' and 'visits' lists, got "
+                             f"{json.dumps(rec)[:80]!r}")
+        if len(q) != width or len(visits) != width:
+            raise ValueError(f"row width mismatch for {state}")
+        if set(map(type, q)) != _FLOAT:
+            bad = [x for x in q if type(x) not in _NUMBER]
+            if bad:  # bools and strings are not numbers
+                raise ValueError(f"'q' entries must be JSON numbers, "
+                                 f"got {bad[0]!r}")
+            try:
+                q = list(map(float, q))
+            except OverflowError:
+                raise ValueError("'q' entry out of float range") from None
+        if share_zero and 0.0 in q:
+            q = [x or 0.0 for x in q]
+        if set(map(type, visits)) != _INT or min(visits) < 0:
+            bad = [x for x in visits if type(x) is not int or x < 0]
+            raise ValueError(f"'visits' entries must be non-negative JSON "
+                             f"integers, got {bad[0]!r}")
+        tail = state.split(",", units + 1)[-1]
+        first, position = prefixes.get(state[:len(state) - len(tail)],
+                                       (None, {}))
+        c = position.get(tail)
+        if c is None:
+            return env.number(decode_state(state, units)), q, visits
+        return first + c, q, visits
+
+    return read
 
 
 def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
                 ) -> tuple[QTable, dict]:
     """A q-table file's rows, placed by `env`'s numbering. The header's counts
-    must match `env`'s and each row's state must be reachable in `env`."""
+    must match `env`'s and each row's state must be reachable in `env`.
+
+    Runs of up to `_BLOCK` non-blank lines are decoded by one `json.loads`
+    as a JSON array. A run that does not decode to one valid row per line
+    is read again line by line, so an error names its file and line, and
+    the file is accepted or refused as a line-by-line read would.
+    """
     with open(path) as fh:
         header_line = fh.readline()
         if not header_line:
@@ -249,31 +328,60 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
                 raise ValueError(f"{path}: line 1: header {key!r} is "
                                  f"{header[key]}, but the config gives {want}")
         qt = QTable(env)
+        rows, read = qt.rows, _row_reader(env)
+
+        def place(first: int, lines: list[str]) -> None:
+            """Rows from `lines`, the file's lines from line `first` on."""
+            text = "[" + ",".join(lines) + "]"
+            placed = []
+            # A JSON string cannot hold a raw newline, so a row spanning two
+            # lines would hold the "{" that starts the second one as well as
+            # its own. With every line after the first starting with "{",
+            # one "{" per line in all, and as many rows as lines, each line
+            # holds exactly one row.
+            if (text.count("\n,{") == len(lines) - 1
+                    and text.count("{") == len(lines)):
+                # a negative zero is a number token starting with "-0"
+                share_zero = "-0" not in text
+                try:
+                    recs = json.loads(text)
+                    if len(recs) == len(lines):
+                        for rec in recs:
+                            n, q, v = read(rec, share_zero)
+                            if n is None or rows[n] is not None:
+                                break
+                            rows[n] = (q, v)
+                            placed.append(n)
+                        else:
+                            return
+                except ValueError:
+                    pass
+            for n in placed:
+                rows[n] = None
+            for lineno, line in enumerate(lines, start=first):
+                rec = parse_json(line, path, line=lineno)
+                try:
+                    n, q, v = read(rec)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                if n is None or rows[n] is not None:
+                    why = ("is not reachable under the config" if n is None
+                           else "has a row already")
+                    raise ValueError(f"{path}: line {lineno}: state "
+                                     f"{rec['state']} {why}")
+                rows[n] = (q, v)
+
+        first, lines = 2, []
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rec = parse_json(line, path, line=lineno)
-            if not (isinstance(rec, dict) and isinstance(rec.get("state"), str)
-                    and isinstance(rec.get("q"), list)
-                    and isinstance(rec.get("visits"), list)):
-                raise ValueError(f"{path}: line {lineno}: a row must be an "
-                                 f"object with a 'state' string and 'q' and "
-                                 f"'visits' lists, got {line.strip()[:80]!r}")
-            try:
-                state = decode_state(rec["state"], env.num_units)
-                q = list(map(float, rec["q"]))
-                v = list(map(int, rec["visits"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if len(q) != qt.num_actions or len(v) != qt.num_actions:
-                raise ValueError(f"{path}: row width mismatch for {rec['state']}")
-            n = env.number(state)
-            if n is None or qt.rows[n] is not None:
-                why = ("is not reachable under the config" if n is None
-                       else "has a row already")
-                raise ValueError(f"{path}: line {lineno}: state "
-                                 f"{rec['state']} {why}")
-            qt.rows[n] = (q, v)
+            if line.strip():
+                lines.append(line)
+                if len(lines) < _BLOCK:
+                    continue
+            if lines:
+                place(first, lines)
+            first, lines = lineno + 1, []
+        if lines:
+            place(first, lines)
     if len(qt) != header["states"]:
         raise ValueError(f"{path}: header claims {header['states']} states, "
                          f"found {len(qt)}")

@@ -6,10 +6,15 @@ that map to distinct exit codes.
 """
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+
+from storeplan.config import load_config
+from storeplan.mdp import MdpEnv
+from storeplan.qlearn import load_qtable, save_qtable
 
 from conftest import CONFIGS
 
@@ -61,6 +66,31 @@ def test_manifest_records_every_stage(pipeline_dir):
     stages = {entry["command"] for entry in manifest["artifacts"].values()}
     assert {"gen-data", "train-meta", "solve", "policy",
             "evaluate"} <= stages
+
+
+def test_manifest_entries_carry_stage_times(pipeline_dir):
+    entries = [entry for where in (pipeline_dir, pipeline_dir / "report")
+               for entry in json.loads((where / "manifest.json").read_text())
+               ["artifacts"].values()]
+    assert {entry["command"] for entry in entries} == {
+        "gen-data", "train-meta", "solve", "policy", "evaluate", "report"}
+    for entry in entries:
+        for key in ("wall_s", "cpu_s"):
+            value = entry[key]
+            assert type(value) is float and math.isfinite(value), entry
+            assert value >= 0.0, entry
+
+
+def test_qtable_read_back_and_saved_again_is_byte_identical(pipeline_dir,
+                                                           tmp_path):
+    cfg = load_config(SMOKE)
+    env = MdpEnv(cfg.planning, cfg.storage,
+                 outage_cost=lambda rows: [0.0] * len(rows))
+    original = pipeline_dir / "qtable.jsonl"
+    qtable, header = load_qtable(original, env)
+    run = {key: header[key] for key in ("episodes", "gamma", "seed")}
+    save_qtable(qtable, tmp_path / "again.jsonl", header["config_hash"], run)
+    assert (tmp_path / "again.jsonl").read_bytes() == original.read_bytes()
 
 
 def test_gen_data_rerun_is_byte_identical(pipeline_dir, tmp_path):
@@ -335,7 +365,7 @@ def test_policy_takes_several_scenarios(pipeline_dir, tmp_path):
         entries = json.loads(
             (tmp_path / run / "manifest.json").read_text())["artifacts"]
         for entry in entries.values():
-            del entry["created"]
+            del entry["created"], entry["wall_s"], entry["cpu_s"]
         manifests.append(entries)
     assert manifests[0] == manifests[1]
     assert sorted(manifests[0]) == [f"policy_{sid}" for sid in "123"]

@@ -277,6 +277,19 @@ def test_predict_outage_cost_validates_width():
         forest.predict_outage_cost(2, [300.0])
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, 256])
+def test_batched_prediction_equals_each_row_alone(monkeypatch, block):
+    """A row predicts the same bits alone as in a batch of any size, so
+    `_PREDICT_BLOCK` changes no artifact; soft splits included."""
+    ds = grid_dataset(lambda k, c: float(k) * 50.0 + c.sum(), n=200, trees=3)
+    forest = train_forest(ds)
+    forest.params["smoothing"] = 0.1
+    rows = raw_rows(ds)
+    alone = [forest.predict(rows[i:i + 1])[0] for i in range(len(rows))]
+    monkeypatch.setattr(metamodel, "_PREDICT_BLOCK", block)
+    assert forest.predict(rows).tolist() == alone
+
+
 def test_r_squared_perfect_and_mean_baseline():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     assert r_squared(y, y) == 1.0

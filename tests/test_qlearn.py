@@ -4,6 +4,7 @@ training output, and a convergence check on a tiny deterministic MDP."""
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,15 @@ def small_qtable_file(path, rows=None, states=None):
     '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": "000"}',
     '{"state": "1,1,1,0,0", "q": [null, 0, 0], "visits": [0, 0, 0]}',
     '{"state": "1,1,x,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": ["1.5", "nan", true], '
+    '"visits": [1.5, -3, true]}',
+    '{"state": "1,1,1,0,0", "q": [1.5, 0, true], "visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": [1.5, 0, "0"], "visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": [1e999, 0, 1' + "0" * 400 + '], '
+    '"visits": [0, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [1.5, 0, 0]}',
+    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, -3, 0]}',
+    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, true]}',
 ])
 def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
@@ -358,8 +368,17 @@ def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
 def test_load_qtable_rejects_row_width_mismatch(tmp_path):
     row = '{"state": "1,1,1,0,0", "q": [0, 0], "visits": [0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
-    with pytest.raises(ValueError, match="row width mismatch for 1,1,1,0,0"):
+    with pytest.raises(ValueError,
+                       match="line 2: row width mismatch for 1,1,1,0,0"):
         load_qtable(path, small_env())
+
+
+def test_load_qtable_keeps_the_sign_of_zero(tmp_path):
+    row = '{"state": "1,1,1,0,0", "q": [-0.0, 0.0, 0], "visits": [0, 0, 0]}'
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    qt, _ = load_qtable(path, small_env())
+    q = qt.q_values(qt.env.initial_state())
+    assert [math.copysign(1.0, x) for x in q] == [-1.0, 1.0, 1.0]
 
 
 def test_load_qtable_rejects_wrong_state_count(tmp_path):
@@ -415,6 +434,114 @@ def test_load_qtable_rejects_repeated_state(tmp_path):
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row, row])
     with pytest.raises(ValueError, match="line 3: state 1,1,1,0,0"):
         load_qtable(path, small_env())
+
+
+@pytest.fixture(scope="module")
+def blocks_file(smoke_config, tmp_path_factory):
+    """A smoke-config q-table file of several read blocks: `(env, table,
+    path)`."""
+    env = MdpEnv(smoke_config.planning, smoke_config.storage,
+                 outage_cost=pointwise(
+                     lambda k, caps: 1_000.0 * k / (1.0 + sum(caps))))
+    qt, _ = train(env, 600, 0.9, DecaySchedule(1.0, 0.1, 600),
+                  DecaySchedule(1.0, 0.3, 600), seed=5)
+    assert len(qt) > 2 * qlearn._BLOCK
+    path = tmp_path_factory.mktemp("blocks") / "qtable.jsonl"
+    save_qtable(qt, path, config_digest="abc123")
+    return env, qt, path
+
+
+def rewrite_rows(path, out, rows):
+    """`path`'s header over `rows`, its count fixed, written to `out`."""
+    doc = json.loads(path.read_text().splitlines()[0])
+    doc["states"] = sum(1 for row in rows if row.strip())
+    out.write_text("\n".join([json.dumps(doc), *rows]) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("defect, match", [
+    ("truncated", "not valid JSON"),
+    ("string q", "'q' entries must be JSON numbers"),
+    ("repeated", "has a row already"),
+    ("unreachable", "is not reachable"),
+])
+def test_load_qtable_names_the_file_line_next_to_a_block_boundary(
+        blocks_file, tmp_path, offset, defect, match):
+    env, _, path = blocks_file
+    rows = path.read_text().splitlines()[1:]
+    i = qlearn._BLOCK + offset  # offset 0: the first row of the second block
+    if defect == "truncated":
+        rows[i] = rows[i][:len(rows[i]) // 2]
+    elif defect == "string q":
+        rec = json.loads(rows[i])
+        rec["q"][0] = "0"
+        rows[i] = json.dumps(rec)
+    elif defect == "repeated":
+        rows[i] = rows[i - 2]
+    else:
+        rec = json.loads(rows[i])
+        rec["state"] = "9" + rec["state"][1:]
+        rows[i] = json.dumps(rec)
+    # a blank line after the header shifts every row down one line
+    bad = rewrite_rows(path, tmp_path / "qtable.jsonl", ["", *rows])
+    with pytest.raises(ValueError, match=f"{bad}: line {i + 3}: .*{match}"):
+        load_qtable(bad, env)
+
+
+@pytest.mark.parametrize("split", ["before visits", "inside an extra key"])
+def test_load_qtable_rejects_a_row_split_over_lines_in_a_full_block(
+        blocks_file, tmp_path, split):
+    """One row over two lines, and later two rows on one line, leave a block
+    that decodes to as many rows as lines; the split row's first line is
+    reported. Split inside an extra key's list, the second line starts with
+    "{" as a row's line does."""
+    env, _, path = blocks_file
+    rows = path.read_text().splitlines()[1:]
+    if split == "before visits":
+        cut = rows[10].index(', "visits"')
+        rows[10:11] = [rows[10][:cut], rows[10][cut + 2:]]
+    else:
+        rows[10:11] = [rows[10][:-1] + ', "x": [{}', "{}]}"]
+    rows[20:22] = [rows[20] + ", " + rows[21]]
+    bad = rewrite_rows(path, tmp_path / "qtable.jsonl", rows)
+    with pytest.raises(ValueError, match="line 12: not valid JSON"):
+        load_qtable(bad, env)
+
+
+def test_load_qtable_reads_other_spellings_of_the_same_rows(blocks_file,
+                                                            tmp_path):
+    """Spellings `save_qtable` does not write give the rows it does."""
+    env, qt, path = blocks_file
+    spelled = []
+    for i, line in enumerate(path.read_text().splitlines()[1:]):
+        rec = json.loads(line)
+        kind = i % 5
+        if kind == 1:  # other key order, other spaces
+            line = '{ "visits" :%s ,"q":  %s,"state" : "%s"}' % (
+                json.dumps(rec["visits"]), json.dumps(rec["q"]), rec["state"])
+        elif kind == 2:  # capacities spelled 0.0
+            fields = rec["state"].split(",")
+            cut = 1 + env.num_units
+            rec["state"] = ",".join(fields[:cut] + [
+                "0.0" if c == "0" else c for c in fields[cut:]])
+            line = json.dumps(rec)
+        elif kind == 3:  # whole q values spelled as integers
+            rec["q"] = [int(x) if x.is_integer() else x for x in rec["q"]]
+            line = json.dumps(rec)
+        elif kind == 4:  # leading and trailing white space
+            line = f"  {line}\t "
+        spelled.append(line)
+        if i in (7, qlearn._BLOCK):
+            spelled.append("  ")
+    recs = [json.loads(line) for line in spelled if line.strip()]
+    assert any("0.0" in rec["state"] for rec in recs)
+    assert any(type(x) is int for rec in recs for x in rec["q"])
+    loaded, _ = load_qtable(rewrite_rows(path, tmp_path / "spelled.jsonl",
+                                         spelled), env)
+    assert loaded.rows == qt.rows
+    assert {type(x) for row in loaded.rows if row for x in row[0]} == {float}
+    assert {type(v) for row in loaded.rows if row for v in row[1]} == {int}
 
 
 def test_final_period_action_visited_once_holds_its_reward():
