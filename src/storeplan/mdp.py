@@ -6,11 +6,12 @@ as independent per-unit Markov chains that either advance one step down their
 decline schedule or stay put at each period boundary; the index can therefore
 lag the period. Rewards are negative costs: the annualized investment charged
 over the remaining horizon plus the predicted outage cost for the period.
-`MdpEnv.tables` numbers the reachable states and tabulates rewards and
-successors on them, once per env: the capacities after period k's actions
-are exactly period k + 1's reachable set C_{k+1}, so one outage cost query
-over every period's C_{k+1} prices every reward. One numbering serves the
-learner, the exact DP it is checked against, Q-table files and extraction.
+`MdpEnv.numbering` numbers the reachable states, and `MdpEnv.tables`
+tabulates rewards and successors on them, once per env: the capacities after
+period k's actions are exactly period k + 1's reachable set C_{k+1}, so one
+outage cost query over every period's C_{k+1} prices every reward. One
+numbering serves the learner, the exact DP it is checked against, Q-table
+files and extraction.
 """
 
 from __future__ import annotations
@@ -148,38 +149,58 @@ class MdpEnv:
         return MdpState(state.period + 1, idx, caps)
 
     @cached_property
-    def tables(self):
-        """Number the reachable states and tabulate the model on them.
+    def _grid(self):
+        """`_reachable_grid`'s capacity sets, with each period's price
+        tuples listed by code."""
+        prices, caps = _reachable_grid(self.planning, self.storage)
+        return [list(itertools.product(*p)) for p in prices], caps
+
+    @cached_property
+    def numbering(self):
+        """Number the reachable states; `(numbering, size)`.
 
         A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
         the mixed-radix number of the units' positions in their reachable
         price sets, unit 0 most significant as in `itertools.product`, and
         `c` is the capacity vector's position in the period's sorted
-        reachable set `C_k`. Returns `(periods, numbering, size)`.
-        `periods[k - 1]` is `(invest, outage, probs, after, succ, offset,
-        width)`: `after[a][c]` is the position in `C_{k+1}` of the
-        capacities after action a, and `outage` holds the outage cost at each
-        position of `C_{k+1}`, so action a's reward is `-invest[code][a] -
-        outage[after[a][c]]`. `succ[code][mask]` is the next period's price
-        code, and `offset` and `width` number the next period's states; these
-        three are None in the last period. Bit u of an advance mask is set
-        when unit u's price advances, which it does with probability
-        `probs[u]`; `succ` holds None where a mask of probability zero would
-        leave the reachable set. `numbering[k - 1]` is `(price tuples by code,
-        C_k, offset_k)`. Every period's outage costs come from one
-        `outage_cost` call, and the rewards equal `reward`'s. The learner,
-        the DP and the Q-table key states by this number (see `number`).
+        reachable set `C_k`. `numbering[k - 1]` is `(price tuples by code,
+        C_k, offset_k)`, and `size` counts the states. The numbering needs
+        no outage cost, so reading and writing Q-tables does not tabulate.
+        """
+        codes, caps = self._grid
+        numbering, offset = [], 0
+        for k in range(self.planning.horizon_periods):
+            numbering.append((codes[k], caps[k], offset))
+            offset += len(codes[k]) * len(caps[k])
+        return numbering, offset
+
+    @cached_property
+    def tables(self):
+        """Tabulate the model on `numbering`'s states.
+
+        Returns `(periods, numbering, size)`, the last two as `numbering`
+        gives them. `periods[k - 1]` is `(invest, outage, probs, after,
+        succ, offset, width)`: `after[a][c]` is the position in `C_{k+1}`
+        of the capacities after action a, and `outage` holds the outage
+        cost at each position of `C_{k+1}`, so action a's reward is
+        `-invest[code][a] - outage[after[a][c]]`. `succ[code][mask]` is the
+        next period's price code, and `offset` and `width` number the next
+        period's states; these three are None in the last period. Bit u of
+        an advance mask is set when unit u's price advances, which it does
+        with probability `probs[u]`; `succ` holds None where a mask of
+        probability zero would leave the reachable set. Every period's
+        outage costs come from one `outage_cost` call, and the rewards
+        equal `reward`'s. The learner, the DP and the Q-table key states by
+        this numbering (see `number`).
         """
         horizon = self.planning.horizon_periods
-        prices, caps = _reachable_grid(self.planning, self.storage)
-        codes = [list(itertools.product(*p)) for p in prices]
+        codes, caps = self._grid
+        numbering, size = self.numbering
         costs = iter(map(float, self.outage_cost(
             [[k, *c] for k in range(1, horizon + 1) for c in caps[k]])))
-        periods, numbering, offset = [], [], 0
+        periods = []
         for k in range(1, horizon + 1):
             c_set, c_next = caps[k - 1], caps[k]
-            numbering.append((codes[k - 1], c_set, offset))
-            offset += len(codes[k - 1]) * len(c_set)
             outage = list(itertools.islice(costs, len(c_next)))
             pos = {c: n for n, c in enumerate(c_next)}
             after = [[pos[self.apply_action(MdpState(k, (), c), action)]
@@ -194,15 +215,15 @@ class MdpEnv:
                                         else i for u, i in enumerate(idx)))
                          for m in range(1 << self.num_units)]
                         for idx in codes[k - 1]]
-                next_offset, width = offset, len(c_next)
+                next_offset, width = numbering[k][2], len(c_next)
             periods.append((invest, outage, probs, after, succ, next_offset,
                             width))
-        return periods, numbering, offset
+        return periods, numbering, size
 
     def number(self, state: MdpState) -> int | None:
-        """The state's number in `tables`, or None if it is not reachable."""
+        """The state's number in `numbering`, or None if it is unreachable."""
         if 1 <= state.period <= self.planning.horizon_periods:
-            codes, c_set, offset = self.tables[1][state.period - 1]
+            codes, c_set, offset = self.numbering[0][state.period - 1]
             code = bisect_left(codes, state.price_idx)  # both sets are sorted
             cap = bisect_left(c_set, state.capacity)
             if (codes[code:code + 1] == [state.price_idx]

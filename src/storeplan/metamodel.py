@@ -33,6 +33,7 @@ from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
                      MetamodelParams, _require_keys, _section, config_hash,
                      parse_json)
 from .dispatch import fleet_energy
+from .outages import OutageBatch
 from .rng import stream, streams
 from .simulate import SimulationContext
 
@@ -144,30 +145,29 @@ class SyntheticDataset:
         return self.capacity.shape[1]
 
 
-def _trial_streams(master_seed: int, rows, trials: int) -> list:
-    """The trial streams of `rows`, row by row, seeded in one batch."""
-    return streams(master_seed, "dataset:trial",
-                   [(r, t) for r in rows for t in range(trials)])
+def _trial_outages(ctx: SimulationContext, master_seed: int, rows,
+                   trials: int) -> OutageBatch:
+    """The trial traces of `rows`, row by row, drawn in one batch."""
+    return ctx.period_outages(master_seed, "dataset:trial",
+                              [(r, t) for r in rows for t in range(trials)])
 
 
-def _row_jobs(ctx: SimulationContext, values, row_rng,
-              trial_rngs) -> tuple[int, np.ndarray, list]:
-    """A row's period and capacities, drawn from the row's stream, and one
-    `(period, capacities, trace)` job per trial stream."""
+def _row_fleet(ctx: SimulationContext, values,
+               row_rng) -> tuple[int, np.ndarray]:
+    """A row's period and capacities, drawn from the row's stream."""
     plan = ctx.config.planning
     units = len(ctx.config.storage)
     k = int(row_rng.integers(1, plan.horizon_periods + 1))
-    caps = row_rng.choice(np.asarray(values, dtype=float), size=units)
-    return k, caps, [(k, caps, ctx.period_trace(rng)) for rng in trial_rngs]
+    return k, row_rng.choice(np.asarray(values, dtype=float), size=units)
 
 
 def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
                 master_seed: int) -> tuple[int, np.ndarray, float]:
     """One dataset row, reproducible from (master_seed, row) alone."""
-    k, caps, jobs = _row_jobs(ctx, values,
-                              stream(master_seed, "dataset:row", row),
-                              _trial_streams(master_seed, [row], trials))
-    return k, caps, reduce(add, ctx.period_costs(jobs), 0.0) / trials
+    k, caps = _row_fleet(ctx, values, stream(master_seed, "dataset:row", row))
+    costs = ctx.period_costs([(k, caps)] * trials,
+                             _trial_outages(ctx, master_seed, [row], trials))
+    return k, caps, reduce(add, costs, 0.0) / trials
 
 
 def generate_dataset(ctx: SimulationContext, observations: int | None = None,
@@ -179,13 +179,13 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     per unit from the reachable set. Each row's target averages `trials`
     independent period simulations. Rows are simulated in blocks of whole
     rows holding at most `_BLOCK_JOBS` trials (one row when a row holds
-    more): one `streams` call seeds the block's row streams and another its
-    trial streams, each row draws its period, capacities and traces from
-    them as `dataset_row` does, and one `period_costs` call dispatches the
-    block, so every row equals its `dataset_row` bit for bit. The dataset
-    also carries what the surrogate takes from the config: its digest, the
-    dod and efficiency schedules the forest computes its features from, and
-    the metamodel fit settings.
+    more): one `streams` call seeds the block's row streams, each row draws
+    its period and capacities from its stream as `dataset_row` does, one
+    `period_outages` call draws every trial's trace, and one `period_costs`
+    call dispatches the block, so every row equals its `dataset_row` bit for
+    bit. The dataset also carries what the surrogate takes from the config:
+    its digest, the dod and efficiency schedules the forest computes its
+    features from, and the metamodel fit settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -205,14 +205,12 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     for first in range(0, observations, step):
         rows = range(first, min(first + step, observations))
         row_rngs = streams(master_seed, "dataset:row", [(r,) for r in rows])
-        trial_rngs = _trial_streams(master_seed, rows, trials)
-        jobs = []
-        for i, r in enumerate(rows):
-            periods[r], caps[r], row_jobs = _row_jobs(
-                ctx, values, row_rngs[i],
-                trial_rngs[i * trials:(i + 1) * trials])
-            jobs += row_jobs
-        block = ctx.period_costs(jobs)
+        fleets = []
+        for r, row_rng in zip(rows, row_rngs):
+            periods[r], caps[r] = _row_fleet(ctx, values, row_rng)
+            fleets += [(periods[r], caps[r])] * trials
+        block = ctx.period_costs(fleets, _trial_outages(ctx, master_seed,
+                                                        rows, trials))
         for i, r in enumerate(rows):
             costs[r] = reduce(add, block[i * trials:(i + 1) * trials],
                               0.0) / trials

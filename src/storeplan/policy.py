@@ -19,7 +19,6 @@ from .finance import investment_cost
 from .mdp import (MdpAction, MdpEnv, MdpState, NO_OP, encode_state,
                   format_number)
 from .qlearn import QTable
-from .rng import streams
 from .simulate import SimulationContext
 
 __all__ = [
@@ -321,9 +320,9 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
 
     Stream keys depend only on (seed, trial), never on the policy, so two
     policies evaluated with the same seed face identical outage traces.
-    One `streams` call seeds every trial's stream, each trial's traces are
-    drawn from its stream, and one `period_costs` call dispatches all their
-    outages.
+    One `period_outages` call draws every trial's traces, one per step in
+    turn from the trial's stream, and one `period_costs` call dispatches
+    all their outages.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -343,11 +342,11 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             period=s.period, horizon_periods=plan.horizon_periods,
             years_per_period=plan.years_per_period, rate=plan.interest_rate,
             lifetime_years=tech.lifetime_schedule[s.period - 1])
-    jobs = []
-    for rng in streams(seed, "eval:trial", [(t,) for t in range(trials)]):
-        jobs += [(s.period, s.capacity_after, ctx.period_trace(rng))
-                 for s in report.steps]
-    costs = iter(ctx.period_costs(jobs))
+    outages = ctx.period_outages(seed, "eval:trial",
+                                 [(t,) for t in range(trials)],
+                                 per=len(report.steps))
+    fleets = [(s.period, s.capacity_after) for s in report.steps] * trials
+    costs = iter(ctx.period_costs(fleets, outages))
     # sums run left to right with +=: sum() compensates from Python 3.12 on,
     # which would make the bytes written depend on the interpreter
     samples = []

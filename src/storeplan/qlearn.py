@@ -1,7 +1,7 @@
 """Tabular Q-learning over the expansion process, with JSONL persistence.
 
 The table holds a q-value and a visit count per action for each state that
-`MdpEnv.tables` numbers; training, the exact DP's picks and the JSONL file
+`MdpEnv.numbering` numbers; training, the exact DP's picks and the JSONL file
 all index states by that number. Exploration and the learning rate both decay
 linearly over the run, and the step size of a pair never drops below one
 over its visit count. The learning curve tracks mean undiscounted episode
@@ -52,11 +52,11 @@ class DecaySchedule:
 
 class QTable:
     """Rows `(q, visits)`, dense over actions: `rows[n]` is the row of the
-    state that `MdpEnv.tables` numbers n, or None if no step reached it."""
+    state that `MdpEnv.numbering` numbers n, or None if no step reached it."""
 
     def __init__(self, env: MdpEnv):
         self.env, self.num_actions = env, env.num_actions
-        self.rows: list = [None] * env.tables[2]
+        self.rows: list = [None] * env.numbering[1]
 
     def __len__(self) -> int:
         return len(self.rows) - self.rows.count(None)
@@ -192,11 +192,11 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
 
 
 def _state_names(env: MdpEnv):
-    """Per period of `env.tables`' numbering, `(prefixes, caps, offset)`:
+    """Per period of `env.numbering`, `(prefixes, caps, offset)`:
     the state numbered `offset + code * len(caps) + c` is named
     `prefixes[code] + caps[c]`, as `encode_state` names it. Each price code
     and each capacity position is named once."""
-    for k, (codes, c_set, offset) in enumerate(env.tables[1], start=1):
+    for k, (codes, c_set, offset) in enumerate(env.numbering[0], start=1):
         yield ([",".join(map(str, (k, *idx))) + "," for idx in codes],
                [",".join(map(format_number, c)) for c in c_set], offset)
 

@@ -3,9 +3,10 @@
 Every stochastic work unit (a dataset row, a simulation trial, a training run)
 owns a stream keyed by a purpose tag plus integer indices, so results do not
 depend on the order in which units execute. `stream` seeds one unit's
-generator; `streams` seeds many units of one tag at once, as a gen-data block
-or an evaluation does for its trials, and gives each the state `stream`
-gives it.
+generator; `stream_seeds` computes the seeds of many units of one tag at
+once, as a gen-data block or an evaluation does for its trials, and gives
+each the state `stream` gives it, either as a generator (`streams`) or as
+the bit generator's raw words (`raw_words`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import zlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "streams", "spawn_key", "word_limit", "BlockDraws"]
+__all__ = ["stream", "stream_seeds", "streams", "raw_words", "spawn_key",
+           "word_limit", "BlockDraws"]
 
 _SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
 _LOW32 = 0xFFFFFFFF
@@ -106,13 +108,14 @@ class _SeedState(ISeedSequence):
         return self._state
 
 
-def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
-    """`stream(master_seed, tag, *key)` for each index tuple in `keys`.
+def stream_seeds(master_seed: int, tag: str, keys) -> np.ndarray:
+    """The PCG64 seed words of `stream(master_seed, tag, *key)` for each
+    index tuple in `keys`, one (4,) uint64 row per key.
 
     `SeedSequence`'s hash runs once over all keys of a length in words, in
-    wrapping uint32 array arithmetic, so each generator gets `stream`'s
-    PCG64 state without a `SeedSequence` of its own. A negative seed or
-    index raises `ValueError`, as `SeedSequence` does.
+    wrapping uint32 array arithmetic, so no key needs a `SeedSequence` of
+    its own. A negative seed or index raises `ValueError`, as
+    `SeedSequence` does.
     """
     head = _words(int(master_seed)) + list(spawn_key(tag))
     groups: dict[int, tuple[list[int], list[list[int]]]] = {}
@@ -129,12 +132,31 @@ def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
         positions.append(count)
         rows.append(words)
         count += 1
-    out = [None] * count
+    seeds = np.empty((count, _POOL), dtype=np.uint64)
     for positions, rows in groups.values():
-        seeds = _pcg_seeds(np.array(rows, dtype=np.uint32).T)
-        for pos, seed in zip(positions, seeds):
-            out[pos] = np.random.Generator(np.random.PCG64(_SeedState(seed)))
-    return out
+        seeds[positions] = _pcg_seeds(np.array(rows, dtype=np.uint32).T)
+    return seeds
+
+
+def _pcg64(seed: np.ndarray) -> np.random.PCG64:
+    return np.random.PCG64(_SeedState(seed))
+
+
+def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
+    """`stream(master_seed, tag, *key)` for each index tuple in `keys`,
+    seeded by one `stream_seeds` call."""
+    return [np.random.Generator(_pcg64(seed))
+            for seed in stream_seeds(master_seed, tag, keys)]
+
+
+def raw_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` raw 64-bit words of each seed row's PCG64, one row
+    per seed: the words a fresh `stream` generator draws from, without a
+    `Generator` object."""
+    words = np.empty((len(seeds), count), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        row[:] = _pcg64(seed).random_raw(count)
+    return words
 
 
 def word_limit(p: float) -> int:

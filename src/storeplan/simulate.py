@@ -3,21 +3,18 @@
 One trial simulates a single decision period: a fresh outage trace over the
 period's years, dispatch of every outage from a freshly charged fleet taken as
 one store, and the VOLL-weighted cost of whatever critical load went unserved.
-The outages of many trials are dispatched together, one lane each, and
-priced at the classes' VOLLs in one stacked matmul.
+The traces of many trials are drawn together (`period_outages`), and their
+outages dispatched together, one lane each, and priced at the classes' VOLLs
+in one stacked matmul.
 """
 
 from __future__ import annotations
-
-import itertools
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .config import HOURS_PER_YEAR, Config
 from .dispatch import OutageDispatcher, StorageFleet
-from .outages import OutageTrace, generate_outages
+from .outages import OutageBatch, OutageTrace, draw_outages
 
 __all__ = ["SimulationContext"]
 
@@ -45,39 +42,51 @@ class SimulationContext:
                                  dod=self.dod[period - 1],
                                  efficiency=self.efficiency[period - 1])
 
-    def period_trace(self, rng: np.random.Generator) -> OutageTrace:
+    def period_outages(self, master_seed: int, tag: str, keys,
+                       per: int = 1) -> OutageBatch:
+        """`per` period traces from each key's `stream(master_seed, tag,
+        *key)`, drawn as `generate_outages` draws them (`draw_outages`)."""
         plan = self.config.planning
-        return generate_outages(plan.saifi, plan.caidi, plan.years_per_period, rng)
+        return draw_outages(plan.saifi, plan.caidi, plan.years_per_period,
+                            master_seed, tag, keys, per)
 
-    def period_costs(self, jobs) -> list[float]:
-        """Lost-load cost in $ of each `(period, capacities, trace)` job.
+    def period_costs(self, fleets, outages: OutageBatch) -> list[float]:
+        """Lost-load cost in $ of each job: `fleets[i]` is job i's
+        `(period, capacities)` and `outages.counts[i]` counts its outages.
 
         Each distinct fleet's energies are computed once, and one `serve`
         call dispatches every outage of every job from a full store. One
         stacked `matmul` prices each outage's lost energy at the classes'
-        VOLLs, a dot product per outage with the bits of `volls @ lost_row`;
-        a job's cost adds its outages' prices left to right from 0.0.
+        VOLLs, a dot product per outage with the bits of `volls @ lost_row`.
+        A job's cost adds its outages' prices left to right from 0.0, one
+        column of the (jobs, outages) price matrix at a time; the zeros that
+        pad shorter jobs leave their sums unchanged.
         """
         period_hours = self.config.planning.years_per_period * HOURS_PER_YEAR
         energies = {}
-        s_d, s_c, start, duration, counts = [], [], [], [], []
-        for period, capacities, trace in jobs:
+        energy, first_hour = [], []
+        for period, capacities in fleets:
             key = (period, tuple(capacities))
             if key not in energies:
                 energies[key] = self.fleet_for(period, capacities).energy()
-            deliverable, recharge = energies[key]
-            offset = (period - 1) * period_hours
-            n = len(trace.starts)
-            start += [offset + s for s in trace.starts]
-            duration += trace.durations
-            s_d += [deliverable] * n
-            s_c += [recharge] * n
-            counts.append(n)
-        _, lost = self.dispatcher.serve(s_d, s_d, s_c, start, duration)
-        prices = iter(np.matmul(lost[:, None, :], self._volls)[:, 0].tolist())
-        # reduce adds left to right; sum() compensates from Python 3.12 on
-        return [reduce(add, itertools.islice(prices, n), 0.0) for n in counts]
+            energy.append(energies[key])
+            first_hour.append((period - 1) * period_hours)
+        counts = np.asarray(outages.counts, dtype=np.int64)
+        s_d, s_c = np.repeat(np.reshape(energy, (-1, 2)), counts, axis=0).T
+        start = np.repeat(np.array(first_hour, dtype=np.int64), counts)
+        _, lost = self.dispatcher.serve(s_d, s_d, s_c, start + outages.starts,
+                                        outages.durations)
+        prices = np.zeros((len(counts), counts.max(initial=0)))
+        prices[np.arange(prices.shape[1]) < counts[:, None]] = np.matmul(
+            lost[:, None, :], self._volls)[:, 0]
+        costs = np.zeros(len(counts))
+        for column in prices.T:
+            costs += column
+        return costs.tolist()
 
     def period_cost(self, period: int, capacities, trace: OutageTrace) -> float:
         """Lost-load cost in $ of serving one period's outage trace with `capacities`."""
-        return self.period_costs([(period, capacities, trace)])[0]
+        batch = OutageBatch(np.array(trace.starts, dtype=np.int64),
+                            np.array(trace.durations, dtype=np.int64),
+                            [len(trace.starts)])
+        return self.period_costs([(period, capacities)], batch)[0]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from storeplan import outages
 from storeplan.config import load_config
 from storeplan.simulate import SimulationContext
 
@@ -14,6 +15,13 @@ def pointwise(cost):
     """An `MdpEnv` outage cost over rows of (period, capacity...), built from
     `cost(period, capacities)` of one point."""
     return lambda rows: [cost(int(row[0]), tuple(row[1:])) for row in rows]
+
+
+def period_trace(ctx, rng):
+    """One period's outage trace for `ctx`'s config, drawn from `rng`."""
+    plan = ctx.config.planning
+    return outages.generate_outages(plan.saifi, plan.caidi,
+                                    plan.years_per_period, rng)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ arguments and result, so a change to their shape (an outage trace's fields,
 import importlib.util
 
 from conftest import REPO
+from storeplan import outages
 from storeplan.rng import stream
 
 
@@ -39,7 +40,10 @@ def test_trace_and_dispatch_hooks_read_real_results(case_context):
     names = ("outages.generate", "dispatch.simulate")
     tracer.install([t for t in layers.TARGETS if t[2] in names])
     try:
-        trace = case_context.period_trace(stream(3, "bench-hooks"))
+        plan = case_context.config.planning
+        trace = outages.generate_outages(plan.saifi, plan.caidi,
+                                         plan.years_per_period,
+                                         stream(3, "bench-hooks"))
         fleets = [case_context.fleet_for(2, caps)
                   for caps in ((0.0,) * 4, (1000.0, 0.0, 300.0, 0.0))]
         for fleet in fleets:

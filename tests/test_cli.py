@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from storeplan import cli
 from storeplan.config import load_config
 from storeplan.mdp import MdpEnv
 from storeplan.qlearn import load_qtable, save_qtable
@@ -373,6 +374,21 @@ def test_policy_takes_several_scenarios(pipeline_dir, tmp_path):
         name = f"policy_{sid}.csv"
         assert ((tmp_path / "one" / name).read_bytes()
                 == (tmp_path / "each" / name).read_bytes())
+
+
+def test_policy_needs_no_outage_cost(pipeline_dir, tmp_path, monkeypatch):
+    # policy numbers the states without tabulating the model, so an outage
+    # cost that raises leaves every byte it writes as it was
+    def refuse(rows):
+        raise AssertionError("policy asked for outage costs")
+
+    monkeypatch.setattr(cli, "_no_outage_cost", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["policy", "--config", SMOKE, "--qtable",
+                     str(pipeline_dir / "qtable.jsonl"), "--scenario", "1",
+                     "--out", str(out)]) == 0
+    assert ((out / "policy_1.csv").read_bytes()
+            == (pipeline_dir / "policy_1.csv").read_bytes())
 
 
 @pytest.mark.parametrize("ids, match", [

@@ -175,6 +175,21 @@ def test_number_and_states_follow_the_tables_order():
         assert env.number(s) == n
 
 
+def test_numbering_needs_no_outage_cost():
+    """States are numbered without tabulating the model, and the tables
+    keep that numbering."""
+    def refuse(rows):
+        raise AssertionError("numbering asked for outage costs")
+
+    base = make_env(units=2, horizon=3)
+    env = MdpEnv(base.planning, base.storage, outage_cost=refuse)
+    numbering, size = env.numbering
+    states = every_state(base)
+    assert size == len(states)
+    assert [env.number(s) for s in states] == list(range(size))
+    assert (numbering, size) == base.tables[1:]
+
+
 @pytest.mark.parametrize("state", [
     MdpState(0, (1, 1), (0.0, 0.0)),        # before the first period
     MdpState(4, (1, 1), (0.0, 0.0)),        # after the last

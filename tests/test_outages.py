@@ -3,7 +3,9 @@
 Counts follow a Poisson law in the yearly interruption rate and durations a
 shifted Poisson with a one-hour floor, so long-run frequency and mean duration
 must recover the configured indices. Merging can only shorten a trace, never
-lengthen it, and the result is always sorted and disjoint.
+lengthen it, and the result is always sorted and disjoint. The batched
+drawer replays numpy's Poisson and bounded-integer samplers on raw words, so
+it is held to `generate_outages` bit for bit, on every path it can take.
 """
 
 from dataclasses import dataclass
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storeplan import outages
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import OutageTrace, generate_outages
+from storeplan.outages import OutageTrace, draw_outages, generate_outages
 from storeplan.rng import stream
 
 SAIFI = 1.155
@@ -68,6 +71,104 @@ def test_flat_trace_matches_reference_generator():
             assert trace.horizon_years == years
             assert new.bit_generator.state == old.bit_generator.state
     assert big_counts >= 900 and big_durations >= 400
+
+
+def assert_batch_is_reference(saifi, caidi, years, seed, keys, per):
+    """`draw_outages` gives what `per` `generate_outages` calls on each
+    key's stream give, trace after trace."""
+    starts, durations, counts = [], [], []
+    for key in keys:
+        rng = stream(seed, "outage-batch", *key)
+        for _ in range(per):
+            trace = generate_outages(saifi, caidi, years, rng)
+            starts += trace.starts
+            durations += trace.durations
+            counts.append(len(trace.starts))
+    got = draw_outages(saifi, caidi, years, seed, "outage-batch", keys, per)
+    assert got.starts.tolist() == starts
+    assert got.durations.tolist() == durations
+    assert got.counts.tolist() == counts
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The `generate_outages` calls `draw_outages` makes for the streams it
+    does not replay; the tests' own calls go to the unwrapped function."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return generate_outages(*args)
+    monkeypatch.setattr(outages, "generate_outages", spy)
+    return calls
+
+
+def random_keys(params, size):
+    return [tuple(int(i) for i in key) for key in params.integers(
+        0, [1_000, 2**33], size=(size, 2))]
+
+
+def test_drawn_batch_matches_reference_generator(fallbacks):
+    """Over 300 random (saifi, caidi, years) with means under 10, seeds and
+    key sets of 0 to 60 streams, one trace or four per stream: the batch is
+    the streams' traces, and under 1 % of them are drawn by the fallback."""
+    params = np.random.default_rng(2025)
+    traces = 0
+    for case in range(300):
+        years = float(params.choice([1, 2, 2.5, 5, 7, 10]))
+        saifi = params.uniform(0.01, 9.99) / years
+        caidi = params.uniform(1.01, 10.99)
+        per = (1, 4)[case % 2]
+        keys = random_keys(params, int(params.integers(0, 61)))
+        assert_batch_is_reference(saifi, caidi, years, case, keys, per)
+        traces += len(keys) * per
+    assert len(fallbacks) < traces / 100
+
+
+@pytest.mark.parametrize("saifi, caidi, years", [
+    (2.0, 5.122, 5),  # a mean count of 10: numpy draws by PTRS
+    (1.155, 11.0, 5),  # a mean duration of 10
+    (4.0, 15.0, 7),
+    (1e-6, 3.0, 2**33 / HOURS_PER_YEAR),  # 2**33 hours: 64-bit draws
+])
+@pytest.mark.parametrize("per", [1, 4])
+def test_drawn_batch_falls_back_where_numpy_draws_otherwise(
+        fallbacks, saifi, caidi, years, per):
+    keys = random_keys(np.random.default_rng(per), 25)
+    assert_batch_is_reference(saifi, caidi, years, 11, keys, per)
+    assert len(fallbacks) == len(keys) * per
+
+
+@pytest.mark.parametrize("per", [1, 4])
+@pytest.mark.parametrize("name, value, saifi", [
+    # a budget of the mean word count less a deviation
+    ("_SPREAD", -1.0, SAIFI),
+    # ... which, at 0.05 outages a trace, puts the last count past it
+    ("_SPREAD", -1.0, 0.01),
+    ("_COUNT_WINDOW", 8, SAIFI),  # counts of 8 or more read past the window
+])
+def test_drawn_batch_falls_back_past_word_budget(fallbacks, monkeypatch,
+                                                 per, name, value, saifi):
+    monkeypatch.setattr(outages, name, value)
+    keys = random_keys(np.random.default_rng(3), 200)
+    assert_batch_is_reference(saifi, CAIDI, 5, 12, keys, per)
+    assert fallbacks
+
+
+@pytest.mark.parametrize("per", [1, 4])
+def test_drawn_batch_falls_back_on_lemire_rejection(fallbacks, per):
+    # over 2**31 + 1 hours, 2**32 mod n leaves a rejection zone of about
+    # half the 32-bit draws; a trace holds half an outage on average
+    years = (2**31 + 1) / HOURS_PER_YEAR
+    assert int(round(years * HOURS_PER_YEAR)) == 2**31 + 1
+    keys = random_keys(np.random.default_rng(4), 100)
+    assert_batch_is_reference(2e-6, 3.0, years, 13, keys, per)
+    assert 0 < len(fallbacks) < len(keys) * per
+
+
+def test_drawn_batch_of_no_streams():
+    batch = draw_outages(SAIFI, CAIDI, 5, 0, "outage-batch", [], 4)
+    assert [len(a) for a in batch] == [0, 0, 0]
 
 
 def test_long_run_frequency_and_duration():

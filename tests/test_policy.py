@@ -313,8 +313,8 @@ def test_evaluation_adds_trials_left_to_right(case_config):
     # left to right, 1e16 + 1.0 rounds back to 1e16 on every interpreter
     ctx = SimulationContext(case_config)
     totals = iter([1e16, 1.0, -1e16])
-    ctx.period_costs = lambda jobs: [next(totals) if period == 1 else 0.0
-                                     for period, _, _ in jobs]
+    ctx.period_costs = lambda fleets, outages: [
+        next(totals) if period == 1 else 0.0 for period, _ in fleets]
     never = never_invest_report(case_env(case_config),
                                 default_scenarios()["1"])
     value = evaluate_policy(ctx, never, trials=3, seed=1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from storeplan import rng
-from storeplan.rng import BlockDraws, spawn_key, stream, streams, word_limit
+from storeplan.rng import (BlockDraws, raw_words, spawn_key, stream,
+                           stream_seeds, streams, word_limit)
 
 TOP = 2**64 - 1  # the largest raw word
 
@@ -133,6 +134,16 @@ def test_streams_mix_word_counts_in_one_batch(seed):
     keys = [(0, 1), (2**32, 5), (3, 2**40 + 7), (2**64 + 3, 2**32 - 1),
             (9, 9), (), (1,), (2**32 - 1, 0, 2**33, 4, 5)]
     assert_streams_match(seed, "mixed", keys)
+
+
+def test_raw_words_are_the_stream_words():
+    keys = [(0, 1), (2**32, 5), (), (7,)]
+    words = raw_words(stream_seeds(3, "raw", keys), 9)
+    assert words.dtype == np.uint64 and words.shape == (4, 9)
+    for key, row in zip(keys, words):
+        assert row.tolist() == stream(3, "raw", *key).bit_generator.random_raw(
+            9).tolist()
+    assert raw_words(stream_seeds(3, "raw", []), 9).shape == (0, 9)
 
 
 def test_streams_of_no_keys():

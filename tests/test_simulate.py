@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from conftest import period_trace
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import OutageTrace
+from storeplan.outages import OutageBatch, OutageTrace, generate_outages
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
+
+
+def batch(traces) -> OutageBatch:
+    """The traces' outages as one flat batch, trace by trace."""
+    traces = list(traces)
+    return OutageBatch(
+        np.array([s for t in traces for s in t.starts], dtype=np.int64),
+        np.array([d for t in traces for d in t.durations], dtype=np.int64),
+        np.array([len(t.starts) for t in traces], dtype=np.int64))
 
 
 def test_fleet_uses_period_schedules(case_config, case_context):
@@ -20,13 +30,25 @@ def test_fleet_uses_period_schedules(case_config, case_context):
         assert f4.efficiency[unit] == tech.efficiency_schedule[3]
 
 
-def test_period_trace_spans_five_years(case_context):
-    trace = case_context.period_trace(stream(0, "sim-test"))
-    assert trace.horizon_years == 5
+def test_period_outages_are_period_traces(case_config, case_context):
+    """`period_outages` draws each stream's traces over the period's five
+    years, in turn, as `generate_outages` draws them."""
+    plan = case_config.planning
+    assert plan.years_per_period == 5
+    keys = [(0,), (3,), (1,)]
+    traces = []
+    for key in keys:
+        rng = stream(0, "sim-test", *key)
+        traces += [generate_outages(plan.saifi, plan.caidi, 5, rng)
+                   for _ in range(2)]
+    got = case_context.period_outages(0, "sim-test", keys, per=2)
+    want = batch(traces)
+    for name in OutageBatch._fields:
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
 
 def test_zero_capacity_cost_is_positive_and_repeatable(case_context):
-    trace = case_context.period_trace(stream(1, "sim-test"))
+    trace = period_trace(case_context, stream(1, "sim-test"))
     cost = case_context.period_cost(1, (0.0, 0.0, 0.0, 0.0), trace)
     again = case_context.period_cost(1, (0.0, 0.0, 0.0, 0.0), trace)
     assert cost > 0
@@ -35,7 +57,7 @@ def test_zero_capacity_cost_is_positive_and_repeatable(case_context):
 
 def test_storage_weakly_reduces_cost(case_context):
     """More capacity can only remove lost load, never add it."""
-    trace = case_context.period_trace(stream(2, "sim-test"))
+    trace = period_trace(case_context, stream(2, "sim-test"))
     bare = case_context.period_cost(1, (0.0, 0.0, 0.0, 0.0), trace)
     small = case_context.period_cost(1, (1000.0, 0.0, 0.0, 0.0), trace)
     big = case_context.period_cost(1, (3000.0, 3000.0, 3000.0, 0.0), trace)
@@ -44,7 +66,7 @@ def test_storage_weakly_reduces_cost(case_context):
 
 def test_later_periods_cost_more_for_same_trace(case_context):
     """Demand growth makes the same outage trace lose more energy later."""
-    trace = case_context.period_trace(stream(3, "sim-test"))
+    trace = period_trace(case_context, stream(3, "sim-test"))
     caps = (0.0, 0.0, 0.0, 0.0)
     costs = [case_context.period_cost(k, caps, trace) for k in (1, 2, 3, 4)]
     assert costs == sorted(costs)
@@ -54,17 +76,18 @@ def test_batched_jobs_cost_what_each_job_costs_alone(case_context):
     """One `period_costs` call over several jobs, their outages dispatched
     together, gives each job's own `period_cost` bit for bit."""
     rng = stream(4, "sim-test")
-    jobs = [(k, caps, case_context.period_trace(rng))
+    jobs = [(k, caps, period_trace(case_context, rng))
             for k, caps in ((2, (1000.0, 0.0, 0.0, 0.0)),
                             (1, (0.0, 0.0, 0.0, 0.0)),
                             (4, (3000.0, 300.0, 0.0, 9000.0)),
                             (3, (300.0, 300.0, 300.0, 300.0)))]
     jobs.append((1, (1000.0, 0.0, 0.0, 0.0),
                  OutageTrace(starts=(), durations=(), horizon_years=5)))
-    costs = case_context.period_costs(jobs)
+    costs = case_context.period_costs([job[:2] for job in jobs],
+                                      batch(job[2] for job in jobs))
     assert costs == [case_context.period_cost(*job) for job in jobs]
     assert costs[-1] == 0.0
-    assert case_context.period_costs([]) == []
+    assert case_context.period_costs([], batch([])) == []
 
 
 def test_fresh_fleet_each_outage(case_context):
@@ -99,7 +122,7 @@ def test_period_cost_is_the_voll_weighted_dispatch(case_config,
                              for _ in range(12)]
     for caps in fleets:
         k = int(rng.integers(1, 5))
-        trace = case_context.period_trace(rng)
+        trace = period_trace(case_context, rng)
         offset = (k - 1) * years * HOURS_PER_YEAR
         expected = 0.0
         for start, duration in zip(trace.starts, trace.durations):
@@ -138,11 +161,11 @@ def test_voll_pricing_is_the_per_outage_dot(case_config, case_context,
     lost[rng.random((n, len(volls))) < 0.2] = 0.0
     monkeypatch.setattr(case_context.dispatcher, "serve",
                         lambda *lanes: (None, lost))
-    jobs = [(1, (0.0,) * 4, OutageTrace(starts=(0,) * c, durations=(1,) * c,
-                                        horizon_years=5))
-            for c in counts.tolist()]
-    assert case_context.period_costs(jobs) == _voll_oracle(volls, lost,
-                                                           counts)
+    outages = OutageBatch(np.zeros(n, dtype=np.int64),
+                          np.ones(n, dtype=np.int64), counts)
+    assert case_context.period_costs([(1, (0.0,) * 4)] * len(counts),
+                                     outages) == _voll_oracle(volls, lost,
+                                                              counts)
 
 
 def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
@@ -158,7 +181,7 @@ def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
     for _ in range(60):
         caps = tuple(rng.choice(values, size=4).tolist())
         jobs.append((int(rng.integers(1, 5)), caps,
-                     case_context.period_trace(rng)))
+                     period_trace(case_context, rng)))
     expected = []
     for k, caps, trace in jobs:
         s_d, s_c = case_context.fleet_for(k, caps).energy()
@@ -168,5 +191,6 @@ def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
             [(k - 1) * period_hours + s for s in trace.starts],
             trace.durations)
         expected += _voll_oracle(volls, lost, [n])
-    assert case_context.period_costs(jobs) == expected
+    assert case_context.period_costs([job[:2] for job in jobs],
+                                     batch(job[2] for job in jobs)) == expected
     assert expected[0] == 0.0
