@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import gc
 import json
 import os
@@ -278,6 +279,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Built from constants on the first call and shared by every later one:
+# parse_args reads the parser and leaves it as it was.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="storeplan",
                      description="Storage expansion planning pipeline")

@@ -15,9 +15,11 @@ import csv
 import functools
 import hashlib
 import json
+import math
+import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,8 @@ class HourlySeries:
         if values.shape != (HOURS_PER_YEAR,):
             raise ConfigError(
                 f"{self.kind} series: expected {HOURS_PER_YEAR} values, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{self.kind} series: non-finite value")
         if np.any(values < 0):
             raise ConfigError(f"{self.kind} series: negative value")
         object.__setattr__(self, "values", values)
@@ -259,10 +263,30 @@ def _entries(doc: dict, key: str) -> list:
     return doc[key]
 
 
+# json reads `NaN`, `Infinity` and `1e400` as non-finite floats, and an
+# integer of 309 digits or more as an int past the float range; a float
+# field takes none of them.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite_floats(value: list) -> tuple[float, ...] | None:
+    """The JSON numbers in `value` as floats, checked in one pass; None if
+    any entry is not a finite int or float (nor a bool), so that the
+    entry-by-entry check names it."""
+    if not set(map(type, value)) <= {int, float}:
+        return None
+    try:
+        numbers = tuple(map(float, value))
+    except OverflowError:  # an integer past the float range
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
+
+
 def _typed(hint, value, where: str):
     """`value` as the declared type `hint`; ConfigError if it is not one.
 
-    A float field takes any JSON number, an int field only a JSON integer.
+    A float field takes any finite JSON number, an int field only a JSON
+    integer.
     """
     if is_dataclass(hint):
         # A nested section keeps its numbers as written: coercing the
@@ -272,6 +296,9 @@ def _typed(hint, value, where: str):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         item = typing.get_args(hint)[0]
+        numbers = _finite_floats(value) if item is float else None
+        if numbers is not None:
+            return numbers
         return tuple(_typed(item, v, f"{where}[{i}]")
                      for i, v in enumerate(value))
     if isinstance(hint, types.UnionType):  # T | None
@@ -281,6 +308,8 @@ def _typed(hint, value, where: str):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
+    if hint is float and not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return hint(value)
 
 
@@ -323,31 +352,35 @@ def synth_profile(kind: str, seed: int, mean: float | None = None,
     if mean is None:
         mean = DEFAULT_SYNTH_MEAN[kind]
     rng = stream(seed, f"synth:{kind}:{label}")
-    hours = np.arange(HOURS_PER_YEAR)
-    hod = hours % 24
-    doy = (hours // 24) % 365
+    # Each periodic term is computed once on its own grid: hours of the day
+    # along a row, days of the year down a column. Broadcasting combines
+    # them in the full-year formula's order, and the (365, 24) day-by-hour
+    # result read row by row is the year's hours in order, with its bits.
+    hod = np.arange(24)
+    doy = np.arange(HOURS_PER_YEAR // 24)[:, None]
 
     if kind == "demand":
         values = (1.0
                   + 0.25 * np.cos(2 * np.pi * (hod - 17) / 24)
-                  + 0.10 * np.cos(2 * np.pi * (doy - 200) / 365)
-                  + rng.uniform(-0.08, 0.08, HOURS_PER_YEAR))
+                  + 0.10 * np.cos(2 * np.pi * (doy - 200) / 365)).ravel()
+        values = values + rng.uniform(-0.08, 0.08, HOURS_PER_YEAR)
         values = np.maximum(values, 0.05)
     elif kind == "wind":
         values = (1.0
                   + 0.22 * np.cos(2 * np.pi * (doy - 15) / 365)
-                  + 0.12 * np.cos(2 * np.pi * (hod - 15) / 24))
+                  + 0.12 * np.cos(2 * np.pi * (hod - 15) / 24)).ravel()
         values = values * (mean if mean else 1.0)
         values = values + rng.uniform(-1.8, 1.8, HOURS_PER_YEAR)
         values = np.maximum(values, 0.0)
     else:
         # daylight window widens in summer; midnight and small hours stay dark
-        daylen = 12 + 3 * np.cos(2 * np.pi * (doy - 172) / 365)
+        seasonal = np.cos(2 * np.pi * (doy - 172) / 365)
+        daylen = 12 + 3 * seasonal
         elevation = np.cos(np.pi * (hod - 12) / daylen)
         elevation[np.abs(hod - 12) >= daylen / 2] = 0.0
-        season = 0.75 + 0.25 * np.cos(2 * np.pi * (doy - 172) / 365)
+        season = 0.75 + 0.25 * seasonal
         cloud = 1.0 - 0.45 * rng.uniform(0.0, 1.0, HOURS_PER_YEAR) ** 2
-        values = np.maximum(elevation, 0.0) * season * cloud
+        values = (np.maximum(elevation, 0.0) * season).ravel() * cloud
 
     if mean is not None:
         actual = values.mean()
@@ -375,6 +408,8 @@ def load_series(path: str | Path, kind: str) -> HourlySeries:
         if len(row) != 2 or int(row[0]) != i:
             raise ConfigError(f"{path}: row {i}: expected 'hour,value' with hour={i}")
         values[i] = float(row[1])
+        if not math.isfinite(values[i]):
+            raise ConfigError(f"{path}: row {i}: non-finite value {row[1]}")
         if values[i] < 0:
             raise ConfigError(f"{path}: row {i}: negative value {row[1]}")
     return HourlySeries(values=values, kind=kind)
@@ -385,8 +420,9 @@ def _resolve_series(entry, kind: str, label: str, base_dir: Path,
     if entry is None:
         return synth_profile(kind, master_seed, label=label)
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        if entry <= 0:
-            raise ConfigError(f"series.{label or kind}: synthetic mean must be > 0")
+        if not 0 < entry <= _FLOAT_MAX:
+            raise ConfigError(f"series.{label or kind}: synthetic mean must be "
+                              f"finite and > 0, got {entry!r}")
         return synth_profile(kind, master_seed, mean=float(entry), label=label)
     if isinstance(entry, str):
         path = base_dir / entry
@@ -477,18 +513,29 @@ def parse_json(text: str, path, line: int | None = None):
                           ) from None
 
 
+def _section_document(section) -> dict:
+    """A section's fields by name, a nested section as its own dict. The
+    values are the section's own, not the copies `dataclasses.asdict`
+    makes; json writes a tuple as it writes a list."""
+    doc = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        doc[f.name] = _section_document(value) if is_dataclass(value) else value
+    return doc
+
+
 def to_document(config: Config) -> dict:
     """The JSON document form of a configuration, as `config_hash` digests it."""
-    storage = [asdict(tech) for tech in config.storage]
+    storage = [_section_document(tech) for tech in config.storage]
     for entry in storage:
         del entry["id"]  # a unit's id is its position in the list
     return {
-        "planning": asdict(config.planning),
+        "planning": _section_document(config.planning),
         "storage": storage,
-        "facilities": [asdict(fac) for fac in config.facilities],
+        "facilities": [_section_document(fac) for fac in config.facilities],
         "series": config.series_spec,
-        "rl": asdict(config.rl),
-        "metamodel": asdict(config.metamodel),
+        "rl": _section_document(config.rl),
+        "metamodel": _section_document(config.metamodel),
         "seed": config.master_seed,
     }
 

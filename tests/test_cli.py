@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from storeplan import cli
-from storeplan.config import load_config
+from storeplan.config import HOURS_PER_YEAR, load_config
 from storeplan.mdp import MdpEnv
 from storeplan.qlearn import load_qtable, save_qtable
 
@@ -126,6 +126,74 @@ def test_usage_error_exits_one():
 def test_unknown_command_exits_one():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
+
+
+def test_cached_parser_is_reentrant():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    policy = ["policy", "--config", SMOKE, "--qtable", "q.jsonl", "--out", "o"]
+    first = parser.parse_args([*policy, "--scenario", "1", "--scenario", "2"])
+    assert first.scenario == ["1", "2"]
+    assert parser.parse_args([*policy, "--scenario", "3"]).scenario == ["3"]
+    evaluate = ["evaluate", "--config", SMOKE, "--policy", "never-invest",
+                "--out", "o"]
+    assert parser.parse_args([*evaluate, "--seed", "9"]).seed == 9
+    assert parser.parse_args(evaluate).seed is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve"])  # missing required arguments
+    assert exc.value.code == 1
+
+
+def test_stages_run_in_turn_write_what_they_write_alone(pipeline_dir,
+                                                        tmp_path):
+    # one process and one parser; each stage writes the bytes that the
+    # pipeline's own process for it wrote
+    stages = {
+        "gen-data": ["--config", SMOKE, "--observations", "30", "--trials",
+                     "2"],
+        "evaluate": ["--config", SMOKE, "--policy",
+                     str(pipeline_dir / "policy_1.csv"), "--trials", "5"],
+    }
+    alone = json.loads((pipeline_dir / "manifest.json").read_text())
+    for stage, args in stages.items():
+        out = tmp_path / stage
+        assert cli.main([stage, *args, "--out", str(out)]) == 0
+        entries = json.loads((out / "manifest.json").read_text())["artifacts"]
+        for name, entry in entries.items():
+            assert entry["params"] == alone["artifacts"][name]["params"]
+        written = sorted(p.name for p in out.iterdir()
+                         if p.name != "manifest.json")
+        assert written
+        for name in written:
+            assert ((out / name).read_bytes()
+                    == (pipeline_dir / name).read_bytes()), name
+
+
+def _nan_row_series(path):
+    path.write_text("hour,value\n" + "".join(
+        f"{i},{'nan' if i == 5 else 1.0}\n" for i in range(HOURS_PER_YEAR)))
+    return path.name
+
+
+NON_FINITE = {
+    "planning.saifi": lambda doc, tmp: doc["planning"].update(saifi=math.nan),
+    "series.wind": lambda doc, tmp: doc["series"].update(wind=math.inf),
+    "school.csv: row 5": lambda doc, tmp: doc["series"]["demand"].update(
+        school=_nan_row_series(tmp / "school.csv")),
+}
+
+
+@pytest.mark.parametrize("named", NON_FINITE)
+def test_non_finite_config_value_exits_two(tmp_path, capsys, named):
+    doc = json.loads((CONFIGS / "smoke.json").read_text())
+    NON_FINITE[named](doc, tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+    assert cli.main(["evaluate", "--config", str(bad), "--policy",
+                     "never-invest", "--trials", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_exits_two(tmp_path):

@@ -1,15 +1,22 @@
 """Schema validation, synthetic series determinism, and the config digest."""
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import CONFIGS
-from storeplan.config import (HOURS_PER_YEAR, ConfigError, config_hash,
+from storeplan.config import (DEFAULT_SYNTH_MEAN, HOURS_PER_YEAR,
+                              ConfigError, HourlySeries, config_hash,
                               load_config, load_series, synth_profile,
                               to_document)
+from storeplan.rng import stream
+
+NAN, INF = math.nan, math.inf
+HUGE = 10**400  # a JSON integer past the float range
 
 
 def write_doc(tmp_path, doc):
@@ -105,6 +112,53 @@ def test_synth_wind_and_irradiance_nonnegative():
     assert len(sun.values) == HOURS_PER_YEAR
 
 
+def reference_profile(kind, seed, mean=None, label=""):
+    """`synth_profile`'s values computed over the full year, hour by hour:
+    the formula `synth_profile` evaluates on day and hour grids."""
+    if mean is None:
+        mean = DEFAULT_SYNTH_MEAN[kind]
+    rng = stream(seed, f"synth:{kind}:{label}")
+    hours = np.arange(HOURS_PER_YEAR)
+    hod = hours % 24
+    doy = (hours // 24) % 365
+    if kind == "demand":
+        values = (1.0
+                  + 0.25 * np.cos(2 * np.pi * (hod - 17) / 24)
+                  + 0.10 * np.cos(2 * np.pi * (doy - 200) / 365)
+                  + rng.uniform(-0.08, 0.08, HOURS_PER_YEAR))
+        values = np.maximum(values, 0.05)
+    elif kind == "wind":
+        values = (1.0
+                  + 0.22 * np.cos(2 * np.pi * (doy - 15) / 365)
+                  + 0.12 * np.cos(2 * np.pi * (hod - 15) / 24))
+        values = values * (mean if mean else 1.0)
+        values = values + rng.uniform(-1.8, 1.8, HOURS_PER_YEAR)
+        values = np.maximum(values, 0.0)
+    else:
+        daylen = 12 + 3 * np.cos(2 * np.pi * (doy - 172) / 365)
+        elevation = np.cos(np.pi * (hod - 12) / daylen)
+        elevation[np.abs(hod - 12) >= daylen / 2] = 0.0
+        season = 0.75 + 0.25 * np.cos(2 * np.pi * (doy - 172) / 365)
+        cloud = 1.0 - 0.45 * rng.uniform(0.0, 1.0, HOURS_PER_YEAR) ** 2
+        values = np.maximum(elevation, 0.0) * season * cloud
+    if mean is not None:
+        actual = values.mean()
+        if actual > 0:
+            values = values * (mean / actual)
+    return values
+
+
+@pytest.mark.parametrize("kind", ["demand", "irradiance", "wind"])
+@pytest.mark.parametrize("mean", [None, 0.4, 6.5, 500.0])
+def test_grid_synthesis_matches_full_year_formula(kind, mean):
+    # every config's series, and so every artifact, is built on these bits
+    for seed in (0, 3, 1729, 2**40 + 7):
+        for label in ("", "hospital", "wind"):
+            got = synth_profile(kind, seed, mean=mean, label=label).values
+            want = reference_profile(kind, seed, mean, label)
+            assert got.tobytes() == want.tobytes(), (seed, label)
+
+
 def test_irradiance_dark_at_night():
     sun = synth_profile("irradiance", 3, label="s")
     # midnight of day 10
@@ -137,6 +191,26 @@ def test_load_series_rejects_negative(tmp_path):
             fh.write(f"{i},{-1.0 if i == 7 else 1.0}\n")
     with pytest.raises(ConfigError, match="negative"):
         load_series(path, "demand")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_load_series_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    with open(path, "w") as fh:
+        fh.write("hour,value\n")
+        for i in range(HOURS_PER_YEAR):
+            fh.write(f"{i},{text if i == 7 else 1.0}\n")
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"row 7: non-finite value {text}")):
+        load_series(path, "demand")
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_series_rejects_non_finite_values(value):
+    values = np.ones(HOURS_PER_YEAR)
+    values[100] = value
+    with pytest.raises(ConfigError, match="wind series: non-finite value"):
+        HourlySeries(values=values, kind="wind")
 
 
 def test_config_hash_stable_across_loads(tmp_path, case_config):
@@ -238,6 +312,47 @@ def test_wrongly_typed_value_rejected(tmp_path, tiny_config_doc, where, key,
     SECTIONS[where](tiny_config_doc)[key] = value
     with pytest.raises(ConfigError, match=re.escape(f"{where}.{key}")):
         load_config(write_doc(tmp_path, tiny_config_doc))
+
+
+@pytest.mark.parametrize("where, key, value, named", [
+    ("planning", "interest_rate", NAN, "planning.interest_rate"),
+    ("planning", "saifi", NAN, "planning.saifi"),
+    ("planning", "caidi", -INF, "planning.caidi"),
+    pytest.param("planning", "caidi", HUGE, "planning.caidi",
+                 id="planning-caidi-huge"),
+    pytest.param("planning", "expansion_levels_kwh", [300, 1000, HUGE],
+                 "planning.expansion_levels_kwh[2]",
+                 id="planning-expansion_levels_kwh-huge"),
+    ("planning.renewables", "eta_wind", NAN, "planning.renewables.eta_wind"),
+    ("storage[1]", "price_schedule", [142, NAN, 77, 65],
+     "storage[1].price_schedule[1]"),
+    ("storage[1]", "lifetime_schedule", [10, 15, INF, 20],
+     "storage[1].lifetime_schedule[2]"),
+    ("facilities[2]", "voll", NAN, "facilities[2].voll"),
+    ("rl", "gamma", NAN, "rl.gamma"),
+])
+def test_non_finite_value_rejected(tmp_path, tiny_config_doc, where, key,
+                                   value, named):
+    # json writes and reads these as NaN, Infinity and a 401-digit integer
+    SECTIONS[where](tiny_config_doc)[key] = value
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{named}: expected a finite number")):
+        load_config(write_doc(tmp_path, tiny_config_doc))
+
+
+@pytest.mark.parametrize("label, entry", [
+    ("wind", INF), ("wind", NAN), ("irradiance", -INF), ("school", NAN),
+    pytest.param("hospital", HUGE, id="hospital-huge"),
+])
+def test_non_finite_synthetic_mean_rejected(tmp_path, tiny_config_doc,
+                                            label, entry):
+    series = tiny_config_doc["series"]
+    (series["demand"] if label in series["demand"] else series)[label] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy sees it
+        with pytest.raises(ConfigError, match=re.escape(
+                f"series.{label}: synthetic mean must be finite and > 0")):
+            load_config(write_doc(tmp_path, tiny_config_doc))
 
 
 def test_values_take_their_declared_type(smoke_config):
