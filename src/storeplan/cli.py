@@ -22,9 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import (ConfigError, IncompatibleArtifact, config_hash,
-                     load_config)
-from .mdp import (MdpEnv, backward_induction, count_states_component_product,
-                  count_states_reachable)
+                     load_config, parse_json)
+from .mdp import MdpEnv, backward_induction, count_states_component_product
 from .metamodel import (generate_dataset, load_forest,
                         reachable_capacity_values, read_dataset, save_forest,
                         train_forest, write_dataset)
@@ -55,16 +54,27 @@ def _utcnow() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _read_manifest(manifest_path: Path) -> dict:
+    """The manifest at `manifest_path`, or a new one if there is none; one
+    that is not a JSON object holding an 'artifacts' object is a
+    validation failure naming the file."""
+    if not manifest_path.exists():
+        return {"package_version": __version__, "artifacts": {}}
+    manifest = parse_json(manifest_path.read_text(), manifest_path)
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.setdefault("artifacts", {}), dict)):
+        raise ConfigError(f"{manifest_path}: a manifest holds a JSON object "
+                          f"whose 'artifacts' is an object")
+    manifest["package_version"] = __version__
+    return manifest
+
+
 def _record_artifact(out_dir: Path, name: str, filename: str,
                      digest: str | None, args, params: dict) -> None:
     """Add `name`'s entry to the manifest. `wall_s` and `cpu_s` are the
     stage's wall and CPU seconds (this process) up to the entry's write."""
     manifest_path = out_dir / "manifest.json"
-    manifest = {"package_version": __version__, "artifacts": {}}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        manifest.setdefault("artifacts", {})
-        manifest["package_version"] = __version__
+    manifest = _read_manifest(manifest_path)
     manifest["artifacts"][name] = {
         "path": filename,
         "config_hash": digest,
@@ -82,6 +92,7 @@ def _record_artifact(out_dir: Path, name: str, filename: str,
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _read_manifest(out / "manifest.json")  # a bad one fails before any write
     return out
 
 
@@ -145,7 +156,7 @@ def cmd_solve(args) -> int:
     curve.save(out / "learning_curve.csv")
     bound_states, bound_pairs = count_states_component_product(
         env.num_units, len(env.levels), cfg.planning.horizon_periods)
-    reachable = count_states_reachable(cfg.planning, cfg.storage)
+    reachable = env.numbering[1]
     print(f"wrote {qpath} ({len(qtable)} of {reachable} reachable states "
           f"visited, {len(qtable) / reachable:.0%}; component bound "
           f"{bound_states} states / {bound_pairs} pairs)")

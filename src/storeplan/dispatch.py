@@ -107,13 +107,7 @@ class OutageDispatcher:
         self._growth = np.array([(1.0 + growth_rate) ** y
                                  for y in range(n_years)])
 
-    def critical_demand(self, t: int) -> list[float]:
-        """Critical load per facility class at absolute hour t, priority order."""
-        factor = self._growth[t // HOURS_PER_YEAR]
-        return (self._critical[:, t % HOURS_PER_YEAR] * factor).tolist()
-
-    def serve(self, level, s_d, s_c, start_hour, duration_hours,
-              depths: np.ndarray | None = None
+    def serve(self, level, s_d, s_c, start_hour, duration_hours
               ) -> tuple[np.ndarray, np.ndarray]:
         """Serve outages, one per lane, each from a store holding `level` of
         its S_d kWh.
@@ -121,9 +115,7 @@ class OutageDispatcher:
         Every argument holds one value per lane. The lanes step hour by hour
         together, and a lane drops out when its outage ends. Returns the
         deliverable energy left per lane and the critical energy lost,
-        summed over the hours, shaped (lanes, facility classes). When given,
-        `depths[j, i]` receives how many classes lane i served in its hour
-        j.
+        summed over the hours, shaped (lanes, facility classes).
         """
         # longest outages first, so the lanes still running are a prefix
         order = np.argsort(-np.asarray(duration_hours), kind="stable")
@@ -146,15 +138,11 @@ class OutageDispatcher:
             budget = ren + left + 1e-9
             demand_total = np.zeros(n)
             served = np.ones(n, dtype=bool)
-            depth = np.zeros(n, dtype=np.int64)
             for g, base in enumerate(self._critical):
                 d = base[h] * factor
                 served &= demand_total + d <= budget
                 np.add(demand_total, d, out=demand_total, where=served)
                 np.add(lost[:n, g], d, out=lost[:n, g], where=~served)
-                depth += served
-            if depths is not None:
-                depths[j, order[:n]] = depth
             short = demand_total >= ren
             level[:n] = np.where(
                 short, np.maximum(left - (demand_total - ren), 0.0),
@@ -166,10 +154,13 @@ class OutageDispatcher:
                  duration_hours: int) -> OutageServiceResult:
         """Serve one outage from the given fleet state; the input fleet is not mutated.
 
-        The fleet enters `serve` as one lane, at its shared fraction of
-        charge: the least (charge - floor) / (capacity - floor) over units
-        with capacity. Each unit leaves at its floor plus the final fraction
-        of its span.
+        The fleet enters `serve` at its shared fraction of charge: the least
+        (charge - floor) / (capacity - floor) over units with capacity. It
+        steps one `serve` call per hour, carrying the level, so each hour's
+        losses are its own. Classes are served all or nothing in priority
+        order, and the first class refused has positive demand, so an hour
+        serves the classes before its first loss. Each unit leaves at its
+        floor plus the final fraction of its span.
         """
         s_d, s_c = fleet.energy()
         floor = fleet.min_level
@@ -177,15 +168,13 @@ class OutageDispatcher:
         active = fleet.capacity > 0
         share = (float(((fleet.charge - floor)[active] / span[active]).min())
                  if active.any() else 0.0)
-        depths = np.zeros((duration_hours, 1), dtype=np.int64)
-        level, _ = self.serve([share * s_d], [s_d], [s_c], [start_hour],
-                              [duration_hours], depths)
-        n_fac = len(self.facilities)
-        served = np.arange(n_fac) < depths
-        demand = np.array([self.critical_demand(t) for t in
-                           range(start_hour, start_hour + duration_hours)],
-                          dtype=float).reshape(duration_hours, n_fac)
+        level = share * s_d
+        lost = np.zeros((duration_hours, len(self.facilities)))
+        for j in range(duration_hours):
+            (level,), lost[j] = self.serve([level], [s_d], [s_c],
+                                           [start_hour + j], [1])
         return OutageServiceResult(
-            start_hour=start_hour, served=served,
-            lost_kwh=np.where(served, 0.0, demand),
-            final_charge=floor + (level[0] / s_d if s_d > 0 else 0.0) * span)
+            start_hour=start_hour,
+            served=~np.logical_or.accumulate(lost > 0, axis=1),
+            lost_kwh=lost,
+            final_charge=floor + (level / s_d if s_d > 0 else 0.0) * span)

@@ -23,19 +23,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import reduce
-from operator import add
 from pathlib import Path
 
 import numpy as np
 
 from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
-                     MetamodelParams, _require_keys, _section, config_hash,
-                     parse_json)
-from .dispatch import fleet_energy
-from .outages import OutageBatch
+                     MetamodelParams, _finite_floats, _require_keys, _section,
+                     config_hash, parse_json)
 from .rng import stream, streams
-from .simulate import SimulationContext
+from .simulate import SimulationContext, period_energy, row_sums
 
 __all__ = [
     "SyntheticDataset", "reachable_capacity_values", "generate_dataset",
@@ -51,6 +47,14 @@ FOREST_FORMAT = "storeplan-forest-v2"
 PERIOD = 0
 # A tree's node lists, as a forest file holds them.
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+# The keys of a forest file besides its format, with their JSON types.
+FOREST_KEYS = (("num_features", (int,), "integer"),
+               ("params", (dict,), "object"), ("dod", (list,), "list"),
+               ("efficiency", (list,), "list"),
+               ("train_indices", (list,), "list"),
+               ("test_indices", (list,), "list"),
+               ("r2_test", (int, float), "number"),
+               ("config_hash", (str,), "string"), ("trees", (list,), "list"))
 # Fit settings of the config's metamodel section (its optional fields), as
 # the dataset carries them.
 FIT_KEYS = tuple(f.name for f in fields(MetamodelParams)
@@ -100,10 +104,7 @@ def _fleet_energy(period, capacity, dod, efficiency) -> np.ndarray:
     `dod` and `efficiency` are indexed [period - 1, unit].
     """
     period = np.asarray(period).astype(int)
-    if len(period) and (period.min() < 1 or period.max() > len(dod)):
-        raise ValueError("period outside the dod/efficiency schedules")
-    deliverable, recharge = fleet_energy(capacity, dod[period - 1],
-                                         efficiency[period - 1])
+    deliverable, recharge = period_energy(period, capacity, dod, efficiency)
     return np.column_stack([period.astype(float), deliverable, recharge])
 
 
@@ -145,29 +146,34 @@ class SyntheticDataset:
         return self.capacity.shape[1]
 
 
-def _trial_outages(ctx: SimulationContext, master_seed: int, rows,
-                   trials: int) -> OutageBatch:
-    """The trial traces of `rows`, row by row, drawn in one batch."""
-    return ctx.period_outages(master_seed, "dataset:trial",
-                              [(r, t) for r in rows for t in range(trials)])
+def _simulate_rows(ctx: SimulationContext, values, rows, row_rngs,
+                   trials: int, master_seed: int):
+    """The fleets `(period, capacities)` of `rows` and their mean costs.
 
-
-def _row_fleet(ctx: SimulationContext, values,
-               row_rng) -> tuple[int, np.ndarray]:
-    """A row's period and capacities, drawn from the row's stream."""
+    Each row draws its period, then its capacities, from its generator in
+    `row_rngs`; one `period_outages` call draws every trial's trace, row
+    by row, and one `period_costs` call dispatches them all. A row's mean
+    adds its trials' costs left to right.
+    """
     plan = ctx.config.planning
-    units = len(ctx.config.storage)
-    k = int(row_rng.integers(1, plan.horizon_periods + 1))
-    return k, row_rng.choice(np.asarray(values, dtype=float), size=units)
+    values = np.asarray(values, dtype=float)
+    fleets = [(int(rng.integers(1, plan.horizon_periods + 1)),
+               rng.choice(values, size=len(ctx.config.storage)))
+              for rng in row_rngs]
+    outages = ctx.period_outages(master_seed, "dataset:trial",
+                                 [(r, t) for r in rows for t in range(trials)])
+    costs = ctx.period_costs([f for f in fleets for _ in range(trials)],
+                             outages)
+    return fleets, row_sums(np.reshape(costs, (len(fleets), trials))) / trials
 
 
 def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
                 master_seed: int) -> tuple[int, np.ndarray, float]:
     """One dataset row, reproducible from (master_seed, row) alone."""
-    k, caps = _row_fleet(ctx, values, stream(master_seed, "dataset:row", row))
-    costs = ctx.period_costs([(k, caps)] * trials,
-                             _trial_outages(ctx, master_seed, [row], trials))
-    return k, caps, reduce(add, costs, 0.0) / trials
+    [(k, caps)], [cost] = _simulate_rows(
+        ctx, values, [row], [stream(master_seed, "dataset:row", row)], trials,
+        master_seed)
+    return k, caps, float(cost)
 
 
 def generate_dataset(ctx: SimulationContext, observations: int | None = None,
@@ -179,13 +185,12 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     per unit from the reachable set. Each row's target averages `trials`
     independent period simulations. Rows are simulated in blocks of whole
     rows holding at most `_BLOCK_JOBS` trials (one row when a row holds
-    more): one `streams` call seeds the block's row streams, each row draws
-    its period and capacities from its stream as `dataset_row` does, one
-    `period_outages` call draws every trial's trace, and one `period_costs`
-    call dispatches the block, so every row equals its `dataset_row` bit for
-    bit. The dataset also carries what the surrogate takes from the config:
-    its digest, the dod and efficiency schedules the forest computes its
-    features from, and the metamodel fit settings.
+    more): one `streams` call seeds the block's row streams, and the block
+    goes through `_simulate_rows` as one row does in `dataset_row`, so
+    every row equals its `dataset_row` bit for bit. The dataset also
+    carries what the surrogate takes from the config: its digest, the dod
+    and efficiency schedules the forest computes its features from, and
+    the metamodel fit settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -204,16 +209,12 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     step = max(1, _BLOCK_JOBS // trials)
     for first in range(0, observations, step):
         rows = range(first, min(first + step, observations))
-        row_rngs = streams(master_seed, "dataset:row", [(r,) for r in rows])
-        fleets = []
-        for r, row_rng in zip(rows, row_rngs):
-            periods[r], caps[r] = _row_fleet(ctx, values, row_rng)
-            fleets += [(periods[r], caps[r])] * trials
-        block = ctx.period_costs(fleets, _trial_outages(ctx, master_seed,
-                                                        rows, trials))
-        for i, r in enumerate(rows):
-            costs[r] = reduce(add, block[i * trials:(i + 1) * trials],
-                              0.0) / trials
+        fleets, costs[rows] = _simulate_rows(
+            ctx, values, rows,
+            streams(master_seed, "dataset:row", [(r,) for r in rows]),
+            trials, master_seed)
+        periods[rows] = [k for k, _ in fleets]
+        caps[rows] = [c for _, c in fleets]
     return SyntheticDataset(
         period=periods, capacity=caps, cost=costs, trials=trials,
         master_seed=master_seed, config_digest=config_hash(cfg),
@@ -446,10 +447,8 @@ def _grow_tree(X, y, sample, rng, min_leaf, max_depth, mtry) -> RegressionTree:
 
 
 def _mean_prediction(trees, Z, smoothing) -> np.ndarray:
-    total = np.zeros(len(Z))
-    for t in trees:
-        total += t.predict(Z, smoothing)
-    return total / len(trees)
+    return row_sums(np.column_stack([t.predict(Z, smoothing)
+                                     for t in trees])) / len(trees)
 
 
 @dataclass
@@ -584,26 +583,80 @@ def save_forest(forest: RegressionForest, path) -> None:
     Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n")
 
 
+def _check_tree(t, where: str) -> None:
+    """Raise ValueError unless `t` is a forest file's tree: equal-length
+    node lists, finite thresholds and values, features from -1 (a leaf) to
+    the last feature column, and every node but the root the child of
+    exactly one internal node that comes before it."""
+    if not (isinstance(t, dict)
+            and all(type(t.get(f)) is list for f in TREE_FIELDS)):
+        raise ValueError(f"{where} must be an object with list fields "
+                         f"{', '.join(TREE_FIELDS)}")
+    n = len(t["feature"])
+    if not n or any(len(t[f]) != n for f in TREE_FIELDS):
+        raise ValueError(f"{where}: its lists {', '.join(TREE_FIELDS)} must "
+                         f"hold one entry per node, and a tree has a root")
+    for f in ("threshold", "value"):
+        if _finite_floats(t[f]) is None:
+            raise ValueError(f"{where} {f!r} must hold finite numbers")
+    children = []
+    for j, feature in enumerate(t["feature"]):
+        if type(feature) is not int or not (
+                -1 <= feature < NUM_PHYSICS_FEATURES):
+            raise ValueError(f"{where} 'feature'[{j}] must be -1 (a leaf) "
+                             f"or a column 0 to {NUM_PHYSICS_FEATURES - 1}, "
+                             f"got {feature!r:.40}")
+        if feature >= 0:
+            for side in ("left", "right"):
+                child = t[side][j]
+                if type(child) is not int or not j < child < n:
+                    raise ValueError(
+                        f"{where} {side!r}[{j}] is {child!r:.40}; a child "
+                        f"comes after its parent, inside the {n} nodes")
+                children.append(child)
+    if sorted(children) != list(range(1, n)):
+        raise ValueError(f"{where}: every node but the root must be the "
+                         f"child of exactly one node")
+
+
 def load_forest(path, expected_config_hash: str | None = None) -> RegressionForest:
+    """A forest from its file, checked as outside input: every key present
+    with its JSON type, a finite soft-split width, schedules of finite
+    numbers, and at least one well-formed tree (`_check_tree`); anything
+    else raises ValueError naming the file and the key."""
     doc = parse_json(Path(path).read_text(), path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a forest file holds a JSON object")
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"{path}: not a {FOREST_FORMAT} forest file "
                          f"(found {doc.get('format')!r}); retrain it")
-    if expected_config_hash is not None and doc.get("config_hash") != expected_config_hash:
+    for key, kinds, name in FOREST_KEYS:
+        if key not in doc:
+            raise ValueError(f"{path}: {key!r} is missing")
+        if type(doc[key]) not in kinds:  # a bool is not an integer
+            raise ValueError(f"{path}: {key!r} must be a JSON {name}, "
+                             f"got {doc[key]!r:.40}")
+    if (expected_config_hash is not None
+            and doc["config_hash"] != expected_config_hash):
         raise IncompatibleArtifact(
             f"{path}: forest was trained under a different configuration")
-    for key, kind, name in (("trees", list, "list"), ("params", dict, "object"),
-                            ("num_features", int, "integer")):
-        if type(doc.get(key)) is not kind:  # a bool is not an integer
-            raise ValueError(f"{path}: {key!r} must be a JSON {name}, "
-                             f"got {doc.get(key)!r:.40}")
+    smoothing = doc["params"].get("smoothing")
+    if _finite_floats([smoothing]) is None or smoothing < 0:
+        raise ValueError(f"{path}: 'params' 'smoothing' must be a finite "
+                         f"number >= 0, got {smoothing!r:.40}")
+    schedules = {}
+    for key in ("dod", "efficiency"):
+        rows = doc[key]
+        if not all(isinstance(row, list) and len(row) == len(rows[0])
+                   and _finite_floats(row) is not None for row in rows):
+            raise ValueError(f"{path}: {key!r} must be a list of equal-length "
+                             f"rows of finite numbers")
+        schedules[key] = np.array(rows, dtype=float)
+    if not doc["trees"]:
+        raise ValueError(f"{path}: 'trees' is empty; a forest holds at "
+                         f"least one tree")
     for i, t in enumerate(doc["trees"]):
-        if not (isinstance(t, dict)
-                and all(type(t.get(f)) is list for f in TREE_FIELDS)):
-            raise ValueError(f"{path}: 'trees'[{i}] must be an object with "
-                             f"list fields {', '.join(TREE_FIELDS)}")
+        _check_tree(t, f"{path}: 'trees'[{i}]")
     trees = [RegressionTree(**{f: t[f] for f in TREE_FIELDS})
              for t in doc["trees"]]
     return RegressionForest(trees=trees, num_features=doc["num_features"],
@@ -612,6 +665,4 @@ def load_forest(path, expected_config_hash: str | None = None) -> RegressionFore
                             test_indices=doc["test_indices"],
                             r2_test=doc["r2_test"],
                             config_digest=doc["config_hash"],
-                            dod=np.array(doc["dod"], dtype=float),
-                            efficiency=np.array(doc["efficiency"],
-                                                dtype=float))
+                            **schedules)

@@ -14,12 +14,14 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .config import StorageTechnology, parse_json
 from .finance import investment_cost
 from .mdp import (MdpAction, MdpEnv, MdpState, NO_OP, encode_state,
                   format_number)
 from .qlearn import QTable
-from .simulate import SimulationContext
+from .simulate import SimulationContext, row_sums
 
 __all__ = [
     "PriceScenario", "PolicyStep", "PolicyReport", "PolicyValue",
@@ -162,6 +164,29 @@ def visited_greedy(q_row, visits) -> int:
     return best
 
 
+def _walk(env: MdpEnv, scenario: PriceScenario, pick) -> list[PolicyStep]:
+    """The steps along the scenario's deterministic prices, from no
+    storage. `pick(state)` gives the action index taken in each state, with
+    the q-value and visit count the step records."""
+    steps = []
+    caps = (0.0,) * env.num_units
+    for k, price_idx in enumerate(
+            scenario.price_path(env.storage, env.planning.horizon_periods),
+            start=1):
+        state = MdpState(k, price_idx, caps)
+        ai, q_value, visits = pick(state)
+        action = env.actions[ai]
+        caps = env.apply_action(state, action)
+        steps.append(PolicyStep(
+            period=k, action=action,
+            unit_name="" if action.is_noop else env.storage[action.unit].name,
+            level_kwh=0.0 if action.is_noop else env.levels[action.level],
+            unit_prices=tuple(tech.price_schedule[i - 1]
+                              for tech, i in zip(env.storage, price_idx)),
+            capacity_after=caps, q_value=q_value, visit_count=visits))
+    return steps
+
+
 def extract_policy(qtable: QTable, env: MdpEnv,
                    scenario: PriceScenario) -> PolicyReport:
     """Greedy walk of the table along the scenario's deterministic prices.
@@ -170,54 +195,39 @@ def extract_policy(qtable: QTable, env: MdpEnv,
     action at all (or absent from the table) falls back to no-op and is
     recorded in the report's flags.
     """
-    horizon = env.planning.horizon_periods
-    path = scenario.price_path(env.storage, horizon)
-    steps: list[PolicyStep] = []
     flags: list[str] = []
-    caps = (0.0,) * env.num_units
-    for k in range(1, horizon + 1):
-        state = MdpState(k, path[k - 1], caps)
+
+    def pick(state):
         q_row = qtable.q_values(state)
         visits = qtable.visit_counts(state)
         ai = visited_greedy(q_row, visits)
         if visits[ai] == 0:
-            flags.append(f"period {k}: state {encode_state(state)} has no "
-                         f"visited action; defaulting to no-op")
-        action = env.actions[ai]
-        caps = env.apply_action(state, action)
-        prices = tuple(env.storage[u].price_schedule[state.price_idx[u] - 1]
-                       for u in range(env.num_units))
-        steps.append(PolicyStep(
-            period=k, action=action,
-            unit_name="" if action.is_noop else env.storage[action.unit].name,
-            level_kwh=0.0 if action.is_noop else env.levels[action.level],
-            unit_prices=prices, capacity_after=caps,
-            q_value=q_row[ai], visit_count=visits[ai]))
+            flags.append(f"period {state.period}: state "
+                         f"{encode_state(state)} has no visited action; "
+                         f"defaulting to no-op")
+        return ai, q_row[ai], visits[ai]
+
+    steps = _walk(env, scenario, pick)
     return PolicyReport(scenario_id=scenario.id, steps=steps, flags=flags)
 
 
 def never_invest_report(env: MdpEnv, scenario: PriceScenario) -> PolicyReport:
     """Baseline: hold zero storage through the whole horizon."""
-    horizon = env.planning.horizon_periods
-    path = scenario.price_path(env.storage, horizon)
-    caps = (0.0,) * env.num_units
-    steps = [PolicyStep(period=k, action=NO_OP, unit_name="", level_kwh=0.0,
-                        unit_prices=tuple(
-                            env.storage[u].price_schedule[path[k - 1][u] - 1]
-                            for u in range(env.num_units)),
-                        capacity_after=caps, q_value=0.0, visit_count=0)
-             for k in range(1, horizon + 1)]
     return PolicyReport(scenario_id=f"never-invest[{scenario.id}]",
-                        steps=steps, flags=[])
+                        steps=_walk(env, scenario, lambda state: (0, 0.0, 0)),
+                        flags=[])
+
+
+def _policy_header(storage: tuple[StorageTechnology, ...]) -> list[str]:
+    names = [t.name for t in storage]
+    return (["period", "action_unit", "action_level_kwh"]
+            + [f"price_per_kwh_{n}" for n in names]
+            + [f"cum_capacity_kwh_{n}" for n in names])
 
 
 def write_policy_csv(report: PolicyReport,
                      storage: tuple[StorageTechnology, ...], path) -> None:
-    names = [t.name for t in storage]
-    header = (["period", "action_unit", "action_level_kwh"]
-              + [f"price_per_kwh_{n}" for n in names]
-              + [f"cum_capacity_kwh_{n}" for n in names])
-    lines = [",".join(header)]
+    lines = [",".join(_policy_header(storage))]
     for s in report.steps:
         row = [str(s.period), s.unit_name or "none",
                format_number(s.level_kwh)]
@@ -247,10 +257,7 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     names = [t.name for t in storage]
     lines = [ln for ln in Path(path).read_text().splitlines()
              if ln and not ln.startswith("#")]
-    expect = (["period", "action_unit", "action_level_kwh"]
-              + [f"price_per_kwh_{n}" for n in names]
-              + [f"cum_capacity_kwh_{n}" for n in names])
-    if not lines or lines[0].split(",") != expect:
+    if not lines or lines[0].split(",") != _policy_header(storage):
         raise ValueError(f"{path}: unexpected policy header")
     units = len(names)
     lvls = [float(lv) for lv in levels]
@@ -322,7 +329,7 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
     policies evaluated with the same seed face identical outage traces.
     One `period_outages` call draws every trial's traces, one per step in
     turn from the trial's stream, and one `period_costs` call dispatches
-    all their outages.
+    all their outages. Every sum adds left to right (`row_sums`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -332,38 +339,24 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
         seed = cfg.master_seed
     if len(report.steps) != plan.horizon_periods:
         raise ValueError("policy does not cover every period")
-    invest = 0.0
-    for s in report.steps:
-        if s.action.is_noop:
-            continue
-        tech = cfg.storage[s.action.unit]
-        invest += investment_cost(
-            level_kwh=s.level_kwh, unit_price=s.unit_prices[s.action.unit],
-            period=s.period, horizon_periods=plan.horizon_periods,
-            years_per_period=plan.years_per_period, rate=plan.interest_rate,
-            lifetime_years=tech.lifetime_schedule[s.period - 1])
+    investments = [investment_cost(
+        level_kwh=s.level_kwh, unit_price=s.unit_prices[s.action.unit],
+        period=s.period, horizon_periods=plan.horizon_periods,
+        years_per_period=plan.years_per_period, rate=plan.interest_rate,
+        lifetime_years=cfg.storage[s.action.unit].lifetime_schedule[
+            s.period - 1])
+        for s in report.steps if not s.action.is_noop]
+    invest = float(row_sums([investments])[0])
     outages = ctx.period_outages(seed, "eval:trial",
                                  [(t,) for t in range(trials)],
                                  per=len(report.steps))
     fleets = [(s.period, s.capacity_after) for s in report.steps] * trials
-    costs = iter(ctx.period_costs(fleets, outages))
-    # sums run left to right with +=: sum() compensates from Python 3.12 on,
-    # which would make the bytes written depend on the interpreter
-    samples = []
-    outage = 0.0
-    for _ in range(trials):
-        total = 0.0
-        for _ in report.steps:
-            total += next(costs)
-        samples.append(total)
-        outage += total
-    n = len(samples)
-    mean_outage = outage / n
-    if n > 1:
-        squares = 0.0
-        for x in samples:
-            squares += (x - mean_outage) ** 2
-        stderr = math.sqrt(squares / (n - 1) / n)
+    costs = ctx.period_costs(fleets, outages)
+    samples = row_sums(np.reshape(costs, (trials, len(report.steps))))
+    mean_outage = float(row_sums([samples])[0]) / trials
+    if trials > 1:
+        squares = float(row_sums([(samples - mean_outage) ** 2])[0])
+        stderr = math.sqrt(squares / (trials - 1) / trials)
     else:
         stderr = math.inf
     return PolicyValue(mean_total_cost=invest + mean_outage,

@@ -13,10 +13,31 @@ from __future__ import annotations
 import numpy as np
 
 from .config import HOURS_PER_YEAR, Config
-from .dispatch import OutageDispatcher, StorageFleet
+from .dispatch import OutageDispatcher, StorageFleet, fleet_energy
 from .outages import OutageBatch, OutageTrace, draw_outages
 
-__all__ = ["SimulationContext"]
+__all__ = ["SimulationContext", "period_energy", "row_sums"]
+
+
+def row_sums(matrix) -> np.ndarray:
+    """Each row of a 2-D array summed left to right from 0.0, one column at
+    a time. Every sum that reaches an artifact is taken this way: `sum()`
+    compensates from Python 3.12 on, and numpy sums pairwise, so either
+    would tie the bytes written to the interpreter or to the row length."""
+    matrix = np.asarray(matrix, dtype=float)
+    total = np.zeros(matrix.shape[0])
+    for column in matrix.T:
+        total += column
+    return total
+
+
+def period_energy(period, capacity, dod, efficiency):
+    """(S_d, S_c) of rows of period and per-unit capacity, under the
+    schedules `dod` and `efficiency`, indexed [period - 1, unit]."""
+    period = np.asarray(period).astype(int)
+    if len(period) and (period.min() < 1 or period.max() > len(dod)):
+        raise ValueError("period outside the dod/efficiency schedules")
+    return fleet_energy(capacity, dod[period - 1], efficiency[period - 1])
 
 
 class SimulationContext:
@@ -54,35 +75,28 @@ class SimulationContext:
         """Lost-load cost in $ of each job: `fleets[i]` is job i's
         `(period, capacities)` and `outages.counts[i]` counts its outages.
 
-        Each distinct fleet's energies are computed once, and one `serve`
-        call dispatches every outage of every job from a full store. One
-        stacked `matmul` prices each outage's lost energy at the classes'
-        VOLLs, a dot product per outage with the bits of `volls @ lost_row`.
-        A job's cost adds its outages' prices left to right from 0.0, one
-        column of the (jobs, outages) price matrix at a time; the zeros that
-        pad shorter jobs leave their sums unchanged.
+        One `period_energy` call gives every job's (S_d, S_c), and one
+        `serve` call dispatches every outage of every job from a full store.
+        One stacked `matmul` prices each outage's lost energy at the
+        classes' VOLLs, a dot product per outage with the bits of
+        `volls @ lost_row`. A job's cost adds its outages' prices left to
+        right (`row_sums` of the (jobs, outages) price matrix); the zeros
+        that pad shorter jobs leave their sums unchanged.
         """
         period_hours = self.config.planning.years_per_period * HOURS_PER_YEAR
-        energies = {}
-        energy, first_hour = [], []
-        for period, capacities in fleets:
-            key = (period, tuple(capacities))
-            if key not in energies:
-                energies[key] = self.fleet_for(period, capacities).energy()
-            energy.append(energies[key])
-            first_hour.append((period - 1) * period_hours)
+        period = np.array([k for k, _ in fleets], dtype=np.int64)
+        capacity = np.array([c for _, c in fleets], dtype=float).reshape(
+            len(fleets), self.dod.shape[1])
         counts = np.asarray(outages.counts, dtype=np.int64)
-        s_d, s_c = np.repeat(np.reshape(energy, (-1, 2)), counts, axis=0).T
-        start = np.repeat(np.array(first_hour, dtype=np.int64), counts)
+        s_d, s_c = (np.repeat(e, counts) for e in period_energy(
+            period, capacity, self.dod, self.efficiency))
+        start = np.repeat((period - 1) * period_hours, counts)
         _, lost = self.dispatcher.serve(s_d, s_d, s_c, start + outages.starts,
                                         outages.durations)
         prices = np.zeros((len(counts), counts.max(initial=0)))
         prices[np.arange(prices.shape[1]) < counts[:, None]] = np.matmul(
             lost[:, None, :], self._volls)[:, 0]
-        costs = np.zeros(len(counts))
-        for column in prices.T:
-            costs += column
-        return costs.tolist()
+        return row_sums(prices).tolist()
 
     def period_cost(self, period: int, capacities, trace: OutageTrace) -> float:
         """Lost-load cost in $ of serving one period's outage trace with `capacities`."""

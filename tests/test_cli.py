@@ -345,6 +345,79 @@ def test_non_object_forest_exits_two(pipeline_dir, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def _tree(doc, **nodes):
+    """Edit the first tree of a forest document: `nodes[field]` maps node
+    indices to new entries."""
+    tree = doc["trees"][0]
+    assert tree["feature"][0] >= 0  # the root splits
+    for field, entries in nodes.items():
+        for j, value in entries.items():
+            tree[field][j] = value
+
+
+BROKEN_FORESTS = {
+    "'trees' is empty": lambda doc: doc.update(trees=[]),
+    "'train_indices' is missing": lambda doc: doc.pop("train_indices"),
+    "'params' 'smoothing' must be a finite number >= 0":
+        lambda doc: doc["params"].pop("smoothing"),
+    "'dod' must be a list of equal-length rows of finite numbers":
+        lambda doc: doc["dod"][0].append(1.0),
+    "'trees'[0]: its lists feature, threshold, left, right, value must hold":
+        lambda doc: doc["trees"][0]["value"].pop(),
+    "'trees'[0] 'feature'[0] must be -1 (a leaf) or a column 0 to 2, got 7":
+        lambda doc: _tree(doc, feature={0: 7}),
+    "'trees'[0] 'feature'[0] must be -1 (a leaf) or a column 0 to 2, got -2":
+        lambda doc: _tree(doc, feature={0: -2}),
+    "'trees'[0] 'left'[0] is 99999; a child comes after its parent":
+        lambda doc: _tree(doc, left={0: 99999}),
+    "'trees'[0] 'right'[0] is 0; a child comes after its parent":
+        lambda doc: _tree(doc, right={0: 0}),
+    "'trees'[0]: every node but the root must be the child of exactly one":
+        lambda doc: _tree(doc, right={0: doc["trees"][0]["left"][0]}),
+    "'trees'[0] 'threshold' must hold finite numbers":
+        lambda doc: _tree(doc, threshold={0: math.nan}),
+    "'trees'[0] 'value' must hold finite numbers":
+        lambda doc: _tree(doc, value={1: math.inf}),
+    "'params' 'smoothing' must be a finite number >= 0, got -0.1":
+        lambda doc: doc["params"].update(smoothing=-0.1),
+}
+
+
+@pytest.mark.parametrize("match", BROKEN_FORESTS)
+def test_broken_forest_exits_two_naming_the_key(pipeline_dir, tmp_path,
+                                                capsys, match):
+    """A forest file whose trees could not have been grown, or that lacks
+    a key the model reads, exits 2 naming the file and the key, before
+    `solve` writes anything."""
+    doc = json.loads((pipeline_dir / "forest.json").read_text())
+    BROKEN_FORESTS[match](doc)
+    forest = tmp_path / "forest.json"
+    # NaN and Infinity as json writes them
+    forest.write_text(json.dumps(doc) + "\n")
+    assert cli.main(["solve", "--config", SMOKE, "--forest", str(forest),
+                     "--episodes", "10", "--out", str(tmp_path / "out")]) == 2
+    assert f"{forest}: {match}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[]\n", "a manifest holds a JSON object"),
+    ('{"artifacts": []}\n', "a manifest holds a JSON object"),
+    ('{"artifacts": {}\n', "line 2 column 1: not valid JSON"),
+])
+def test_bad_manifest_exits_two_naming_it(tmp_path, capsys, text, match):
+    """A manifest that is not a JSON object holding an 'artifacts' object
+    exits 2 naming it, before the stage writes its artifact."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert cli.main(["evaluate", "--config", SMOKE, "--policy",
+                     "never-invest", "--trials", "1",
+                     "--out", str(tmp_path)]) == 2
+    assert f"{manifest}: {match}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert manifest.read_text() == text
+
+
 def test_dataset_without_sidecar_exits_two(pipeline_dir, tmp_path):
     # the fit settings and schedules live only in the sidecar
     data = tmp_path / "dataset.csv"

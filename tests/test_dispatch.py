@@ -15,6 +15,7 @@ from storeplan.config import HOURS_PER_YEAR, FacilityClass, HourlySeries
 from storeplan.dispatch import OutageDispatcher, StorageFleet, proportions
 from storeplan.renewables import RenewableParams
 from storeplan.rng import stream
+from storeplan.simulate import row_sums
 
 NO_RENEWABLES = RenewableParams(
     eta_solar=0.15, cell_area_m2=1.0, cells_per_panel=1, panels=1,
@@ -108,15 +109,46 @@ def test_serve_equals_the_scalar_oracle(case_context, data):
     lanes = data.draw(st.lists(outage_lanes(disp.horizon_hours),
                                max_size=12))
     columns = [list(c) for c in zip(*lanes)] or [[]] * 5
-    depths = np.full((max(columns[4], default=0), len(lanes)), -1)
-    left, lost = disp.serve(*columns, depths)
+    left, lost = disp.serve(*columns)
     assert lost.shape == (len(lanes), len(disp.facilities))
     for i, lane in enumerate(lanes):
-        level, lost_row, served = scalar_serve(disp, *lane)
+        level, lost_row, _ = scalar_serve(disp, *lane)
         assert left[i] == level
         assert lost[i].tolist() == lost_row
-        assert depths[:, i].tolist() == served + [-1] * (len(depths)
-                                                         - len(served))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simulate_serves_what_the_scalar_oracle_serves(case_context, data):
+    """`simulate`, stepping `serve` an hour at a time, serves each hour the
+    classes the scalar recurrence serves, loses what it loses, and leaves
+    the store where it leaves it, for full, empty and part-charged fleets
+    of one to four units."""
+    disp = case_context.dispatcher
+    units = data.draw(st.integers(1, 4))
+    unit = st.tuples(st.sampled_from([0.0, 300.0, 1000.0, 9000.0]),
+                     st.floats(0.4, 1.0), st.floats(0.6, 0.98),
+                     st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    caps, dod, eff, fill = map(np.array, zip(*data.draw(
+        st.lists(unit, min_size=units, max_size=units))))
+    floor = caps * (1.0 - dod)
+    fleet = StorageFleet(capacity=caps, dod=dod, efficiency=eff,
+                         charge=floor + fill.min() * (caps - floor))
+    duration = data.draw(st.integers(1, 60))
+    start = data.draw(st.integers(0, disp.horizon_hours - duration))
+    res = disp.simulate(fleet, start, duration)
+    s_d, s_c = fleet.energy()
+    active = caps > 0
+    share = (float(((fleet.charge - floor)[active] / (caps - floor)[active])
+                   .min()) if active.any() else 0.0)
+    level, lost_row, depths = scalar_serve(disp, share * s_d, s_d, s_c,
+                                           start, duration)
+    n_fac = len(disp.facilities)
+    assert res.served.tolist() == [[g < depth for g in range(n_fac)]
+                                   for depth in depths]
+    assert row_sums(res.lost_kwh.T).tolist() == lost_row
+    assert np.array_equal(res.final_charge, floor + (
+        level / s_d if s_d > 0 else 0.0) * (caps - floor))
 
 
 def test_serve_rejects_any_lane_past_the_horizon():
@@ -293,11 +325,13 @@ def test_surplus_charges_at_efficiency():
 
 
 def test_demand_growth_compounds_by_year():
+    # an empty fleet loses the whole critical load of each outage hour
     facilities, profiles = single_class(100.0)
     disp = make_dispatcher(facilities, profiles, years=3, growth=0.10)
-    assert disp.critical_demand(0)[0] == pytest.approx(100.0)
-    assert disp.critical_demand(HOURS_PER_YEAR)[0] == pytest.approx(110.0)
-    assert disp.critical_demand(2 * HOURS_PER_YEAR)[0] == pytest.approx(121.0)
+    empty = StorageFleet.full([0.0], [0.9], [1.0])
+    lost = [disp.simulate(empty, year * HOURS_PER_YEAR, 1).lost_kwh[0, 0]
+            for year in range(3)]
+    assert lost == pytest.approx([100.0, 110.0, 121.0])
 
 
 def test_outage_must_fit_horizon():

@@ -1,5 +1,7 @@
 """Period-level outage cost assembly on top of the hourly dispatcher."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import period_trace
 from storeplan.config import HOURS_PER_YEAR
 from storeplan.outages import OutageBatch, OutageTrace, generate_outages
 from storeplan.rng import stream
-from storeplan.simulate import SimulationContext
+from storeplan.simulate import SimulationContext, row_sums
 
 
 def batch(traces) -> OutageBatch:
@@ -194,3 +196,55 @@ def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
     assert case_context.period_costs([job[:2] for job in jobs],
                                      batch(job[2] for job in jobs)) == expected
     assert expected[0] == 0.0
+
+
+@pytest.mark.parametrize("units", [1, 4, 9, 17])
+def test_period_costs_energies_are_each_fleets_own(case_context, monkeypatch,
+                                                   units):
+    """The (S_d, S_c) that `period_costs` takes for all jobs at once are each
+    fleet's own `StorageFleet.energy()`, bit for bit, whatever the fleet's
+    unit count."""
+    rng = stream(10, "sim-test", units)
+    periods = case_context.config.planning.horizon_periods
+    monkeypatch.setattr(case_context, "dod",
+                        rng.uniform(0.4, 1.0, size=(periods, units)))
+    monkeypatch.setattr(case_context, "efficiency",
+                        rng.uniform(0.6, 0.98, size=(periods, units)))
+    lanes = {}
+
+    def serve(level, s_d, s_c, start_hour, duration_hours):
+        lanes.update(s_d=s_d, s_c=s_c)
+        return None, np.zeros((len(s_d), len(case_context._volls)))
+
+    monkeypatch.setattr(case_context.dispatcher, "serve", serve)
+    values = (0.0, 300.0, 1000.0, 1300.0, 4300.0, 9000.0, 1234.5678)
+    fleets = [(int(rng.integers(1, periods + 1)),
+               tuple((rng.choice(values, size=units)
+                      * rng.uniform(0.5, 2.0, size=units)).tolist()))
+              for _ in range(200)]
+    fleets.append((1, (0.0,) * units))
+    counts = np.ones(len(fleets), dtype=np.int64)
+    case_context.period_costs(fleets, OutageBatch(
+        np.zeros(len(fleets), dtype=np.int64), counts, counts))
+    expected = [case_context.fleet_for(k, caps).energy() for k, caps in fleets]
+    assert list(zip(lanes["s_d"].tolist(), lanes["s_c"].tolist())) == expected
+
+
+def test_row_sums_add_left_to_right():
+    """`row_sums` is a plain `+=` loop from 0.0 over each row, on rows where
+    `math.fsum` and numpy's pairwise `np.sum` each give other bits."""
+    rng = np.random.default_rng(12)
+    matrix = rng.uniform(-1, 1, size=(50, 40)) * 10.0 ** rng.integers(
+        -8, 9, size=(50, 40))
+
+    def plain(row):
+        total = 0.0
+        for x in row.tolist():
+            total += x
+        return total
+
+    loop = [plain(row) for row in matrix]
+    assert row_sums(matrix).tolist() == loop
+    assert any(math.fsum(row) != want for row, want in zip(matrix, loop))
+    assert any(float(np.sum(row)) != want for row, want in zip(matrix, loop))
+    assert row_sums(np.zeros((3, 0))).tolist() == [0.0] * 3
