@@ -4,8 +4,7 @@ A price scenario fixes, for every unit and period boundary, whether the price
 chain advances. Extraction walks the trained q-table along that deterministic
 price path, choosing the best action among those actually visited during
 training and flagging any state the run never reached. Evaluation replays a
-policy's build-out against fresh outage traces; trials share random-number
-streams across policies so comparisons difference away trace noise.
+build-out against outage traces shared by all policies at one seed and size.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from .config import StorageTechnology, parse_json
 from .finance import investment_cost
 from .mdp import (MdpAction, MdpEnv, MdpState, NO_OP, encode_state,
                   format_number)
+from .outages import sample_outages
 from .qlearn import QTable
+from .rng import stream
 from .simulate import SimulationContext, row_sums
 
 __all__ = [
@@ -325,11 +326,10 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
                     trials: int, seed: int | None = None) -> PolicyValue:
     """Replay the build-out against `trials` fresh horizon-long outage draws.
 
-    Stream keys depend only on (seed, trial), never on the policy, so two
-    policies evaluated with the same seed face identical outage traces.
-    One `period_outages` call draws every trial's traces, one per step in
-    turn from the trial's stream, and one `period_costs` call dispatches
-    all their outages. Every sum adds left to right (`row_sums`).
+    One `sample_outages` call draws all trials' traces, trial-major, from
+    the stream `(seed, "eval:trials")`: they depend on the seed and trial
+    count, never on the policy (common random numbers). One `period_costs`
+    call dispatches all their outages. Sums add left to right (`row_sums`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -347,9 +347,9 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             s.period - 1])
         for s in report.steps if not s.action.is_noop]
     invest = float(row_sums([investments])[0])
-    outages = ctx.period_outages(seed, "eval:trial",
-                                 [(t,) for t in range(trials)],
-                                 per=len(report.steps))
+    outages = sample_outages(plan.saifi, plan.caidi, plan.years_per_period,
+                             stream(seed, "eval:trials"),
+                             trials * len(report.steps))
     fleets = [(s.period, s.capacity_after) for s in report.steps] * trials
     costs = ctx.period_costs(fleets, outages)
     samples = row_sums(np.reshape(costs, (trials, len(report.steps))))

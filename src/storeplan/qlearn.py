@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 from .config import IncompatibleArtifact, parse_json
@@ -29,6 +30,7 @@ BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
 _BLOCK = 256  # q-table rows per json.loads call in load_qtable
 # entry types of saved q and visits rows, and the types q may hold
 _FLOAT, _INT, _NUMBER = {float}, {int}, (float, int)
+_encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps, but no NaN
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,8 @@ def _state_names(env: MdpEnv):
 def save_qtable(qtable: QTable, path, config_digest: str | None,
                 metadata: dict | None = None) -> None:
     """JSONL: one header record, then one record per visited state, in the
-    order of the states' names (`_state_names`).
+    order of the states' names (`_state_names`). A NaN or infinite q-value
+    raises ValueError and leaves no file.
 
     Every price prefix holds 1 + U commas and ends with one, so none starts
     another; names in order are therefore price prefixes in order, each
@@ -228,14 +231,18 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
         runs += [(prefix, offset + code * width, caps, order)
                  for code, prefix in enumerate(prefixes)]
     runs.sort()
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for prefix, first, caps, order in runs:
-            for c in order:
-                if rows[first + c]:
-                    q, v = rows[first + c]
-                    fh.write(json.dumps({"state": prefix + caps[c], "q": q,
-                                         "visits": v}) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(_encode(header) + "\n")
+            for prefix, first, caps, order in runs:
+                for c in order:
+                    if rows[first + c]:
+                        q, v = rows[first + c]
+                        fh.write(_encode({"state": prefix + caps[c], "q": q,
+                                          "visits": v}) + "\n")
+    except ValueError:  # a NaN or infinite q, which JSON cannot hold
+        Path(path).unlink()
+        raise ValueError(f"{path}: a q-value is not finite") from None
 
 
 def _row_reader(env: MdpEnv):
@@ -247,7 +254,7 @@ def _row_reader(env: MdpEnv):
     and the positions of the period's capacity names, its capacity suffix
     its position. Any other spelling of a reachable state (`0.0` for `0`,
     say) goes through `decode_state` and `MdpEnv.number`. `q` must hold
-    JSON numbers, which come back as floats, and `visits` non-negative
+    finite JSON numbers, which come back as floats, and `visits` non-negative
     JSON integers; the lists JSON decoding made are kept when they already
     hold floats and ints. With `share_zero`, which the caller may set only
     when the row holds no negative zero, q's zeros become one shared 0.0:
@@ -280,6 +287,10 @@ def _row_reader(env: MdpEnv):
                 q = list(map(float, q))
             except OverflowError:
                 raise ValueError("'q' entry out of float range") from None
+        # NaN, Infinity and 1e400 decode to non-finite floats; a finite sum
+        # has none, and only a sum that overflows needs the entries checked
+        if not isfinite(sum(q)) and not all(map(isfinite, q)):
+            raise ValueError("'q' entries must be finite numbers")
         if share_zero and 0.0 in q:
             q = [x or 0.0 for x in q]
         if set(map(type, visits)) != _INT or min(visits) < 0:

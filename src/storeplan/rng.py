@@ -1,12 +1,12 @@
 """Named, reproducible random streams derived from a single master seed.
 
-Every stochastic work unit (a dataset row, a simulation trial, a training run)
-owns a stream keyed by a purpose tag plus integer indices, so results do not
-depend on the order in which units execute. `stream` seeds one unit's
+Every stochastic work unit (a dataset row or trial, an evaluation, a training
+run) owns a stream keyed by a purpose tag plus integer indices, so results do
+not depend on the order in which units execute. `stream` seeds one unit's
 generator; `stream_seeds` computes the seeds of many units of one tag at
-once, as a gen-data block or an evaluation does for its trials, and gives
-each the state `stream` gives it, either as a generator (`streams`) or as
-the bit generator's raw words (`raw_words`).
+once, as a gen-data block does for its trials, and gives each the state
+`stream` gives it, either as a generator (`streams`) or as the bit
+generator's raw words (`raw_words`).
 """
 
 from __future__ import annotations

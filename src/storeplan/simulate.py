@@ -3,9 +3,10 @@
 One trial simulates a single decision period: a fresh outage trace over the
 period's years, dispatch of every outage from a freshly charged fleet taken as
 one store, and the VOLL-weighted cost of whatever critical load went unserved.
-The traces of many trials are drawn together (`period_outages`), and their
-outages dispatched together, one lane each, and priced at the classes' VOLLs
-in one stacked matmul.
+The traces of many trials are drawn together (`period_outages`, or
+`outages.sample_outages` for an evaluation), and their outages dispatched
+together, one lane each, and priced at the classes' VOLLs in one stacked
+matmul.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ class SimulationContext:
                                  dod=self.dod[period - 1],
                                  efficiency=self.efficiency[period - 1])
 
-    def period_outages(self, master_seed: int, tag: str, keys,
-                       per: int = 1) -> OutageBatch:
-        """`per` period traces from each key's `stream(master_seed, tag,
-        *key)`, drawn as `generate_outages` draws them (`draw_outages`)."""
+    def period_outages(self, master_seed: int, tag: str, keys) -> OutageBatch:
+        """A period trace from each key's `stream(master_seed, tag, *key)`,
+        drawn as `generate_outages` draws it (`draw_outages`)."""
         plan = self.config.planning
         return draw_outages(plan.saifi, plan.caidi, plan.years_per_period,
-                            master_seed, tag, keys, per)
+                            master_seed, tag, keys)
 
     def period_costs(self, fleets, outages: OutageBatch) -> list[float]:
         """Lost-load cost in $ of each job: `fleets[i]` is job i's

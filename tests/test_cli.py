@@ -236,6 +236,21 @@ def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
     assert not (tmp_path / "policy_1.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_qtable_value_exits_two_naming_file_and_line(
+        pipeline_dir, tmp_path, value):
+    lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    head, _, tail = lines[3].partition('"q": [')
+    lines[3] = head + '"q": [' + value + ", " + tail.split(", ", 1)[1]
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"{bad}: line 4: 'q' entries must be finite" in proc.stderr
+    assert not (tmp_path / "policy_1.csv").exists()
+
+
 def test_truncated_qtable_row_exits_two_naming_file_and_line(pipeline_dir,
                                                              tmp_path):
     # a row cut short is not JSON; the error points at the file's line 2,

@@ -9,11 +9,13 @@ import pytest
 from conftest import pointwise
 
 from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
+from storeplan.outages import OutageBatch, sample_outages
 from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
                               evaluate_policy, extract_policy, load_scenarios,
                               never_invest_report, read_policy_csv,
                               write_policy_csv)
 from storeplan.qlearn import QTable
+from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
 from test_mdp import G_LOSSY_LEVELS
@@ -321,12 +323,8 @@ def test_evaluation_adds_trials_left_to_right(case_config):
     assert value.mean_outage_cost == 0.0
 
 
-def test_evaluation_is_pinned(smoke_config):
-    """Exact values of a fixed small evaluation, with storage and without.
-    They are what dispatching each outage on its own gives, so batching the
-    dispatch must not move a bit of them."""
-    ctx = SimulationContext(smoke_config)
-    env = case_env(smoke_config)
+def built_and_never(env: MdpEnv) -> tuple[PolicyReport, PolicyReport]:
+    """A fixed build-out over scenario 1's prices, and never-invest."""
     never = never_invest_report(env, default_scenarios()["1"])
     steps, caps = [], (0.0,) * env.num_units
     for step, action in zip(never.steps, [MdpAction(0, 1), NO_OP,
@@ -336,13 +334,49 @@ def test_evaluation_is_pinned(smoke_config):
             step, action=action, capacity_after=caps,
             unit_name="" if action.is_noop else env.storage[action.unit].name,
             level_kwh=0.0 if action.is_noop else env.levels[action.level]))
-    built = PolicyReport(scenario_id="pinned", steps=steps)
+    return PolicyReport(scenario_id="pinned", steps=steps), never
+
+
+def test_evaluation_is_pinned(smoke_config):
+    """Exact values of a fixed small evaluation, with storage and without.
+    They are what a plain-Python merge of the traces' draws
+    (`test_outages.reference_sample`), each outage dispatched on its own
+    and every sum added left to right, gives; so batching the draws or the
+    dispatch must not move a bit of them."""
+    ctx = SimulationContext(smoke_config)
+    built, never = built_and_never(case_env(smoke_config))
     assert repr(evaluate_policy(ctx, built, trials=12, seed=5)) == (
-        "PolicyValue(mean_total_cost=3278390.1202851795, "
+        "PolicyValue(mean_total_cost=3480737.3231021855, "
         "investment_cost=1022518.488976874, "
-        "mean_outage_cost=2255871.6313083055, stderr=118347.76637173053, "
+        "mean_outage_cost=2458218.8341253116, stderr=175970.68629379602, "
         "trials=12)")
     assert repr(evaluate_policy(ctx, never, trials=12, seed=5)) == (
-        "PolicyValue(mean_total_cost=3778004.462875148, investment_cost=0.0, "
-        "mean_outage_cost=3778004.462875148, stderr=178939.4515387843, "
+        "PolicyValue(mean_total_cost=4005887.3731760173, investment_cost=0.0, "
+        "mean_outage_cost=4005887.3731760173, stderr=282039.77269991534, "
         "trials=12)")
+
+
+def test_evaluations_at_one_seed_see_the_same_traces(smoke_config,
+                                                     monkeypatch):
+    """Common random numbers: two build-outs evaluated at one seed and
+    trial count are dispatched against the same outages, which are the
+    `trials * periods` traces of the one stream `(seed, "eval:trials")`,
+    trial after trial. Another seed draws other traces."""
+    ctx = SimulationContext(smoke_config)
+    seen = []
+    dispatch = ctx.period_costs
+
+    def spy(fleets, outages):
+        seen.append(outages)
+        return dispatch(fleets, outages)
+    monkeypatch.setattr(ctx, "period_costs", spy)
+    built, never = built_and_never(case_env(smoke_config))
+    for report, seed in ((built, 5), (never, 5), (built, 6)):
+        evaluate_policy(ctx, report, trials=30, seed=seed)
+    plan = smoke_config.planning
+    want = sample_outages(plan.saifi, plan.caidi, plan.years_per_period,
+                          stream(5, "eval:trials"), 30 * len(built.steps))
+    for name in OutageBatch._fields:
+        assert getattr(seen[0], name).tolist() == getattr(want, name).tolist()
+        assert getattr(seen[1], name).tolist() == getattr(want, name).tolist()
+    assert seen[2].starts.tolist() != want.starts.tolist()

@@ -365,6 +365,35 @@ def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
         load_qtable(path, small_env())
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_load_qtable_rejects_non_finite_q_naming_file_and_line(tmp_path,
+                                                               value):
+    """json decodes all four to floats: NaN, inf, -inf and inf."""
+    row = ('{"state": "1,1,1,0,0", "q": [0.5, ' + value + ', 0], '
+           '"visits": [1, 1, 0]}')
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    with pytest.raises(ValueError, match=f"{path}: line 2: 'q' entries "
+                                         f"must be finite"):
+        load_qtable(path, small_env())
+
+
+def test_load_qtable_accepts_finite_q_whose_sum_overflows(tmp_path):
+    row = '{"state": "1,1,1,0,0", "q": [1e308, 1e308, 0], "visits": [1, 1, 0]}'
+    path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
+    qt, _ = load_qtable(path, small_env())
+    assert qt.entry(qt.env.initial_state())[0] == [1e308, 1e308, 0.0]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_save_qtable_refuses_non_finite_q(tmp_path, value):
+    qt = QTable(small_env())
+    qt.entry(qt.env.initial_state())[0][1] = value
+    path = tmp_path / "qtable.jsonl"
+    with pytest.raises(ValueError, match="a q-value is not finite"):
+        save_qtable(qt, path, config_digest="abc123")
+    assert not path.exists()
+
+
 def test_load_qtable_rejects_row_width_mismatch(tmp_path):
     row = '{"state": "1,1,1,0,0", "q": [0, 0], "visits": [0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
@@ -463,6 +492,7 @@ def rewrite_rows(path, out, rows):
 @pytest.mark.parametrize("defect, match", [
     ("truncated", "not valid JSON"),
     ("string q", "'q' entries must be JSON numbers"),
+    ("NaN q", "'q' entries must be finite"),
     ("repeated", "has a row already"),
     ("unreachable", "is not reachable"),
 ])
@@ -477,6 +507,10 @@ def test_load_qtable_names_the_file_line_next_to_a_block_boundary(
         rec = json.loads(rows[i])
         rec["q"][0] = "0"
         rows[i] = json.dumps(rec)
+    elif defect == "NaN q":
+        rec = json.loads(rows[i])
+        rec["q"][-1] = math.nan
+        rows[i] = json.dumps(rec)  # json writes NaN
     elif defect == "repeated":
         rows[i] = rows[i - 2]
     else:

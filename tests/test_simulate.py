@@ -33,17 +33,14 @@ def test_fleet_uses_period_schedules(case_config, case_context):
 
 
 def test_period_outages_are_period_traces(case_config, case_context):
-    """`period_outages` draws each stream's traces over the period's five
-    years, in turn, as `generate_outages` draws them."""
+    """`period_outages` draws each stream's trace over the period's five
+    years, as `generate_outages` draws it."""
     plan = case_config.planning
     assert plan.years_per_period == 5
-    keys = [(0,), (3,), (1,)]
-    traces = []
-    for key in keys:
-        rng = stream(0, "sim-test", *key)
-        traces += [generate_outages(plan.saifi, plan.caidi, 5, rng)
-                   for _ in range(2)]
-    got = case_context.period_outages(0, "sim-test", keys, per=2)
+    keys = [(0,), (3,), (1,), (3, 2)]
+    traces = [generate_outages(plan.saifi, plan.caidi, 5,
+                               stream(0, "sim-test", *key)) for key in keys]
+    got = case_context.period_outages(0, "sim-test", keys)
     want = batch(traces)
     for name in OutageBatch._fields:
         assert getattr(got, name).tolist() == getattr(want, name).tolist()
