@@ -405,9 +405,13 @@ def load_series(path: str | Path, kind: str) -> HourlySeries:
         raise ConfigError(f"{path}: expected {HOURS_PER_YEAR} rows, got {len(rows)}")
     values = np.empty(HOURS_PER_YEAR)
     for i, row in enumerate(rows):
-        if len(row) != 2 or int(row[0]) != i:
-            raise ConfigError(f"{path}: row {i}: expected 'hour,value' with hour={i}")
-        values[i] = float(row[1])
+        try:
+            if len(row) != 2 or int(row[0]) != i:
+                raise ValueError
+            values[i] = float(row[1])
+        except ValueError:
+            raise ConfigError(f"{path}: row {i}: expected 'hour,value' with "
+                              f"hour={i} and a number, got {row}") from None
         if not math.isfinite(values[i]):
             raise ConfigError(f"{path}: row {i}: non-finite value {row[1]}")
         if values[i] < 0:

@@ -29,7 +29,7 @@ from .finance import investment_cost
 
 __all__ = [
     "MdpState", "MdpAction", "NO_OP", "MdpEnv",
-    "format_number", "encode_state", "decode_state",
+    "format_number", "encode_state",
     "count_states_component_product", "count_states_reachable",
     "backward_induction",
 ]
@@ -69,15 +69,6 @@ def encode_state(state: MdpState) -> str:
     parts += [str(i) for i in state.price_idx]
     parts += [format_number(c) for c in state.capacity]
     return ",".join(parts)
-
-
-def decode_state(text: str, num_units: int) -> MdpState:
-    parts = text.split(",")
-    if len(parts) != 1 + 2 * num_units:
-        raise ValueError(f"state string has {len(parts)} fields, "
-                         f"expected {1 + 2 * num_units}")
-    return MdpState(int(parts[0]), tuple(map(int, parts[1:1 + num_units])),
-                    tuple(map(float, parts[1 + num_units:])))
 
 
 class MdpEnv:

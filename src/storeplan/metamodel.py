@@ -271,14 +271,28 @@ def read_dataset(path) -> SyntheticDataset:
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: expected header {header!r} for the "
                          f"sidecar's {units} units")
+    dod = np.array(meta["dod"], dtype=float)
+    efficiency = np.array(meta["efficiency"], dtype=float)
+    _check_schedules(dod, efficiency, units)
     periods, caps, costs = [], [], []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        if len(parts) != units + 2:
-            raise ValueError(f"{path}: bad row {ln!r}")
-        periods.append(int(parts[0]))
-        caps.append([float(x) for x in parts[1:-1]])
-        costs.append(float(parts[-1]))
+        try:
+            if len(parts) != units + 2:
+                raise ValueError(f"expected {units + 2} fields, got "
+                                 f"{len(parts)}")
+            k, values = int(parts[0]), [float(x) for x in parts[1:]]
+            if not 1 <= k <= len(dod):
+                raise ValueError(f"period {k} is outside the sidecar's "
+                                 f"{len(dod)} schedule rows")
+            if not all(0.0 <= x < math.inf for x in values):  # NaN fails too
+                raise ValueError(f"capacities and cost must be finite and "
+                                 f"non-negative, got {ln!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        periods.append(k)
+        caps.append(values[:-1])
+        costs.append(values[-1])
     if meta["observations"] != len(periods):
         raise ValueError(f"{meta_path}: {meta['observations']} observations, "
                          f"but the CSV has {len(periods)} rows")
@@ -287,9 +301,7 @@ def read_dataset(path) -> SyntheticDataset:
                             trials=meta["trials"],
                             master_seed=meta["master_seed"],
                             config_digest=meta["config_hash"],
-                            dod=np.array(meta["dod"], dtype=float),
-                            efficiency=np.array(meta["efficiency"],
-                                                dtype=float),
+                            dod=dod, efficiency=efficiency,
                             fit_params=meta["metamodel"])
 
 

@@ -11,13 +11,14 @@ so curves from runs of different lengths line up.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
 from .config import IncompatibleArtifact, parse_json
-from .mdp import MdpEnv, MdpState, decode_state, encode_state, format_number
+from .mdp import MdpEnv, MdpState, encode_state
 from .rng import BlockDraws, stream, word_limit
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "train", "save_qtable", "load_qtable",
 ]
 
-QTABLE_FORMAT = "storeplan-qtable-v1"
+QTABLE_FORMAT = "storeplan-qtable-v2"
 BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
 _BLOCK = 256  # q-table rows per json.loads call in load_qtable
 # entry types of saved q and visits rows, and the types q may hold
@@ -193,91 +194,64 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     return qt, LearningCurve(batch_percentile=curve_x, mean_total_reward=curve_y)
 
 
-def _state_names(env: MdpEnv):
-    """Per period of `env.numbering`, `(prefixes, caps, offset)`:
-    the state numbered `offset + code * len(caps) + c` is named
-    `prefixes[code] + caps[c]`, as `encode_state` names it. Each price code
-    and each capacity position is named once."""
-    for k, (codes, c_set, offset) in enumerate(env.numbering[0], start=1):
-        yield ([",".join(map(str, (k, *idx))) + "," for idx in codes],
-               [",".join(map(format_number, c)) for c in c_set], offset)
+def _numbering_digest(env: MdpEnv) -> str:
+    """A digest of `env.numbering`, equal for envs that number alike."""
+    return hashlib.sha256(repr(env.numbering).encode()).hexdigest()[:16]
 
 
 def save_qtable(qtable: QTable, path, config_digest: str | None,
                 metadata: dict | None = None) -> None:
-    """JSONL: one header record, then one record per visited state, in the
-    order of the states' names (`_state_names`). A NaN or infinite q-value
+    """JSONL: one header record, then one record `{"n", "q", "visits"}` per
+    visited state, in number order. The header's `numbering` is the
+    `_numbering_digest` the numbers refer to. A NaN or infinite q-value
     raises ValueError and leaves no file.
-
-    Every price prefix holds 1 + U commas and ends with one, so none starts
-    another; names in order are therefore price prefixes in order, each
-    followed by its period's capacity names in order, and no name list is
-    built or sorted.
     """
     header = {
         "format": QTABLE_FORMAT,
         "config_hash": config_digest,
+        "numbering": _numbering_digest(qtable.env),
         "num_actions": qtable.num_actions,
         "num_units": qtable.env.num_units,
         "states": len(qtable),
     }
     if metadata:
         header.update(metadata)
-    rows = qtable.rows
-    runs = []  # (prefix, number of its first state, capacity names, order)
-    for prefixes, caps, offset in _state_names(qtable.env):
-        width = len(caps)
-        order = sorted(range(width), key=caps.__getitem__)
-        runs += [(prefix, offset + code * width, caps, order)
-                 for code, prefix in enumerate(prefixes)]
-    runs.sort()
     try:
         with open(path, "w") as fh:
             fh.write(_encode(header) + "\n")
-            for prefix, first, caps, order in runs:
-                for c in order:
-                    if rows[first + c]:
-                        q, v = rows[first + c]
-                        fh.write(_encode({"state": prefix + caps[c], "q": q,
-                                          "visits": v}) + "\n")
+            for n, row in enumerate(qtable.rows):
+                if row:
+                    fh.write(_encode({"n": n, "q": row[0], "visits": row[1]})
+                             + "\n")
     except ValueError:  # a NaN or infinite q, which JSON cannot hold
         Path(path).unlink()
         raise ValueError(f"{path}: a q-value is not finite") from None
 
 
-def _row_reader(env: MdpEnv):
-    """A function from one decoded q-table row to `(n, q, visits)`, where n
-    is the row's state number (None if `env` cannot reach the state).
+def _row_placer(qt: QTable):
+    """A function that places one decoded q-table row `{"n", "q", "visits"}`
+    at `qt.rows[n]` and returns n.
 
-    A state named as `save_qtable` names it is found by name: its price
-    prefix gives the number of the period's first state at that price code
-    and the positions of the period's capacity names, its capacity suffix
-    its position. Any other spelling of a reachable state (`0.0` for `0`,
-    say) goes through `decode_state` and `MdpEnv.number`. `q` must hold
-    finite JSON numbers, which come back as floats, and `visits` non-negative
-    JSON integers; the lists JSON decoding made are kept when they already
-    hold floats and ints. With `share_zero`, which the caller may set only
-    when the row holds no negative zero, q's zeros become one shared 0.0:
-    most of a row's actions are never tried, and a float object for each
-    of their zeros would be most of a loaded table's memory. Raises
-    ValueError saying what is wrong.
+    `n` must be a JSON integer that numbers a state of `qt.env` and has no
+    row yet, `q` must hold finite JSON numbers, which come back as floats,
+    and `visits` non-negative JSON integers; the lists JSON decoding made
+    are kept when they already hold floats and ints. With `share_zero`,
+    which the caller may set only when the row holds no negative zero, q's
+    zeros become one shared 0.0: most of a row's actions are never tried,
+    and a float object for each of their zeros would be most of a loaded
+    table's memory. Raises ValueError saying what is wrong.
     """
-    prefixes = {}
-    for names, caps, offset in _state_names(env):
-        position = {name: c for c, name in enumerate(caps)}
-        for code, name in enumerate(names):
-            prefixes[name] = (offset + code * len(caps), position)
-    units, width = env.num_units, env.num_actions
+    rows, width = qt.rows, qt.num_actions
 
-    def read(rec, share_zero=False):
-        if not (type(rec) is dict and type(state := rec.get("state")) is str
+    def put(rec, share_zero=False):
+        if not (type(rec) is dict and type(n := rec.get("n")) is int
                 and type(q := rec.get("q")) is list
                 and type(visits := rec.get("visits")) is list):
-            raise ValueError(f"a row must be an object with a 'state' string "
+            raise ValueError(f"a row must be an object with an 'n' integer "
                              f"and 'q' and 'visits' lists, got "
                              f"{json.dumps(rec)[:80]!r}")
         if len(q) != width or len(visits) != width:
-            raise ValueError(f"row width mismatch for {state}")
+            raise ValueError(f"row width mismatch for state {n}")
         if set(map(type, q)) != _FLOAT:
             bad = [x for x in q if type(x) not in _NUMBER]
             if bad:  # bools and strings are not numbers
@@ -297,21 +271,21 @@ def _row_reader(env: MdpEnv):
             bad = [x for x in visits if type(x) is not int or x < 0]
             raise ValueError(f"'visits' entries must be non-negative JSON "
                              f"integers, got {bad[0]!r}")
-        tail = state.split(",", units + 1)[-1]
-        first, position = prefixes.get(state[:len(state) - len(tail)],
-                                       (None, {}))
-        c = position.get(tail)
-        if c is None:
-            return env.number(decode_state(state, units)), q, visits
-        return first + c, q, visits
+        if not 0 <= n < len(rows):
+            raise ValueError(f"state {n} is not numbered under the config")
+        if rows[n] is not None:
+            raise ValueError(f"state {n} has a row already")
+        rows[n] = (q, visits)
+        return n
 
-    return read
+    return put
 
 
 def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
                 ) -> tuple[QTable, dict]:
     """A q-table file's rows, placed by `env`'s numbering. The header's counts
-    must match `env`'s and each row's state must be reachable in `env`.
+    and numbering digest must match `env`'s and each row's `n` must number
+    a state of `env`.
 
     Runs of up to `_BLOCK` non-blank lines are decoded by one `json.loads`
     as a JSON array. A run that does not decode to one valid row per line
@@ -319,13 +293,12 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
     the file is accepted or refused as a line-by-line read would.
     """
     with open(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty q-table file")
-        header = parse_json(header_line, path, line=1)
-        if (not isinstance(header, dict)
-                or header.get("format") != QTABLE_FORMAT):
-            raise ValueError(f"{path}: not a q-table file")
+        header = parse_json(fh.readline(), path, line=1)
+        form = header.get("format") if isinstance(header, dict) else None
+        if form != QTABLE_FORMAT:
+            raise ValueError(f"{path}: " + (
+                "a v1 q-table, its rows keyed by state name; re-run solve"
+                if form == "storeplan-qtable-v1" else "not a q-table file"))
         if (expected_config_hash is not None
                 and header.get("config_hash") != expected_config_hash):
             raise IncompatibleArtifact(
@@ -338,8 +311,12 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
             if want is not None and header[key] != want:
                 raise ValueError(f"{path}: line 1: header {key!r} is "
                                  f"{header[key]}, but the config gives {want}")
+        if header.get("numbering") != (digest := _numbering_digest(env)):
+            raise ValueError(f"{path}: line 1: header 'numbering' is "
+                             f"{header.get('numbering')!r}, but the config "
+                             f"numbers its states as {digest!r}")
         qt = QTable(env)
-        rows, read = qt.rows, _row_reader(env)
+        rows, put = qt.rows, _row_placer(qt)
 
         def place(first: int, lines: list[str]) -> None:
             """Rows from `lines`, the file's lines from line `first` on."""
@@ -358,13 +335,8 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
                     recs = json.loads(text)
                     if len(recs) == len(lines):
                         for rec in recs:
-                            n, q, v = read(rec, share_zero)
-                            if n is None or rows[n] is not None:
-                                break
-                            rows[n] = (q, v)
-                            placed.append(n)
-                        else:
-                            return
+                            placed.append(put(rec, share_zero))
+                        return
                 except ValueError:
                     pass
             for n in placed:
@@ -372,15 +344,9 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
             for lineno, line in enumerate(lines, start=first):
                 rec = parse_json(line, path, line=lineno)
                 try:
-                    n, q, v = read(rec)
+                    put(rec)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                if n is None or rows[n] is not None:
-                    why = ("is not reachable under the config" if n is None
-                           else "has a row already")
-                    raise ValueError(f"{path}: line {lineno}: state "
-                                     f"{rec['state']} {why}")
-                rows[n] = (q, v)
 
         first, lines = 2, []
         for lineno, line in enumerate(fh, start=2):

@@ -222,8 +222,7 @@ def test_tampered_policy_exits_two(pipeline_dir, tmp_path):
     assert "running sum" in proc.stderr
 
 
-@pytest.mark.parametrize("row", ["5", '{"state": "1,1,1,1,1,0,0,0,0", '
-                                 '"q": 5, "visits": 5}'])
+@pytest.mark.parametrize("row", ["5", '{"n": 0, "q": 5, "visits": 5}'])
 def test_malformed_qtable_row_exits_two(pipeline_dir, tmp_path, row):
     lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
     lines[1] = row
@@ -312,12 +311,16 @@ def test_artifact_that_is_not_json_exits_two_naming_the_file(
     ("mistyped header", "'num_actions' must be an integer"),
     ("repeated state", "line 3: state"),
     ("unit count off the config", "line 1: header 'num_units' is 2"),
-    ("unreachable state", "line 2: state 9,1,1,1,1,0,0,0,0 is not reachable"),
+    ("unreachable state", "line 2: state {size} is not numbered under the "
+                          "config"),
 ])
 def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
                                                        defect, match):
     header, *rows = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
     doc = json.loads(header)
+    cfg = load_config(SMOKE)
+    size = MdpEnv(cfg.planning, cfg.storage, outage_cost=None).numbering[1]
+    match = match.format(size=size)
     if defect == "mistyped header":
         doc["num_actions"] = str(doc["num_actions"])
     elif defect == "unit count off the config":
@@ -325,10 +328,10 @@ def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
     elif defect == "repeated state":
         rows[1] = rows[0]  # the count still matches the header's
     else:
-        # the initial state's row, moved past the horizon
+        # the initial state's row, moved past the last state number
         row = json.loads(rows[0])
-        assert row["state"] == "1,1,1,1,1,0,0,0,0"
-        row["state"] = "9" + row["state"][1:]
+        assert row["n"] == 0
+        row["n"] = size
         rows[0] = json.dumps(row)
     header = json.dumps(doc)
     bad = tmp_path / "qtable.jsonl"
@@ -337,6 +340,29 @@ def test_bad_qtable_header_or_repeated_state_exits_two(pipeline_dir, tmp_path,
                    "--scenario", "1", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert match in proc.stderr
+    assert not (tmp_path / "policy_1.csv").exists()
+
+
+def test_name_keyed_qtable_exits_two_asking_to_solve_again(pipeline_dir,
+                                                          tmp_path):
+    """A table from before rows were keyed by state number: its header's
+    format is v1, it has no numbering digest, and its rows name their
+    states."""
+    header, *rows = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    doc = json.loads(header)
+    doc["format"] = "storeplan-qtable-v1"
+    doc["states"] = 1
+    del doc["numbering"]
+    row = json.loads(rows[0])
+    rows[0] = json.dumps({"state": "1,1,1,1,1,0,0,0,0", "q": row["q"],
+                          "visits": row["visits"]})
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join([json.dumps(doc), rows[0]]) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"{bad}: a v1 q-table" in proc.stderr
+    assert "re-run solve" in proc.stderr
     assert not (tmp_path / "policy_1.csv").exists()
 
 

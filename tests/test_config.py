@@ -205,6 +205,18 @@ def test_load_series_rejects_non_finite(tmp_path, text):
         load_series(path, "demand")
 
 
+@pytest.mark.parametrize("row", ["7.5,1.0", "7,abc"])
+def test_load_series_rejects_unparsable_row_naming_it(tmp_path, row):
+    """A non-integer hour, or a value that is not a number."""
+    path = tmp_path / "bad.csv"
+    with open(path, "w") as fh:
+        fh.write("hour,value\n")
+        for i in range(HOURS_PER_YEAR):
+            fh.write(f"{row}\n" if i == 7 else f"{i},1.0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: row 7: ")):
+        load_series(path, "demand")
+
+
 @pytest.mark.parametrize("value", [NAN, INF])
 def test_series_rejects_non_finite_values(value):
     values = np.ones(HOURS_PER_YEAR)

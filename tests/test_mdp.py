@@ -3,7 +3,6 @@ the exact backward-induction values the learner is checked against."""
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from conftest import pointwise
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
                            backward_induction, count_states_component_product,
-                           count_states_reachable, decode_state, encode_state,
+                           count_states_reachable, encode_state,
                            format_number)
 from storeplan.policy import visited_greedy
 from storeplan.qlearn import DecaySchedule, train
@@ -202,11 +201,6 @@ def test_number_is_none_off_the_reachable_set(state):
     assert make_env(units=2, horizon=3).number(state) is None
 
 
-def test_encode_decode_round_trip():
-    s = MdpState(3, (2, 4), (1300.0, 0.0))
-    assert decode_state(encode_state(s), 2) == s
-
-
 def test_encode_uses_compact_capacity_format():
     s = MdpState(1, (1, 1), (300.0, 0.0))
     assert encode_state(s) == "1,1,1,300,0"
@@ -222,22 +216,6 @@ def test_format_number_prints_g_only_when_it_reads_back():
 
 # levels whose sums or values `:g` cannot print exactly
 G_LOSSY_LEVELS = [(0.1, 0.2, 0.5), (1234567.0,)]
-
-
-@pytest.mark.parametrize("levels", G_LOSSY_LEVELS)
-def test_every_state_name_reads_back_as_its_state(smoke_config, levels):
-    env = MdpEnv(replace(smoke_config.planning, expansion_levels_kwh=levels),
-                 smoke_config.storage,
-                 outage_cost=pointwise(lambda k, caps: 0.0))
-    states = every_state(env)
-    assert len(states) > 10_000
-    for n, s in enumerate(states):
-        assert env.number(decode_state(encode_state(s), env.num_units)) == n
-
-
-def test_decode_rejects_wrong_width():
-    with pytest.raises(ValueError):
-        decode_state("1,1,300", 2)
 
 
 def test_component_product_count_matches_closed_form():

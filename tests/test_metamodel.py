@@ -9,6 +9,7 @@ by the acceptance suite; these tests pin down the mechanics.
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,34 @@ def test_read_dataset_rejects_tampered_sidecar(tmp_path, smoke_config, key,
     meta[key] = value
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=match):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("field, text, match", [
+    (-1, "nan", "must be finite and non-negative"),
+    (-1, "inf", "must be finite and non-negative"),
+    (-1, "-1.5", "must be finite and non-negative"),
+    (1, "nan", "must be finite and non-negative"),
+    (2, "-300.0", "must be finite and non-negative"),
+    (-1, "abc", "could not convert string to float: 'abc'"),
+    (0, "2.0", "invalid literal for int"),
+    (0, "9", "period 9 is outside the sidecar's 4 schedule rows"),
+    (0, "0", "period 0 is outside"),
+    (None, "", "expected 6 fields, got 5"),
+])
+def test_read_dataset_rejects_bad_row_naming_file_and_line(
+        tmp_path, smoke_config, field, text, match):
+    path = written_dataset(tmp_path, smoke_config)
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    if field is None:
+        del cells[-1]
+    else:
+        cells[field] = text
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: ")
+                       + ".*" + re.escape(match)):
         read_dataset(path)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from storeplan.config import IncompatibleArtifact
-from storeplan.mdp import MdpEnv, MdpState, encode_state
+from storeplan.mdp import MdpEnv, MdpState
 from storeplan import qlearn
 from storeplan.qlearn import (BATCHES, DecaySchedule, LearningCurve, QTable,
                               greedy_index, load_qtable, save_qtable, train)
@@ -306,9 +306,6 @@ def test_qtable_round_trip_with_levels_g_cannot_print(smoke_config, tmp_path,
                   DecaySchedule(1.0, 0.3, 300), seed=13)
     path = tmp_path / "qtable.jsonl"
     save_qtable(qt, path, config_digest="abc123")
-    names = [json.loads(line)["state"]
-             for line in path.read_text().splitlines()[1:]]
-    assert names == sorted(encode_state(s) for s, _ in visited(qt))
     loaded, _ = load_qtable(path, env, expected_config_hash="abc123")
     assert loaded.rows == qt.rows
 
@@ -345,19 +342,19 @@ def small_qtable_file(path, rows=None, states=None):
     "5",
     "[1, 2, 3]",
     '{"q": [0, 0, 0], "visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": 5, "visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": "000"}',
-    '{"state": "1,1,1,0,0", "q": [null, 0, 0], "visits": [0, 0, 0]}',
-    '{"state": "1,1,x,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": ["1.5", "nan", true], '
+    '{"n": 0, "q": 5, "visits": [0, 0, 0]}',
+    '{"n": 0, "q": [0, 0, 0], "visits": "000"}',
+    '{"n": 0, "q": [null, 0, 0], "visits": [0, 0, 0]}',
+    '{"n": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}',
+    '{"n": 0, "q": ["1.5", "nan", true], '
     '"visits": [1.5, -3, true]}',
-    '{"state": "1,1,1,0,0", "q": [1.5, 0, true], "visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": [1.5, 0, "0"], "visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": [1e999, 0, 1' + "0" * 400 + '], '
+    '{"n": 0, "q": [1.5, 0, true], "visits": [0, 0, 0]}',
+    '{"n": 0, "q": [1.5, 0, "0"], "visits": [0, 0, 0]}',
+    '{"n": 0, "q": [1e999, 0, 1' + "0" * 400 + '], '
     '"visits": [0, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [1.5, 0, 0]}',
-    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, -3, 0]}',
-    '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, true]}',
+    '{"n": 0, "q": [0, 0, 0], "visits": [1.5, 0, 0]}',
+    '{"n": 0, "q": [0, 0, 0], "visits": [0, -3, 0]}',
+    '{"n": 0, "q": [0, 0, 0], "visits": [0, 0, true]}',
 ])
 def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
@@ -369,7 +366,7 @@ def test_load_qtable_rejects_malformed_row_naming_it(tmp_path, row):
 def test_load_qtable_rejects_non_finite_q_naming_file_and_line(tmp_path,
                                                                value):
     """json decodes all four to floats: NaN, inf, -inf and inf."""
-    row = ('{"state": "1,1,1,0,0", "q": [0.5, ' + value + ', 0], '
+    row = ('{"n": 0, "q": [0.5, ' + value + ', 0], '
            '"visits": [1, 1, 0]}')
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     with pytest.raises(ValueError, match=f"{path}: line 2: 'q' entries "
@@ -378,7 +375,7 @@ def test_load_qtable_rejects_non_finite_q_naming_file_and_line(tmp_path,
 
 
 def test_load_qtable_accepts_finite_q_whose_sum_overflows(tmp_path):
-    row = '{"state": "1,1,1,0,0", "q": [1e308, 1e308, 0], "visits": [1, 1, 0]}'
+    row = '{"n": 0, "q": [1e308, 1e308, 0], "visits": [1, 1, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     qt, _ = load_qtable(path, small_env())
     assert qt.entry(qt.env.initial_state())[0] == [1e308, 1e308, 0.0]
@@ -395,15 +392,15 @@ def test_save_qtable_refuses_non_finite_q(tmp_path, value):
 
 
 def test_load_qtable_rejects_row_width_mismatch(tmp_path):
-    row = '{"state": "1,1,1,0,0", "q": [0, 0], "visits": [0, 0]}'
+    row = '{"n": 0, "q": [0, 0], "visits": [0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     with pytest.raises(ValueError,
-                       match="line 2: row width mismatch for 1,1,1,0,0"):
+                       match="line 2: row width mismatch for state 0"):
         load_qtable(path, small_env())
 
 
 def test_load_qtable_keeps_the_sign_of_zero(tmp_path):
-    row = '{"state": "1,1,1,0,0", "q": [-0.0, 0.0, 0], "visits": [0, 0, 0]}'
+    row = '{"n": 0, "q": [-0.0, 0.0, 0], "visits": [0, 0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     qt, _ = load_qtable(path, small_env())
     q = qt.q_values(qt.env.initial_state())
@@ -444,24 +441,43 @@ def test_load_qtable_rejects_header_counts_off_the_config(tmp_path, key,
         load_qtable(path, small_env())
 
 
-@pytest.mark.parametrize("state", [
-    "9,1,1,0,0",      # the initial state moved past the horizon
-    "1,1,1,300,0",    # capacity before any period could install it
-    "2,1,1,300,300",  # two installs in one period
-    "2,3,1,0,0",      # a price two steps down after one boundary
+def test_load_qtable_rejects_another_numbering(tmp_path):
+    """Other expansion levels number states of other capacities, here as
+    many of them as `small_env` has, under the same action count: only
+    the header's numbering digest tells the two tables apart."""
+    path = small_qtable_file(tmp_path / "qtable.jsonl")
+    other = MdpEnv(planning(levels=(500.0,)), small_env().storage,
+                   outage_cost=pointwise(lambda k, caps: 0.0))
+    assert other.num_actions == small_env().num_actions
+    assert other.numbering[1] == small_env().numbering[1]
+    with pytest.raises(ValueError, match="line 1: header 'numbering' is"):
+        load_qtable(path, other, expected_config_hash=None)
+
+
+NOT_A_NUMBER = "line 2: a row must be an object with an 'n' integer"
+
+
+@pytest.mark.parametrize("n, match", [
+    ("size", "line 2: state {size} is not numbered under the config"),
+    (-1, "line 2: state -1 is not numbered under the config"),
+    (True, NOT_A_NUMBER),  # bools are not state numbers
+    (1.0, NOT_A_NUMBER),
+    ("0", NOT_A_NUMBER),
 ])
-def test_load_qtable_rejects_unreachable_state(tmp_path, state):
-    row = json.dumps({"state": state, "q": [0, 0, 0], "visits": [0, 0, 0]})
+def test_load_qtable_rejects_unreachable_state(tmp_path, n, match):
+    size = small_env().numbering[1]
+    if n == "size":
+        n = size
+    row = json.dumps({"n": n, "q": [0, 0, 0], "visits": [0, 0, 0]})
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
-    with pytest.raises(ValueError,
-                       match=f"line 2: state {state} is not reachable"):
+    with pytest.raises(ValueError, match=match.format(size=size)):
         load_qtable(path, small_env())
 
 
 def test_load_qtable_rejects_repeated_state(tmp_path):
-    row = '{"state": "1,1,1,0,0", "q": [0, 0, 0], "visits": [0, 0, 0]}'
+    row = '{"n": 0, "q": [0, 0, 0], "visits": [0, 0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row, row])
-    with pytest.raises(ValueError, match="line 3: state 1,1,1,0,0"):
+    with pytest.raises(ValueError, match="line 3: state 0 has a row already"):
         load_qtable(path, small_env())
 
 
@@ -494,7 +510,7 @@ def rewrite_rows(path, out, rows):
     ("string q", "'q' entries must be JSON numbers"),
     ("NaN q", "'q' entries must be finite"),
     ("repeated", "has a row already"),
-    ("unreachable", "is not reachable"),
+    ("unreachable", "is not numbered under the config"),
 ])
 def test_load_qtable_names_the_file_line_next_to_a_block_boundary(
         blocks_file, tmp_path, offset, defect, match):
@@ -515,7 +531,7 @@ def test_load_qtable_names_the_file_line_next_to_a_block_boundary(
         rows[i] = rows[i - 2]
     else:
         rec = json.loads(rows[i])
-        rec["state"] = "9" + rec["state"][1:]
+        rec["n"] = env.numbering[1]
         rows[i] = json.dumps(rec)
     # a blank line after the header shifts every row down one line
     bad = rewrite_rows(path, tmp_path / "qtable.jsonl", ["", *rows])
@@ -550,26 +566,19 @@ def test_load_qtable_reads_other_spellings_of_the_same_rows(blocks_file,
     spelled = []
     for i, line in enumerate(path.read_text().splitlines()[1:]):
         rec = json.loads(line)
-        kind = i % 5
+        kind = i % 4
         if kind == 1:  # other key order, other spaces
-            line = '{ "visits" :%s ,"q":  %s,"state" : "%s"}' % (
-                json.dumps(rec["visits"]), json.dumps(rec["q"]), rec["state"])
-        elif kind == 2:  # capacities spelled 0.0
-            fields = rec["state"].split(",")
-            cut = 1 + env.num_units
-            rec["state"] = ",".join(fields[:cut] + [
-                "0.0" if c == "0" else c for c in fields[cut:]])
-            line = json.dumps(rec)
-        elif kind == 3:  # whole q values spelled as integers
+            line = '{ "visits" :%s ,"q":  %s,"n" : %d}' % (
+                json.dumps(rec["visits"]), json.dumps(rec["q"]), rec["n"])
+        elif kind == 2:  # whole q values spelled as integers
             rec["q"] = [int(x) if x.is_integer() else x for x in rec["q"]]
             line = json.dumps(rec)
-        elif kind == 4:  # leading and trailing white space
+        elif kind == 3:  # leading and trailing white space
             line = f"  {line}\t "
         spelled.append(line)
         if i in (7, qlearn._BLOCK):
             spelled.append("  ")
     recs = [json.loads(line) for line in spelled if line.strip()]
-    assert any("0.0" in rec["state"] for rec in recs)
     assert any(type(x) is int for rec in recs for x in rec["q"])
     loaded, _ = load_qtable(rewrite_rows(path, tmp_path / "spelled.jsonl",
                                          spelled), env)
@@ -677,12 +686,19 @@ def test_training_output_is_pinned(smoke_config, tmp_path):
     save_qtable(qt, tmp_path / "qtable.jsonl", "pinned",
                 metadata={"episodes": n})
     curve.save(tmp_path / "learning_curve.csv")
+    loaded, _ = load_qtable(tmp_path / "qtable.jsonl", env, "pinned")
+    # (n, q, visits) of each visited row in number order, whatever the
+    # file's format
+    rows = repr([(i, *row) for i, row in enumerate(loaded.rows) if row])
 
     def sha(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
     assert len(qt) == 4_368
+    assert loaded.rows == qt.rows
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "458e6e7853d065d9bec09133e504a2bc5772d644ec3fe6e553c2e92c4e0cb097")
     assert sha("qtable.jsonl") == (
-        "e7d7d2000c253710f9edb4810177c9894a5ca99a2270115d6eb94cc3bf7d727f")
+        "694d7a1d39eaf830354affb1aec10243f458c5e9cd8207763caea65aa4f31591")
     assert sha("learning_curve.csv") == (
         "e51e08c7f39ea13c2b224e8df02aae13f79a391c1ce935ecb6e50c4d99ff5212")
