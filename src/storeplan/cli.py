@@ -1,10 +1,11 @@
 """Command-line pipeline: dataset, surrogate, solver, policies, reports.
 
 Every artifact lands in an --out directory together with a manifest.json entry
-recording the producing command, parameters, the configuration hash and the
-stage's wall and CPU seconds, so a run directory is self-describing. Exit
-codes: 1 for usage problems, 2 for validation failures (bad config, corrupt
-artifact), 3 for artifacts that do not belong to the supplied configuration.
+recording its sha256, the producing command, parameters, the configuration
+hash and the stage's wall and CPU seconds, so a run directory is
+self-describing. Exit codes: 1 for usage problems, 2 for validation failures
+(bad config, corrupt artifact), 3 for artifacts that do not belong to the
+supplied configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (ConfigError, IncompatibleArtifact, config_hash,
-                     load_config, parse_json)
+                     file_sha256, load_config, parse_json)
 from .mdp import MdpEnv, backward_induction, count_states_component_product
 from .metamodel import (generate_dataset, load_forest,
                         reachable_capacity_values, read_dataset, save_forest,
@@ -71,12 +72,14 @@ def _read_manifest(manifest_path: Path) -> dict:
 
 def _record_artifact(out_dir: Path, name: str, filename: str,
                      digest: str | None, args, params: dict) -> None:
-    """Add `name`'s entry to the manifest. `wall_s` and `cpu_s` are the
-    stage's wall and CPU seconds (this process) up to the entry's write."""
+    """Add `name`'s entry to the manifest. `sha256` is the digest of the
+    artifact's bytes; `wall_s` and `cpu_s` are the stage's wall and CPU
+    seconds (this process) up to the entry's write."""
     manifest_path = out_dir / "manifest.json"
     manifest = _read_manifest(manifest_path)
     manifest["artifacts"][name] = {
         "path": filename,
+        "sha256": file_sha256(out_dir / filename),
         "config_hash": digest,
         "command": args.command,
         "params": params,
@@ -87,6 +90,16 @@ def _record_artifact(out_dir: Path, name: str, filename: str,
     tmp = manifest_path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
     os.replace(tmp, manifest_path)
+
+
+def _recorded_sha256(path: Path) -> str | None:
+    """The sha256 that the manifest next to `path` records for it, if any."""
+    entries = _read_manifest(path.parent / "manifest.json")["artifacts"]
+    for entry in entries.values():
+        if isinstance(entry, dict) and entry.get("path") == path.name:
+            digest = entry.get("sha256")
+            return digest if isinstance(digest, str) else None
+    return None
 
 
 def _out_dir(args) -> Path:
@@ -142,7 +155,8 @@ def cmd_train_meta(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
-    forest = load_forest(args.forest, expected_config_hash=digest)
+    forest = load_forest(args.forest, expected_config_hash=digest,
+                         storage=cfg.storage)
     env = MdpEnv(cfg.planning, cfg.storage, outage_cost=forest.predict)
     episodes = cfg.rl.episodes if args.episodes is None else args.episodes
     seed = cfg.master_seed if args.seed is None else args.seed
@@ -188,7 +202,9 @@ def cmd_policy(args) -> int:
     digest = config_hash(cfg)
     scenarios = _scenarios(args, args.scenario)
     env = MdpEnv(cfg.planning, cfg.storage, outage_cost=_no_outage_cost)
-    qtable, _ = load_qtable(args.qtable, env, expected_config_hash=digest)
+    qtable, _ = load_qtable(args.qtable, env, expected_config_hash=digest,
+                            expected_sha256=_recorded_sha256(
+                                Path(args.qtable)))
     out = _out_dir(args)
     for sid, scenario in zip(args.scenario, scenarios):
         report = extract_policy(qtable, env, scenario)
@@ -251,7 +267,8 @@ def cmd_report(args) -> int:
         produced.append(pol.name)
     forest_src = run / "forest.json"
     if forest_src.exists():
-        forest = load_forest(forest_src, expected_config_hash=digest)
+        forest = load_forest(forest_src, expected_config_hash=digest,
+                             storage=cfg.storage)
         values = reachable_capacity_values(
             cfg.planning.expansion_levels_kwh,
             cfg.planning.horizon_periods - 1)

@@ -31,7 +31,7 @@ __all__ = [
     "ConfigError", "IncompatibleArtifact", "StorageTechnology", "FacilityClass",
     "HourlySeries", "RlParams", "MetamodelParams", "PlanningConfig", "Config",
     "load_config", "parse_json", "load_series", "synth_profile",
-    "config_hash",
+    "config_hash", "file_sha256",
 ]
 
 HOURS_PER_YEAR = 8760
@@ -502,6 +502,20 @@ def load_config(path: str | Path) -> Config:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return _parse_document(parse_json(text, path), path.parent)
+
+
+def file_sha256(path, visit=None) -> str:
+    """The sha256 hex digest of the file at `path`, read in 256 KiB chunks,
+    so no buffer the size of the file is held. `visit(offset, chunk)`, if
+    given, sees each chunk with its offset in the file, in order."""
+    digest, offset = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 18):
+            digest.update(chunk)
+            if visit is not None:
+                visit(offset, chunk)
+            offset += len(chunk)
+    return digest.hexdigest()
 
 
 def parse_json(text: str, path, line: int | None = None):

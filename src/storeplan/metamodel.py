@@ -55,6 +55,11 @@ FOREST_KEYS = (("num_features", (int,), "integer"),
                ("test_indices", (list,), "list"),
                ("r2_test", (int, float), "number"),
                ("config_hash", (str,), "string"), ("trees", (list,), "list"))
+# The keys of a dataset sidecar that the forest takes from it, with their
+# JSON types.
+SIDECAR_KEYS = (("config_hash", (str,), "string"), ("dod", (list,), "list"),
+                ("efficiency", (list,), "list"),
+                ("metamodel", (dict,), "object"))
 # Fit settings of the config's metamodel section (its optional fields), as
 # the dataset carries them.
 FIT_KEYS = tuple(f.name for f in fields(MetamodelParams)
@@ -96,6 +101,32 @@ def _check_schedules(dod, efficiency, units: int) -> None:
         raise ValueError(f"dod schedule is not (periods, {units} units)")
     if efficiency.shape != dod.shape:
         raise ValueError("efficiency and dod schedules differ in shape")
+
+
+def _check_keys(doc: dict, keys, path) -> None:
+    """Raise ValueError naming `path` and the key unless the JSON object
+    `doc` holds each of `keys`, `(key, types, JSON type name)`, with one of
+    its types."""
+    for key, kinds, name in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: {key!r} is missing")
+        if type(doc[key]) not in kinds:  # a bool is not an integer
+            raise ValueError(f"{path}: {key!r} must be a JSON {name}, "
+                             f"got {doc[key]!r:.40}")
+
+
+def _read_schedules(doc: dict, path) -> dict[str, np.ndarray]:
+    """The 'dod' and 'efficiency' lists of the file `doc` read from `path`,
+    as arrays; each must be a list of equal-length rows of finite numbers."""
+    schedules = {}
+    for key in ("dod", "efficiency"):
+        rows = doc[key]
+        if not all(isinstance(row, list) and len(row) == len(rows[0])
+                   and _finite_floats(row) is not None for row in rows):
+            raise ValueError(f"{path}: {key!r} must be a list of equal-length "
+                             f"rows of finite numbers")
+        schedules[key] = np.array(rows, dtype=float)
+    return schedules
 
 
 def _fleet_energy(period, capacity, dod, efficiency) -> np.ndarray:
@@ -265,15 +296,18 @@ def read_dataset(path) -> SyntheticDataset:
         if type(meta.get(key)) is not int:  # bools are not counts
             raise ValueError(f"{meta_path}: {key!r} must be an integer, "
                              f"got {meta.get(key)!r}")
+    _check_keys(meta, SIDECAR_KEYS, meta_path)
     units = meta["num_units"]
     header = ",".join(["k", *(f"cap_{i + 1}" for i in range(units)), "cost"])
     lines = path.read_text().splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: expected header {header!r} for the "
                          f"sidecar's {units} units")
-    dod = np.array(meta["dod"], dtype=float)
-    efficiency = np.array(meta["efficiency"], dtype=float)
-    _check_schedules(dod, efficiency, units)
+    dod, efficiency = _read_schedules(meta, meta_path).values()
+    try:
+        _check_schedules(dod, efficiency, units)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     periods, caps, costs = [], [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
@@ -296,13 +330,16 @@ def read_dataset(path) -> SyntheticDataset:
     if meta["observations"] != len(periods):
         raise ValueError(f"{meta_path}: {meta['observations']} observations, "
                          f"but the CSV has {len(periods)} rows")
-    return SyntheticDataset(period=np.array(periods, dtype=int),
-                            capacity=np.array(caps), cost=np.array(costs),
-                            trials=meta["trials"],
-                            master_seed=meta["master_seed"],
-                            config_digest=meta["config_hash"],
-                            dod=dod, efficiency=efficiency,
-                            fit_params=meta["metamodel"])
+    try:  # the fit settings are checked as the config checks them
+        return SyntheticDataset(period=np.array(periods, dtype=int),
+                                capacity=np.array(caps), cost=np.array(costs),
+                                trials=meta["trials"],
+                                master_seed=meta["master_seed"],
+                                config_digest=meta["config_hash"],
+                                dod=dod, efficiency=efficiency,
+                                fit_params=meta["metamodel"])
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -631,23 +668,21 @@ def _check_tree(t, where: str) -> None:
                          f"child of exactly one node")
 
 
-def load_forest(path, expected_config_hash: str | None = None) -> RegressionForest:
+def load_forest(path, expected_config_hash: str | None = None,
+                storage=None) -> RegressionForest:
     """A forest from its file, checked as outside input: every key present
     with its JSON type, a finite soft-split width, schedules of finite
-    numbers, and at least one well-formed tree (`_check_tree`); anything
-    else raises ValueError naming the file and the key."""
+    numbers, equal to the `dod_schedule`s and `efficiency_schedule`s of the
+    config's `storage` units when given, and at least one well-formed tree
+    (`_check_tree`); anything else raises ValueError naming the file and
+    the key."""
     doc = parse_json(Path(path).read_text(), path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a forest file holds a JSON object")
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"{path}: not a {FOREST_FORMAT} forest file "
                          f"(found {doc.get('format')!r}); retrain it")
-    for key, kinds, name in FOREST_KEYS:
-        if key not in doc:
-            raise ValueError(f"{path}: {key!r} is missing")
-        if type(doc[key]) not in kinds:  # a bool is not an integer
-            raise ValueError(f"{path}: {key!r} must be a JSON {name}, "
-                             f"got {doc[key]!r:.40}")
+    _check_keys(doc, FOREST_KEYS, path)
     if (expected_config_hash is not None
             and doc["config_hash"] != expected_config_hash):
         raise IncompatibleArtifact(
@@ -656,14 +691,16 @@ def load_forest(path, expected_config_hash: str | None = None) -> RegressionFore
     if _finite_floats([smoothing]) is None or smoothing < 0:
         raise ValueError(f"{path}: 'params' 'smoothing' must be a finite "
                          f"number >= 0, got {smoothing!r:.40}")
-    schedules = {}
-    for key in ("dod", "efficiency"):
-        rows = doc[key]
-        if not all(isinstance(row, list) and len(row) == len(rows[0])
-                   and _finite_floats(row) is not None for row in rows):
-            raise ValueError(f"{path}: {key!r} must be a list of equal-length "
-                             f"rows of finite numbers")
-        schedules[key] = np.array(rows, dtype=float)
+    schedules = _read_schedules(doc, path)
+    if storage is not None:
+        # the dataset's sidecar, not the config, gave the forest these
+        for key, got in schedules.items():
+            want = [getattr(tech, f"{key}_schedule") for tech in storage]
+            if not np.array_equal(got, np.array(want, dtype=float).T):
+                raise ValueError(f"{path}: {key!r} is not the config's "
+                                 f"{key}_schedule of each storage unit; "
+                                 f"retrain the forest on a dataset of this "
+                                 f"config")
     if not doc["trees"]:
         raise ValueError(f"{path}: 'trees' is empty; a forest holds at "
                          f"least one tree")

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from pathlib import Path
 
-from .config import IncompatibleArtifact, parse_json
+import numpy as np
+
+from .config import IncompatibleArtifact, file_sha256, parse_json
 from .mdp import MdpEnv, MdpState, encode_state
 from .rng import BlockDraws, stream, word_limit
 
@@ -29,6 +34,8 @@ __all__ = [
 QTABLE_FORMAT = "storeplan-qtable-v2"
 BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
 _BLOCK = 256  # q-table rows per json.loads call in load_qtable
+# how a row that save_qtable wrote starts: its state number
+_ROW_START = re.compile(rb'\{"n": (\d+),')
 # entry types of saved q and visits rows, and the types q may hold
 _FLOAT, _INT, _NUMBER = {float}, {int}, (float, int)
 _encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps, but no NaN
@@ -206,6 +213,7 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
     `_numbering_digest` the numbers refer to. A NaN or infinite q-value
     raises ValueError and leaves no file.
     """
+    rows = qtable.rows  # a `_VerifiedTable` reads its file here, not midway
     header = {
         "format": QTABLE_FORMAT,
         "config_hash": config_digest,
@@ -219,7 +227,7 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
     try:
         with open(path, "w") as fh:
             fh.write(_encode(header) + "\n")
-            for n, row in enumerate(qtable.rows):
+            for n, row in enumerate(rows):
                 if row:
                     fh.write(_encode({"n": n, "q": row[0], "visits": row[1]})
                              + "\n")
@@ -228,20 +236,19 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
         raise ValueError(f"{path}: a q-value is not finite") from None
 
 
-def _row_placer(qt: QTable):
+def _row_placer(rows: list, width: int):
     """A function that places one decoded q-table row `{"n", "q", "visits"}`
-    at `qt.rows[n]` and returns n.
+    at `rows[n]` and returns n.
 
-    `n` must be a JSON integer that numbers a state of `qt.env` and has no
-    row yet, `q` must hold finite JSON numbers, which come back as floats,
-    and `visits` non-negative JSON integers; the lists JSON decoding made
-    are kept when they already hold floats and ints. With `share_zero`,
-    which the caller may set only when the row holds no negative zero, q's
-    zeros become one shared 0.0: most of a row's actions are never tried,
-    and a float object for each of their zeros would be most of a loaded
-    table's memory. Raises ValueError saying what is wrong.
+    `n` must be a JSON integer below `len(rows)` whose slot holds no row
+    yet, `q` must hold `width` finite JSON numbers, which come back as
+    floats, and `visits` `width` non-negative JSON integers; the lists JSON
+    decoding made are kept when they already hold floats and ints. With
+    `share_zero`, which the caller may set only when the row holds no
+    negative zero, q's zeros become one shared 0.0: most of a row's actions
+    are never tried, and a float object for each of their zeros would be
+    most of a loaded table's memory. Raises ValueError saying what is wrong.
     """
-    rows, width = qt.rows, qt.num_actions
 
     def put(rec, share_zero=False):
         if not (type(rec) is dict and type(n := rec.get("n")) is int
@@ -281,17 +288,155 @@ def _row_placer(qt: QTable):
     return put
 
 
-def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
-                ) -> tuple[QTable, dict]:
-    """A q-table file's rows, placed by `env`'s numbering. The header's counts
-    and numbering digest must match `env`'s and each row's `n` must number
-    a state of `env`.
+def _read_rows(fh, path, qt: QTable) -> None:
+    """Every row of the open q-table file `fh`, from line 2 on, placed in
+    `qt`; `path` names the file in errors.
 
     Runs of up to `_BLOCK` non-blank lines are decoded by one `json.loads`
     as a JSON array. A run that does not decode to one valid row per line
     is read again line by line, so an error names its file and line, and
     the file is accepted or refused as a line-by-line read would.
     """
+    rows = qt.rows
+    put = _row_placer(rows, qt.num_actions)
+
+    def place(first: int, lines: list[str]) -> None:
+        """Rows from `lines`, the file's lines from line `first` on."""
+        text = "[" + ",".join(lines) + "]"
+        placed = []
+        # A JSON string cannot hold a raw newline, so a row spanning two
+        # lines would hold the "{" that starts the second one as well as
+        # its own. With every line after the first starting with "{",
+        # one "{" per line in all, and as many rows as lines, each line
+        # holds exactly one row.
+        if (text.count("\n,{") == len(lines) - 1
+                and text.count("{") == len(lines)):
+            # a negative zero is a number token starting with "-0"
+            share_zero = "-0" not in text
+            try:
+                recs = json.loads(text)
+                if len(recs) == len(lines):
+                    for rec in recs:
+                        placed.append(put(rec, share_zero))
+                    return
+            except ValueError:
+                pass
+        for n in placed:
+            rows[n] = None
+        for lineno, line in enumerate(lines, start=first):
+            rec = parse_json(line, path, line=lineno)
+            try:
+                put(rec)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+    first, lines = 2, []
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip():
+            lines.append(line)
+            if len(lines) < _BLOCK:
+                continue
+        if lines:
+            place(first, lines)
+        first, lines = lineno + 1, []
+    if lines:
+        place(first, lines)
+
+
+def _line_starts(path, expected_sha256: str):
+    """The offset of each line of the file at `path`, found in the pass
+    that hashes it, if its sha256 is `expected_sha256`; else None."""
+    parts, size = [np.zeros(1, np.int64)], 0
+
+    def newlines(offset, chunk):
+        nonlocal size
+        size = offset + len(chunk)
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        parts.append(ends + (offset + 1))
+
+    if file_sha256(path, newlines) != expected_sha256:
+        return None
+    starts = np.concatenate(parts)
+    return starts[starts < size]
+
+
+class _VerifiedTable(QTable):
+    """The rows of a q-table file whose sha256 is the one `solve` recorded,
+    read as they are asked for.
+
+    `starts` holds the file's line offsets, the header's first. The first
+    time `q_values` or `visit_counts` asks for a state, its row is found by
+    bisecting the lines on their state numbers, which holds because
+    `save_qtable` writes rows in number order, and is checked by
+    `_row_placer`; an error names the file and the line. `rows` reads the
+    whole file as `load_qtable` without a digest does, so `save_qtable`
+    writes what the file holds.
+    """
+
+    def __init__(self, env: MdpEnv, path, starts):
+        self.env, self.num_actions = env, env.num_actions
+        self._path, self._starts = path, starts
+        self._found: list = [None] * env.numbering[1]
+        self._put = _row_placer(self._found, self.num_actions)
+        self._sought: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    @cached_property
+    def rows(self) -> list:
+        return load_qtable(self._path, self.env)[0].rows
+
+    def _row(self, state: MdpState):
+        n = self.env.number(state)
+        if n is not None and n not in self._sought:
+            self._read(n)
+            self._sought.add(n)
+        row = None if n is None else self._found[n]
+        return row or ([0.0] * self.num_actions, [0] * self.num_actions)
+
+    def _read(self, n: int) -> None:
+        """Place state n's row, if the file has one."""
+        path, starts = self._path, self._starts
+        with open(path, "rb") as fh:
+            def number(i: int) -> int:
+                fh.seek(starts[i])
+                start = _ROW_START.match(fh.read(32))
+                if start is None:
+                    raise ValueError(f"{path}: line {i + 1}: a row does not "
+                                     f"start as save_qtable writes one, "
+                                     f"with {{\"n\": <state number>,")
+                return int(start[1])
+
+            i = bisect_left(range(len(starts)), n, 1, key=number)
+            if i == len(starts) or number(i) != n:
+                return
+            fh.seek(starts[i])
+            line = fh.readline()
+        rec = parse_json(line, path, line=i + 1)
+        try:
+            self._put(rec)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i + 1}: {exc}") from None
+        if self._found[n] is None:
+            raise ValueError(f"{path}: line {i + 1}: starts as state {n}'s "
+                             f"row, but holds another state's")
+
+
+def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None,
+                expected_sha256: str | None = None) -> tuple[QTable, dict]:
+    """A q-table file's rows, placed by `env`'s numbering. The header's counts
+    and numbering digest must match `env`'s and each row's `n` must number
+    a state of `env`; `_read_rows` reads and checks every row.
+
+    A file whose sha256 is `expected_sha256`, the digest `solve` recorded
+    for it, is hashed in one pass that finds its line offsets. Its header
+    is checked as above and its line count against the header's `states`;
+    its rows are then read as they are asked for (`_VerifiedTable`).
+    """
+    starts = None
+    if expected_sha256 is not None:
+        starts = _line_starts(path, expected_sha256)
     with open(path) as fh:
         header = parse_json(fh.readline(), path, line=1)
         form = header.get("format") if isinstance(header, dict) else None
@@ -315,50 +460,11 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None
             raise ValueError(f"{path}: line 1: header 'numbering' is "
                              f"{header.get('numbering')!r}, but the config "
                              f"numbers its states as {digest!r}")
-        qt = QTable(env)
-        rows, put = qt.rows, _row_placer(qt)
-
-        def place(first: int, lines: list[str]) -> None:
-            """Rows from `lines`, the file's lines from line `first` on."""
-            text = "[" + ",".join(lines) + "]"
-            placed = []
-            # A JSON string cannot hold a raw newline, so a row spanning two
-            # lines would hold the "{" that starts the second one as well as
-            # its own. With every line after the first starting with "{",
-            # one "{" per line in all, and as many rows as lines, each line
-            # holds exactly one row.
-            if (text.count("\n,{") == len(lines) - 1
-                    and text.count("{") == len(lines)):
-                # a negative zero is a number token starting with "-0"
-                share_zero = "-0" not in text
-                try:
-                    recs = json.loads(text)
-                    if len(recs) == len(lines):
-                        for rec in recs:
-                            placed.append(put(rec, share_zero))
-                        return
-                except ValueError:
-                    pass
-            for n in placed:
-                rows[n] = None
-            for lineno, line in enumerate(lines, start=first):
-                rec = parse_json(line, path, line=lineno)
-                try:
-                    put(rec)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-
-        first, lines = 2, []
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                lines.append(line)
-                if len(lines) < _BLOCK:
-                    continue
-            if lines:
-                place(first, lines)
-            first, lines = lineno + 1, []
-        if lines:
-            place(first, lines)
+        if starts is None:
+            qt = QTable(env)
+            _read_rows(fh, path, qt)
+        else:
+            qt = _VerifiedTable(env, path, starts)
     if len(qt) != header["states"]:
         raise ValueError(f"{path}: header claims {header['states']} states, "
                          f"found {len(qt)}")

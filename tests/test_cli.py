@@ -5,8 +5,10 @@ small enough to finish in seconds; the remaining tests poke the failure modes
 that map to distinct exit codes.
 """
 
+import hashlib
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -15,9 +17,11 @@ import pytest
 from storeplan import cli
 from storeplan.config import HOURS_PER_YEAR, load_config
 from storeplan.mdp import MdpEnv
+from storeplan.metamodel import load_forest
 from storeplan.qlearn import load_qtable, save_qtable
 
 from conftest import CONFIGS
+from test_qlearn import nan_first_q
 
 SMOKE = str(CONFIGS / "smoke.json")
 CASE = str(CONFIGS / "case_study.json")
@@ -70,16 +74,19 @@ def test_manifest_records_every_stage(pipeline_dir):
 
 
 def test_manifest_entries_carry_stage_times(pipeline_dir):
-    entries = [entry for where in (pipeline_dir, pipeline_dir / "report")
+    entries = [(where, entry)
+               for where in (pipeline_dir, pipeline_dir / "report")
                for entry in json.loads((where / "manifest.json").read_text())
                ["artifacts"].values()]
-    assert {entry["command"] for entry in entries} == {
+    assert {entry["command"] for _, entry in entries} == {
         "gen-data", "train-meta", "solve", "policy", "evaluate", "report"}
-    for entry in entries:
+    for where, entry in entries:
         for key in ("wall_s", "cpu_s"):
             value = entry[key]
             assert type(value) is float and math.isfinite(value), entry
             assert value >= 0.0, entry
+        digest = hashlib.sha256((where / entry["path"]).read_bytes())
+        assert entry["sha256"] == digest.hexdigest(), entry
 
 
 def test_qtable_read_back_and_saved_again_is_byte_identical(pipeline_dir,
@@ -248,6 +255,127 @@ def test_non_finite_qtable_value_exits_two_naming_file_and_line(
     assert proc.returncode == 2
     assert f"{bad}: line 4: 'q' entries must be finite" in proc.stderr
     assert not (tmp_path / "policy_1.csv").exists()
+
+
+def test_tampered_qtable_in_its_run_directory_is_read_whole(pipeline_dir,
+                                                            tmp_path):
+    # the manifest's digest no longer matches, so every row is checked
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(pipeline_dir / "manifest.json", run)
+    lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    lines[3] = nan_first_q(lines[3])
+    bad = run / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("policy", "--config", SMOKE, "--qtable", str(bad),
+                   "--scenario", "1", "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"{bad}: line 4: 'q' entries must be finite" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_policy_of_a_qtable_copied_alone_writes_what_its_run_gives(
+        pipeline_dir, tmp_path):
+    # in its run directory the manifest's digest matches and rows are read
+    # as the plans ask for them; alone, the file is read whole
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(pipeline_dir / "qtable.jsonl", alone)
+    stdout = []
+    for qtable, out in ((pipeline_dir, tmp_path / "in-run"),
+                        (alone, tmp_path / "copied")):
+        proc = run_cli("policy", "--config", SMOKE, "--qtable",
+                       str(qtable / "qtable.jsonl"), "--scenario", "1",
+                       "--scenario", "2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout.replace(str(out), "<out>"))
+    assert stdout[0] == stdout[1]
+    for name in ("policy_1.csv", "policy_2.csv"):
+        assert ((tmp_path / "in-run" / name).read_bytes()
+                == (tmp_path / "copied" / name).read_bytes())
+
+
+@pytest.mark.parametrize("record, code", [
+    ("the file's sha256", 0),
+    ("no sha256", 2),
+    ("the sha256 before the edit", 2),
+    ("no qtable entry", 2),
+    ("no manifest", 2),
+])
+def test_policy_trusts_unread_rows_only_under_the_recorded_sha256(
+        pipeline_dir, tmp_path, monkeypatch, capsys, record, code):
+    """A NaN in the row of a state that scenario 1's plan never asks for:
+    only a manifest entry holding the edited file's own digest lets
+    `policy` skip it; otherwise the whole file is read and refused."""
+    asked = set()
+    number = MdpEnv.number
+
+    def spy(env, state):
+        asked.add(n := number(env, state))
+        return n
+
+    monkeypatch.setattr(MdpEnv, "number", spy)
+    assert cli.main(["policy", "--config", SMOKE, "--qtable",
+                     str(pipeline_dir / "qtable.jsonl"), "--scenario", "1",
+                     "--out", str(tmp_path / "first")]) == 0
+    monkeypatch.undo()
+    lines = (pipeline_dir / "qtable.jsonl").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines[1:], start=1)
+             if json.loads(line)["n"] not in asked)
+    lines[i] = nan_first_q(lines[i])
+    run = tmp_path / "run"
+    run.mkdir()
+    bad = run / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    manifest = json.loads((pipeline_dir / "manifest.json").read_text())
+    entry = manifest["artifacts"]["qtable"]
+    if record == "the file's sha256":
+        entry["sha256"] = hashlib.sha256(bad.read_bytes()).hexdigest()
+    elif record == "no sha256":
+        del entry["sha256"]
+    elif record == "no qtable entry":
+        del manifest["artifacts"]["qtable"]
+    if record != "no manifest":
+        (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["policy", "--config", SMOKE, "--qtable", str(bad),
+                     "--scenario", "1", "--out", str(out)]) == code
+    if code == 0:
+        assert ((out / "policy_1.csv").read_bytes()
+                == (tmp_path / "first" / "policy_1.csv").read_bytes())
+    else:
+        assert (f"{bad}: line {i + 1}: 'q' entries must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["dod", "efficiency"])
+def test_forest_of_edited_schedules_exits_two(pipeline_dir, tmp_path, capsys,
+                                              key):
+    # the forest carries the config's hash, but its schedules came from
+    # the sidecar, where one entry was changed
+    data = tmp_path / "dataset.csv"
+    shutil.copy(pipeline_dir / "dataset.csv", data)
+    meta = json.loads((pipeline_dir / "dataset.meta.json").read_text())
+    assert meta[key][0][0] != 0.1
+    meta[key][0][0] = 0.1
+    (tmp_path / "dataset.meta.json").write_text(json.dumps(meta))
+    run = tmp_path / "run"
+    assert cli.main(["train-meta", "--dataset", str(data),
+                     "--out", str(run)]) == 0
+    forest = run / "forest.json"
+    assert load_forest(forest).config_digest == meta["config_hash"]
+    capsys.readouterr()
+    message = f"{forest}: {key!r} is not the config's {key}_schedule"
+    assert cli.main(["solve", "--config", SMOKE, "--forest", str(forest),
+                     "--episodes", "10", "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["report", "--config", SMOKE, "--run-dir", str(run),
+                     "--histogram-years", "5",
+                     "--out", str(tmp_path / "report")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_truncated_qtable_row_exits_two_naming_file_and_line(pipeline_dir,

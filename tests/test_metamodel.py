@@ -176,6 +176,35 @@ def test_read_dataset_rejects_tampered_sidecar(tmp_path, smoke_config, key,
         read_dataset(path)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("dod", None, "'dod' is missing"),
+    ("efficiency", None, "'efficiency' is missing"),
+    ("metamodel", None, "'metamodel' is missing"),
+    ("config_hash", None, "'config_hash' is missing"),
+    ("config_hash", 7, "'config_hash' must be a JSON string, got 7"),
+    ("metamodel", [], "'metamodel' must be a JSON object"),
+    ("dod", 0.9, "'dod' must be a JSON list, got 0.9"),
+    ("dod", [["0.9", 0.9]] * 4, "'dod' must be a list of equal-length rows"),
+    ("efficiency", [[0.9, 0.9], [0.9]] * 2, "'efficiency' must be a list of "
+                                            "equal-length rows"),
+    ("dod", [[1.0]] * 4, "dod schedule is not (periods, 4 units)"),
+    ("efficiency", [[1.0, 1.0]] * 3, "efficiency and dod schedules differ"),
+    ("metamodel", {"colour": "red"}, "metamodel: unknown key 'colour'"),
+])
+def test_read_dataset_names_the_sidecar_and_key_it_refuses(
+        tmp_path, smoke_config, key, value, match):
+    path = written_dataset(tmp_path, smoke_config)
+    meta_path = tmp_path / "dataset.meta.json"
+    meta = json.loads(meta_path.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(f"{meta_path}: {match}")):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("field, text, match", [
     (-1, "nan", "must be finite and non-negative"),
     (-1, "inf", "must be finite and non-negative"),

@@ -587,6 +587,97 @@ def test_load_qtable_reads_other_spellings_of_the_same_rows(blocks_file,
     assert {type(v) for row in loaded.rows if row for v in row[1]} == {int}
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def nan_first_q(line):
+    """A saved row's line with its first q-value spelled NaN."""
+    head, _, tail = line.partition('"q": [')
+    return head + '"q": [NaN, ' + tail.split(", ", 1)[1]
+
+
+def test_verified_read_gives_every_state_the_full_reads_row(blocks_file):
+    env, _, path = blocks_file
+    lazy, lazy_header = load_qtable(path, env,
+                                    expected_sha256=sha256_of(path))
+    full, full_header = load_qtable(path, env)
+    assert type(lazy) is not QTable and type(full) is QTable
+    assert lazy_header == full_header and len(lazy) == len(full)
+    for state in every_state(env):
+        assert lazy.q_values(state) == full.q_values(state)
+        assert lazy.visit_counts(state) == full.visit_counts(state)
+    off_the_grid = MdpState(2, (9, 9), (0.0, 0.0))
+    assert lazy.q_values(off_the_grid) == full.q_values(off_the_grid)
+
+
+def test_save_of_a_verified_read_writes_the_files_bytes(blocks_file,
+                                                        tmp_path):
+    env, _, path = blocks_file
+    lazy, header = load_qtable(path, env, expected_sha256=sha256_of(path))
+    lazy.q_values(env.initial_state())  # one row read, the others not
+    again = tmp_path / "again.jsonl"
+    save_qtable(lazy, again, header["config_hash"])
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_of_a_verified_read_refuses_a_file_gone_bad(blocks_file,
+                                                         tmp_path):
+    # the rows it never read are read whole for the save, and checked
+    env, _, path = blocks_file
+    copy = tmp_path / "qtable.jsonl"
+    copy.write_bytes(path.read_bytes())
+    lazy, header = load_qtable(copy, env, expected_sha256=sha256_of(copy))
+    lines = copy.read_text().splitlines()
+    lines[-1] = nan_first_q(lines[-1])
+    copy.write_text("\n".join(lines) + "\n")
+    again = tmp_path / "again.jsonl"
+    with pytest.raises(ValueError, match=f"line {len(lines)}: 'q' entries "
+                                         f"must be finite"):
+        save_qtable(lazy, again, header["config_hash"])
+    assert not again.exists()
+
+
+@pytest.mark.parametrize("expected", ["0" * 64, "not a digest"])
+def test_another_digest_reads_the_whole_file(blocks_file, tmp_path, expected):
+    env, _, path = blocks_file
+    lines = path.read_text().splitlines()
+    lines[3] = nan_first_q(lines[3])
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4: 'q' entries must be finite"):
+        load_qtable(bad, env, expected_sha256=expected)
+
+
+def test_verified_read_checks_each_row_it_reads(blocks_file, tmp_path):
+    # a digest that matches a broken file still gets every row it reads
+    # checked, and the error names the line
+    env, _, path = blocks_file
+    lines = path.read_text().splitlines()
+    lines[1] = nan_first_q(lines[1])
+    bad = tmp_path / "qtable.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    lazy, _ = load_qtable(bad, env, expected_sha256=sha256_of(bad))
+    for _ in range(2):  # a failed read is not remembered as an empty row
+        with pytest.raises(ValueError, match=f"{bad}: line 2: 'q' entries "
+                                             f"must be finite"):
+            lazy.q_values(env.initial_state())
+
+
+def test_verified_read_checks_the_header_and_the_line_count(blocks_file,
+                                                            tmp_path):
+    env, _, path = blocks_file
+    lines = path.read_text().splitlines()
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match=f"header claims {len(lines) - 1} "
+                                         f"states, found {len(lines) - 2}"):
+        load_qtable(short, env, expected_sha256=sha256_of(short))
+    with pytest.raises(IncompatibleArtifact):
+        load_qtable(path, env, expected_config_hash="other",
+                    expected_sha256=sha256_of(path))
+
+
 def test_final_period_action_visited_once_holds_its_reward():
     """The step floor 1/n makes a first visit's step 1, whatever the schedule:
     a last-period action tried once holds exactly the reward it saw."""
