@@ -256,15 +256,14 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     run = Path(args.run_dir)
-    out = _out_dir(args)
-    produced = []
+    # every artifact's text is made before the first write, so a refused
+    # forest leaves --out as it was
+    texts = {}
     curve_src = run / "learning_curve.csv"
     if curve_src.exists():
-        (out / "learning_curve.csv").write_text(curve_src.read_text())
-        produced.append("learning_curve.csv")
+        texts["learning_curve.csv"] = curve_src.read_text()
     for pol in sorted(run.glob("policy_*.csv")):
-        (out / pol.name).write_text(pol.read_text())
-        produced.append(pol.name)
+        texts[pol.name] = pol.read_text()
     forest_src = run / "forest.json"
     if forest_src.exists():
         forest = load_forest(forest_src, expected_config_hash=digest,
@@ -286,8 +285,7 @@ def cmd_report(args) -> int:
         lines = ["unit,period,capacity_kwh,predicted_cost"]
         lines += [f"{name},{k},{v:g},{pred!r}"
                   for (name, k, v), pred in zip(points, preds)]
-        (out / "cost_surface.csv").write_text("\n".join(lines) + "\n")
-        produced.append("cost_surface.csv")
+        texts["cost_surface.csv"] = "\n".join(lines) + "\n"
     hist_years = args.histogram_years
     rng = stream(cfg.master_seed, "report:outages")
     trace = generate_outages(cfg.planning.saifi, cfg.planning.caidi,
@@ -298,12 +296,14 @@ def cmd_report(args) -> int:
     lines = ["duration_hours,count"]
     for d in sorted(counts):
         lines.append(f"{d},{counts[d]}")
-    (out / "duration_histogram.csv").write_text("\n".join(lines) + "\n")
-    produced.append("duration_histogram.csv")
-    for name in produced:
+    texts["duration_histogram.csv"] = "\n".join(lines) + "\n"
+    out = _out_dir(args)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    for name in texts:
         _record_artifact(out, name, name, digest, args,
                          {"run_dir": str(run)})
-    print(f"wrote {len(produced)} report artifacts to {out}")
+    print(f"wrote {len(texts)} report artifacts to {out}")
     return 0
 
 

@@ -241,6 +241,18 @@ def write_policy_csv(report: PolicyReport,
     Path(path).write_text(text)
 
 
+def _csv_number(path, row: int, name: str, text: str, kind=float):
+    """`kind(text)`, the field `name` of data row `row` in the CSV at `path`;
+    text that does not parse raises ValueError naming the file, the row and
+    the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: row {row}: {name} {text!r} is not {what}"
+                         ) from None
+
+
 def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                     levels) -> PolicyReport:
     """Read a build-out written by `write_policy_csv`, checking its arithmetic.
@@ -256,9 +268,10 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     rejected.
     """
     names = [t.name for t in storage]
+    header = _policy_header(storage)
     lines = [ln for ln in Path(path).read_text().splitlines()
              if ln and not ln.startswith("#")]
-    if not lines or lines[0].split(",") != _policy_header(storage):
+    if not lines or lines[0].split(",") != header:
         raise ValueError(f"{path}: unexpected policy header")
     units = len(names)
     lvls = [float(lv) for lv in levels]
@@ -266,22 +279,23 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     # per unit, the schedule indices the prices so far allow it to be at
     price_idx = [{0} for _ in storage]
     steps = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
-        if len(parts) != 3 + 2 * units:
+        if len(parts) != len(header):
             raise ValueError(f"{path}: bad policy row {ln!r}")
-        period = int(parts[0])
-        if period != len(steps) + 1:
-            raise ValueError(f"{path}: row {len(steps) + 1} is period "
+        period = _csv_number(path, row, header[0], parts[0], int)
+        level_kwh, *numbers = [_csv_number(path, row, name, text)
+                               for name, text in zip(header[2:], parts[2:])]
+        if period != row:
+            raise ValueError(f"{path}: row {row} is period "
                              f"{period}; periods must run 1, 2, ... in order")
         unit_name = parts[1]
-        level_kwh = float(parts[2])
         prices = []
         for u, tech in enumerate(storage):
             last = len(tech.price_schedule) - 1
             reach = price_idx[u] if period == 1 else {
                 j for i in price_idx[u] for j in (i, min(i + 1, last))}
-            price_idx[u] = {i for i in reach if float(parts[3 + u]) == float(
+            price_idx[u] = {i for i in reach if numbers[u] == float(
                 f"{tech.price_schedule[i]:g}")}
             exact = {tech.price_schedule[i] for i in price_idx[u]}
             if len(exact) != 1:
@@ -300,7 +314,7 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                 raise ValueError(f"{path}: {level_kwh} is not an expansion level")
             action = MdpAction(names.index(unit_name), lvls.index(level_kwh))
             caps[action.unit] += level_kwh
-        if [float(x) for x in parts[3 + units:]] != caps:
+        if numbers[units:] != caps:
             raise ValueError(f"{path}: period {period}: cumulative capacities "
                              f"are not the running sum of the actions")
         steps.append(PolicyStep(period=period, action=action,

@@ -33,7 +33,6 @@ __all__ = [
 
 QTABLE_FORMAT = "storeplan-qtable-v2"
 BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
-_BLOCK = 256  # q-table rows per json.loads call in load_qtable
 # how a row that save_qtable wrote starts: its state number
 _ROW_START = re.compile(rb'\{"n": (\d+),')
 # entry types of saved q and visits rows, and the types q may hold
@@ -238,7 +237,7 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
 
 def _row_placer(rows: list, width: int):
     """A function that places one decoded q-table row `{"n", "q", "visits"}`
-    at `rows[n]` and returns n.
+    at `rows[n]`.
 
     `n` must be a JSON integer below `len(rows)` whose slot holds no row
     yet, `q` must hold `width` finite JSON numbers, which come back as
@@ -250,7 +249,7 @@ def _row_placer(rows: list, width: int):
     most of a loaded table's memory. Raises ValueError saying what is wrong.
     """
 
-    def put(rec, share_zero=False):
+    def put(rec, share_zero: bool):
         if not (type(rec) is dict and type(n := rec.get("n")) is int
                 and type(q := rec.get("q")) is list
                 and type(visits := rec.get("visits")) is list):
@@ -283,64 +282,21 @@ def _row_placer(rows: list, width: int):
         if rows[n] is not None:
             raise ValueError(f"state {n} has a row already")
         rows[n] = (q, visits)
-        return n
 
     return put
 
 
-def _read_rows(fh, path, qt: QTable) -> None:
-    """Every row of the open q-table file `fh`, from line 2 on, placed in
-    `qt`; `path` names the file in errors.
+def _place_line(put, path, lineno: int, line: str) -> None:
+    """Decode line `lineno` of the q-table file at `path` and place its row
+    with `put`, a `_row_placer`; an error names the file and the line.
 
-    Runs of up to `_BLOCK` non-blank lines are decoded by one `json.loads`
-    as a JSON array. A run that does not decode to one valid row per line
-    is read again line by line, so an error names its file and line, and
-    the file is accepted or refused as a line-by-line read would.
-    """
-    rows = qt.rows
-    put = _row_placer(rows, qt.num_actions)
-
-    def place(first: int, lines: list[str]) -> None:
-        """Rows from `lines`, the file's lines from line `first` on."""
-        text = "[" + ",".join(lines) + "]"
-        placed = []
-        # A JSON string cannot hold a raw newline, so a row spanning two
-        # lines would hold the "{" that starts the second one as well as
-        # its own. With every line after the first starting with "{",
-        # one "{" per line in all, and as many rows as lines, each line
-        # holds exactly one row.
-        if (text.count("\n,{") == len(lines) - 1
-                and text.count("{") == len(lines)):
-            # a negative zero is a number token starting with "-0"
-            share_zero = "-0" not in text
-            try:
-                recs = json.loads(text)
-                if len(recs) == len(lines):
-                    for rec in recs:
-                        placed.append(put(rec, share_zero))
-                    return
-            except ValueError:
-                pass
-        for n in placed:
-            rows[n] = None
-        for lineno, line in enumerate(lines, start=first):
-            rec = parse_json(line, path, line=lineno)
-            try:
-                put(rec)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-
-    first, lines = 2, []
-    for lineno, line in enumerate(fh, start=2):
-        if line.strip():
-            lines.append(line)
-            if len(lines) < _BLOCK:
-                continue
-        if lines:
-            place(first, lines)
-        first, lines = lineno + 1, []
-    if lines:
-        place(first, lines)
+    q's zeros are shared unless the line holds "-0", as the token of a
+    negative zero does (and that of a number between -1 and 0)."""
+    rec = parse_json(line, path, line=lineno)
+    try:
+        put(rec, "-0" not in line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
 def _line_starts(path, expected_sha256: str):
@@ -367,10 +323,10 @@ class _VerifiedTable(QTable):
     `starts` holds the file's line offsets, the header's first. The first
     time `q_values` or `visit_counts` asks for a state, its row is found by
     bisecting the lines on their state numbers, which holds because
-    `save_qtable` writes rows in number order, and is checked by
-    `_row_placer`; an error names the file and the line. `rows` reads the
-    whole file as `load_qtable` without a digest does, so `save_qtable`
-    writes what the file holds.
+    `save_qtable` writes rows in number order, and is decoded and checked
+    by `_place_line`, as in the full read; an error names the file and the
+    line. `rows` reads the whole file as `load_qtable` without a digest
+    does, so `save_qtable` writes what the file holds.
     """
 
     def __init__(self, env: MdpEnv, path, starts):
@@ -412,12 +368,8 @@ class _VerifiedTable(QTable):
             if i == len(starts) or number(i) != n:
                 return
             fh.seek(starts[i])
-            line = fh.readline()
-        rec = parse_json(line, path, line=i + 1)
-        try:
-            self._put(rec)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {i + 1}: {exc}") from None
+            line = fh.readline().decode()
+        _place_line(self._put, path, i + 1, line)
         if self._found[n] is None:
             raise ValueError(f"{path}: line {i + 1}: starts as state {n}'s "
                              f"row, but holds another state's")
@@ -427,7 +379,9 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None,
                 expected_sha256: str | None = None) -> tuple[QTable, dict]:
     """A q-table file's rows, placed by `env`'s numbering. The header's counts
     and numbering digest must match `env`'s and each row's `n` must number
-    a state of `env`; `_read_rows` reads and checks every row.
+    a state of `env`; each non-blank line after the header is one row,
+    decoded and checked by `_place_line`, in any JSON spelling whose
+    numbers are valid.
 
     A file whose sha256 is `expected_sha256`, the digest `solve` recorded
     for it, is hashed in one pass that finds its line offsets. Its header
@@ -462,7 +416,10 @@ def load_qtable(path, env: MdpEnv, expected_config_hash: str | None = None,
                              f"numbers its states as {digest!r}")
         if starts is None:
             qt = QTable(env)
-            _read_rows(fh, path, qt)
+            put = _row_placer(qt.rows, qt.num_actions)
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    _place_line(put, path, lineno, line)
         else:
             qt = _VerifiedTable(env, path, starts)
     if len(qt) != header["states"]:

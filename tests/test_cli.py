@@ -378,6 +378,33 @@ def test_forest_of_edited_schedules_exits_two(pipeline_dir, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("refusal, code", [("another config", 3),
+                                           ("edited schedules", 2)])
+def test_refused_report_adds_no_file_to_out(pipeline_dir, tmp_path, refusal,
+                                            code):
+    # the run's learning curve and plans are not copied before its forest
+    # is checked
+    config, run = SMOKE, pipeline_dir
+    if refusal == "another config":
+        config = CASE
+    else:
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("learning_curve.csv", "policy_1.csv"):
+            shutil.copy(pipeline_dir / name, run)
+        doc = json.loads((pipeline_dir / "forest.json").read_text())
+        doc["dod"][0][0] /= 2
+        (run / "forest.json").write_text(json.dumps(doc))
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    proc = run_cli("report", "--config", config, "--run-dir", str(run),
+                   "--histogram-years", "5", "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert "forest.json" in proc.stderr
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
 def test_truncated_qtable_row_exits_two_naming_file_and_line(pipeline_dir,
                                                              tmp_path):
     # a row cut short is not JSON; the error points at the file's line 2,

@@ -1,6 +1,7 @@
 """Scenario price paths, greedy extraction, CSV round trip, and evaluation."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,12 @@ def written_policy(tmp_path, config):
     (4, -4, "0", "running sum"),     # period 4 forgets the purchases
     (3, 0, "4", "periods must run"),
     (2, 3, "167", "price schedule"),  # period 2 li-ion skips 310 for 167
+    # a field that does not parse is named with its row and column
+    (2, 0, "x", "row 2: period 'x' is not an integer"),
+    (2, 0, "2.0", "row 2: period '2.0' is not an integer"),
+    (2, 2, "abc", "row 2: action_level_kwh 'abc' is not a number"),
+    (2, 3, "$310", r"row 2: price_per_kwh_\S+ '\$310' is not a number"),
+    (2, -1, "abc", r"row 2: cum_capacity_kwh_\S+ 'abc' is not a number"),
 ])
 def test_read_policy_rejects_tampered_cell(tmp_path, case_config, row, col,
                                            value, match):
@@ -202,7 +209,7 @@ def test_read_policy_rejects_tampered_cell(tmp_path, case_config, row, col,
     cells[col] = value
     lines[row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{match}"):
         read_policy_csv(path, case_config.storage, levels)
 
 

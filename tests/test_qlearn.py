@@ -490,7 +490,7 @@ def blocks_file(smoke_config, tmp_path_factory):
                      lambda k, caps: 1_000.0 * k / (1.0 + sum(caps))))
     qt, _ = train(env, 600, 0.9, DecaySchedule(1.0, 0.1, 600),
                   DecaySchedule(1.0, 0.3, 600), seed=5)
-    assert len(qt) > 2 * qlearn._BLOCK
+    assert len(qt) > 2 * 256
     path = tmp_path_factory.mktemp("blocks") / "qtable.jsonl"
     save_qtable(qt, path, config_digest="abc123")
     return env, qt, path
@@ -516,7 +516,7 @@ def test_load_qtable_names_the_file_line_next_to_a_block_boundary(
         blocks_file, tmp_path, offset, defect, match):
     env, _, path = blocks_file
     rows = path.read_text().splitlines()[1:]
-    i = qlearn._BLOCK + offset  # offset 0: the first row of the second block
+    i = 256 + offset  # offset 0: the first row of the second block
     if defect == "truncated":
         rows[i] = rows[i][:len(rows[i]) // 2]
     elif defect == "string q":
@@ -576,7 +576,7 @@ def test_load_qtable_reads_other_spellings_of_the_same_rows(blocks_file,
         elif kind == 3:  # leading and trailing white space
             line = f"  {line}\t "
         spelled.append(line)
-        if i in (7, qlearn._BLOCK):
+        if i in (7, 256):
             spelled.append("  ")
     recs = [json.loads(line) for line in spelled if line.strip()]
     assert any(type(x) is int for rec in recs for x in rec["q"])
@@ -585,6 +585,39 @@ def test_load_qtable_reads_other_spellings_of_the_same_rows(blocks_file,
     assert loaded.rows == qt.rows
     assert {type(x) for row in loaded.rows if row for x in row[0]} == {float}
     assert {type(v) for row in loaded.rows if row for v in row[1]} == {int}
+
+
+def test_full_read_shares_one_zero_and_keeps_negative_zeros(blocks_file,
+                                                            tmp_path):
+    """Most of a row's actions are never tried and hold 0.0; a full read
+    gives all of them one float object, except in a row whose line holds
+    "-0", as a -0.0 does, which keeps its signs and is saved again as it
+    was."""
+    env, _, path = blocks_file
+    lines = path.read_text().splitlines()
+    for first in (1, 300):
+        i = next(i for i in range(first, len(lines))
+                 if "0.0," in lines[i] and "-0" not in lines[i])
+        rec = json.loads(lines[i])
+        rec["q"][rec["q"].index(0.0)] = -0.0
+        lines[i] = json.dumps(rec)
+    copy = tmp_path / "qtable.jsonl"
+    copy.write_text("\n".join(lines) + "\n")
+    loaded, header = load_qtable(copy, env)
+    recs = [json.loads(line) for line in lines[1:]]
+    shared = [x for line, rec in zip(lines[1:], recs) if "-0" not in line
+              for x in loaded.rows[rec["n"]][0] if x == 0.0]
+    assert len(shared) > len(loaded)
+    assert len({id(x) for x in shared}) == 1
+    assert math.copysign(1.0, shared[0]) == 1.0
+    assert sum(x == 0.0 and math.copysign(1.0, x) < 0
+               for rec in recs for x in rec["q"]) == 2
+    signs = [[math.copysign(1.0, x) for x in rec["q"]] for rec in recs]
+    assert signs == [[math.copysign(1.0, x) for x in loaded.rows[rec["n"]][0]]
+                     for rec in recs]
+    again = tmp_path / "again.jsonl"
+    save_qtable(loaded, again, header["config_hash"])
+    assert again.read_bytes() == copy.read_bytes()
 
 
 def sha256_of(path):
