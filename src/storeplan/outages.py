@@ -4,36 +4,38 @@ Outage arrivals form a homogeneous Poisson process with rate SAIFI per year;
 each duration is 1 + Poisson(CAIDI - 1) hours, which guarantees a one-hour
 minimum while keeping the stated mean. `sample_outages` draws n traces from
 one generator in three vectorised calls, and `generate_outages` is its one
-trace. `draw_outages` draws one trace from each of many trial streams, in
-array passes over the streams' raw PCG64 words, and gives each trace the
-bits `generate_outages` gives it on the stream's generator.
+trace. `draw_outages` draws one trace from each of many trial streams, a
+function of the stream's raw PCG64 words alone, not of numpy's samplers.
+Word w gives u = (w >> 11) * 2**-53, and over H = round(years * 8760) hours:
+- word 0 gives the count C = F^-1(u), for F = F_(saifi * years);
+- words 1..C give the starts, floor(u * H) in floats, capped at H - 1;
+- words C+1..2C give the durations, 1 + F^-1(u) each, for F = F_(caidi - 1).
+That is `sample_outages`' order, and its merge: each trace's starts sorted,
+paired with its durations in draw order. F^-1(u) is the smallest j with
+u < F(j), or the table's last j (inversion by table lookup: Devroye,
+Non-Uniform Random Variate Generation, 1986). F_m, the Poisson(m) CDF, is
+a table of floats, each step left to right as written: weights w(k) = 1 at
+the mode k = floor(m), w(j - 1) = w(j) * j / m below it and w(j + 1) =
+w(j) * m / (j + 1) above, each side until a weight is 0.0 (and 0.0 past
+it), so none underflows at any mean; S is their sum in order of j, and
+F_m(j) = F_m(j - 1) + w(j) / S from F_m(-1) = 0.0. The table ends at the
+first j where F_m reaches 1.0, or just before the first j above the mode
+where F_m does not grow.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import HOURS_PER_YEAR
-from .rng import raw_words, stream_seeds, streams
+from .rng import raw_words, stream_seeds
 
 __all__ = ["OutageTrace", "OutageBatch", "sample_outages", "generate_outages",
            "draw_outages"]
-
-# numpy's Poisson sampler multiplies uniforms below this mean and switches
-# to PTRS from it on
-_MULT_LIMIT = 10.0
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT_DOUBLE = np.uint64(11)  # a word's double is (word >> 11) * 2**-53
-_ULP = 2.0 ** -53
-# A stream reads the mean word count of its traces plus this many standard
-# deviations; a stream that needs more is drawn by `generate_outages`.
-_SPREAD = 4.0
-_COUNT_WINDOW = 32  # words read ahead for an outage count
-_SCAN = 16  # word columns scanned per window for durations
 
 
 @dataclass(frozen=True)
@@ -124,138 +126,57 @@ def generate_outages(saifi: float, caidi: float, horizon_years: float,
                        horizon_years)
 
 
-def _doubles_at(flat: np.ndarray, first, end, offsets) -> np.ndarray:
-    """The doubles `Generator.random()` makes of the raw words
-    `flat[first + offsets]`, and 0.0 where that is at or past `end`, the
-    index after the stream's last word."""
-    at = first + offsets
-    words = flat[np.minimum(at, end - 1)]
-    u = (words >> _SHIFT_DOUBLE).astype(np.float64) * _ULP
-    u[at >= end] = 0.0
-    return u
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """The table of F_mean, as the module docstring defines it."""
+    mode = j = int(mean)
+    weights = [1.0]  # w(mode), w(mode - 1), ..., to w(0) or the first 0.0
+    while j > 0 and weights[-1] > 0.0:
+        weights.append(weights[-1] * j / mean)
+        j -= 1
+    weights.reverse()  # now w(j), ..., w(mode), with w(i) = 0.0 for i < j
+    while weights[-1] > 0.0:
+        weights.append(weights[-1] * mean / (j + len(weights)))
+    *_, total = accumulate(weights)
+    cdf = [0.0] * j
+    for j, f in enumerate(accumulate(w / total for w in weights), j):
+        if j > mode and f == cdf[-1]:
+            break
+        cdf.append(f)
+        if f >= 1.0:
+            break
+    return np.array(cdf)
 
 
-def _word_budget(lam_count: float, lam_duration: float) -> int:
-    """Raw words a stream reads for its trace: the mean plus `_SPREAD`
-    standard deviations. A trace of C outages reads C + 1 words for its
-    count, half a word per start and D + 1 words per Poisson(lam_duration)
-    duration D."""
-    step = lam_duration + 2.5
-    mean = 1.0 + lam_count * step
-    variance = lam_count * (lam_duration + step * step)
-    return max(1, math.ceil(mean + _SPREAD * math.sqrt(variance)))
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """u = (w >> 11) * 2**-53 of each raw word w."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _replay(words: np.ndarray, hours: int, limit_count: float,
-            limit_duration: float) -> tuple[OutageBatch, np.ndarray]:
-    """The trace of each row of raw words, as `generate_outages` draws it
-    from the generator whose words they are, all rows at once.
-
-    A Poisson draw of mean lam (< 10) reads doubles until their running
-    product falls to exp(-lam) or below and counts the ones before; a start
-    is Lemire's method on a 32-bit half, the low half of a fresh word first
-    and its high half for the next start. Returns the merged outages of the
-    rows that could be replayed and which rows those are: a row that would
-    read past its words or reject a Lemire draw gets no outages.
-    """
-    n, budget = words.shape
-    flat = words.ravel()
-    base = np.arange(n) * budget  # each row's first word in `flat`
-    end = base + budget
-
-    u = _doubles_at(flat, base[:, None], end[:, None],
-                    np.arange(_COUNT_WINDOW))
-    count = np.count_nonzero(np.cumprod(u, axis=1) > limit_count, axis=1)
-    alive = count < _COUNT_WINDOW  # else the draw ends past the window
-    pos = count + 1  # each row's next unread word
-    count[~alive] = 0
-
-    row = np.repeat(np.arange(n), count)
-    half = 2 * pos[row] + np.arange(len(row)) - np.repeat(
-        np.cumsum(count) - count, count)
-    # half 2w + 1 is word w's high half, 2w its low half
-    word = flat[base[row] + np.minimum(half >> 1, budget - 1)]
-    m = np.where(half & 1, word >> np.uint64(32), word & _LOW32)
-    m *= np.uint64(hours)
-    alive[row[(m & _LOW32) < np.uint64((1 << 32) % hours)]] = False
-    pos += (count + 1) >> 1
-    keys = row * (hours + 1) + (m >> np.uint64(32)).astype(np.int64)
-
-    # durations: scan word columns, the running product restarting after
-    # each word that ends a draw
-    need = np.where(alive, count, 0)
-    found = np.zeros(n, dtype=np.int64)
-    prod = np.ones(n)
-    scan_window = np.arange(_SCAN)[:, None]
-    stops = []
-    while (found < need).any():
-        u = _doubles_at(flat, base + pos + _SCAN * len(stops), end,
-                        scan_window)
-        stop = np.empty(u.shape, dtype=bool)
-        for col, ends in zip(u, stop):
-            np.multiply(prod, col, out=prod)
-            np.less_equal(prod, limit_duration, out=ends)
-            np.copyto(prod, 1.0, where=ends)
-        found += np.count_nonzero(stop, axis=0)
-        stops.append(stop)
-    durations = owner = pos[:0]  # each duration and the row it is of
-    if stops:
-        owner, col = np.nonzero(np.concatenate(stops).T)
-        rank = np.arange(len(owner)) - np.repeat(np.cumsum(found) - found,
-                                                 found)
-        mine = rank < need[owner]
-        owner, col, rank = owner[mine], col[mine], rank[mine]
-        after = np.empty_like(col)  # word offset where the draw began
-        after[1:] = col[:-1]
-        after[rank == 0] = -1
-        durations = col - after
-        last = need > 0
-        pos[last] += col[np.cumsum(need)[last] - 1] + 1
-    # past its budget a row reads doubles of 0.0, which end every draw and
-    # move it on, so a row that ran out ends its trace past it
-    alive &= pos <= budget
-
-    keys = np.sort(keys[alive[row]])
-    return _merge(keys, durations[alive[owner]], n, hours), alive
+def _inverse(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest j with u < cdf[j] for each u, or the table's last j."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def draw_outages(saifi: float, caidi: float, horizon_years: float,
                  master_seed: int, tag: str, keys) -> OutageBatch:
-    """The trace of each key's stream, merged outages as flat arrays.
+    """The trace of each key's stream `stream(master_seed, tag, *keys[i])`,
+    as the module docstring defines it, merged outages as flat arrays.
 
-    Trace i of the batch is `generate_outages` on `stream(master_seed, tag,
-    *keys[i])`, bit for bit. All streams' traces are replayed from one
-    `random_raw` read of each stream (`_replay`). A stream goes to
-    `generate_outages`, on a fresh generator, when it needs more words than
-    its budget or meets a Lemire rejection, and every stream does when
-    numpy would not draw as `_replay` replays: a mean count or duration of
-    10 or more (numpy's PTRS) or a horizon of 2**32 hours or more (a
-    64-bit Lemire draw).
+    A trace of C outages reads 1 + 2C words, and C is at most the count
+    table's last j, so one `raw_words` read of that many words per stream
+    serves every trace.
     """
     hours = _horizon_hours(saifi, caidi, horizon_years)
-    keys = list(keys)
-    lam_count, lam_duration = saifi * horizon_years, caidi - 1
-    if max(lam_count, lam_duration) < _MULT_LIMIT and hours < 1 << 32:
-        words = raw_words(stream_seeds(master_seed, tag, keys),
-                          _word_budget(lam_count, lam_duration))
-        batch, alive = _replay(words, hours, math.exp(-lam_count),
-                               math.exp(-lam_duration))
-    else:
-        empty = np.zeros(0, dtype=np.int64)
-        batch = OutageBatch(empty, empty, np.zeros(len(keys), dtype=np.int64))
-        alive = np.zeros(len(keys), dtype=bool)
-    dead = np.flatnonzero(~alive)
-    if not dead.size:
-        return batch
-    counts = batch.counts
-    at = np.cumsum(counts) - counts  # where each trace goes in the arrays
-    places, starts, durations = [], [], []
-    for i, rng in zip(dead, streams(master_seed, tag,
-                                    [keys[i] for i in dead])):
-        trace = generate_outages(saifi, caidi, horizon_years, rng)
-        places += [at[i]] * len(trace.starts)
-        starts += trace.starts
-        durations += trace.durations
-        counts[i] = len(trace.starts)
-    return OutageBatch(np.insert(batch.starts, places, starts),
-                       np.insert(batch.durations, places, durations), counts)
+    count_cdf = _poisson_cdf(saifi * horizon_years)
+    duration_cdf = _poisson_cdf(caidi - 1)
+    words = raw_words(stream_seeds(master_seed, tag, keys),
+                      2 * len(count_cdf) - 1)
+    counts = _inverse(count_cdf, _doubles(words[:, 0]))
+    n = len(counts)
+    row = np.repeat(np.arange(n), counts)  # the trace of each outage
+    rank = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = (_doubles(words[row, 1 + rank]) * hours).astype(np.int64)
+    durations = 1 + _inverse(duration_cdf,
+                             _doubles(words[row, 1 + counts[row] + rank]))
+    keys = np.sort(row * (hours + 1) + np.minimum(starts, hours - 1))
+    return _merge(keys, durations, n, hours)

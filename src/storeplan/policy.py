@@ -232,7 +232,7 @@ def write_policy_csv(report: PolicyReport,
     for s in report.steps:
         row = [str(s.period), s.unit_name or "none",
                format_number(s.level_kwh)]
-        row += [f"{p:g}" for p in s.unit_prices]
+        row += [format_number(p) for p in s.unit_prices]
         row += [format_number(c) for c in s.capacity_after]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
@@ -261,11 +261,9 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     `price_schedule`: the first entry in period 1, then at each boundary the
     same entry or the next. Each row's cumulative capacities must equal the
     running sum of the actions so far, and the step carries that sum.
-    Levels and capacities are written with `format_number`, which reads
-    back exactly, so they compare exactly. Prices are written with `:g` and
-    compare at that precision; each step carries the schedule's exact
-    price, so a printed price that matches two different schedule prices is
-    rejected.
+    Levels, capacities and prices are written with `format_number`, which
+    reads back exactly, so they compare exactly, and each step carries the
+    schedule's price.
     """
     names = [t.name for t in storage]
     header = _policy_header(storage)
@@ -295,16 +293,13 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
             last = len(tech.price_schedule) - 1
             reach = price_idx[u] if period == 1 else {
                 j for i in price_idx[u] for j in (i, min(i + 1, last))}
-            price_idx[u] = {i for i in reach if numbers[u] == float(
-                f"{tech.price_schedule[i]:g}")}
-            exact = {tech.price_schedule[i] for i in price_idx[u]}
-            if len(exact) != 1:
-                why = ("matches several schedule prices at this precision"
-                       if exact else "does not follow the price schedule")
+            price_idx[u] = {i for i in reach
+                            if tech.price_schedule[i] == numbers[u]}
+            if not price_idx[u]:
                 raise ValueError(f"{path}: period {period}: "
                                  f"price_per_kwh_{tech.name} {parts[3 + u]} "
-                                 f"{why}")
-            prices.append(exact.pop())
+                                 "does not follow the price schedule")
+            prices.append(tech.price_schedule[min(price_idx[u])])
         if unit_name == "none":
             action = NO_OP
         else:

@@ -65,8 +65,8 @@ class SimulationContext:
                                  efficiency=self.efficiency[period - 1])
 
     def period_outages(self, master_seed: int, tag: str, keys) -> OutageBatch:
-        """A period trace from each key's `stream(master_seed, tag, *key)`,
-        drawn as `generate_outages` draws it (`draw_outages`)."""
+        """A period trace from the raw words of each key's
+        `stream(master_seed, tag, *key)`, as `draw_outages` defines it."""
         plan = self.config.planning
         return draw_outages(plan.saifi, plan.caidi, plan.years_per_period,
                             master_seed, tag, keys)

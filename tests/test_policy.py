@@ -231,8 +231,9 @@ def test_read_policy_accepts_repeated_schedule_price(tmp_path, case_config):
 
 
 def test_read_policy_carries_exact_schedule_prices(tmp_path, case_config):
-    # 1234567 $/kWh prints as 1.23457e+06; the step must carry the
-    # schedule's price, not the printed one, or evaluate charges 1234570
+    # 1234567 $/kWh would print as 1.23457e+06 at 6 significant digits; the
+    # file must print it whole and the step must carry the schedule's price,
+    # or evaluate charges 1234570
     li_ion = replace(case_config.storage[0],
                      price_schedule=(1234567, 420, 167, 150))
     storage = (li_ion,) + case_config.storage[1:]
@@ -241,27 +242,33 @@ def test_read_policy_carries_exact_schedule_prices(tmp_path, case_config):
     path = tmp_path / "policy.csv"
     write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
                      storage, path)
-    assert "1.23457e+06" in path.read_text()
+    assert "1234567," in path.read_text()
     again = read_policy_csv(path, storage,
                             case_config.planning.expansion_levels_kwh)
     assert [s.unit_prices[0] for s in again.steps] == [1234567, 420, 167, 150]
 
 
-def test_read_policy_rejects_a_price_that_matches_two(tmp_path, case_config):
-    # 1234568 and 1234567 both print as 1.23457e+06, so in period 2 the
-    # printed price cannot tell whether li-ion stayed or advanced
-    li_ion = replace(case_config.storage[0],
-                     price_schedule=(1234568, 1234567, 167, 150))
+@pytest.mark.parametrize("schedule", [
+    (1234568, 1234567, 167, 150),
+    (250.00004, 250.00002, 200, 150),
+])
+def test_read_policy_round_trips_prices_alike_in_six_digits(
+        tmp_path, case_config, schedule):
+    # the first two prices share their 6-significant-digit form, so a file
+    # printed at that precision could not tell in period 2 whether li-ion
+    # stayed or advanced; the file prints each price exactly
+    li_ion = replace(case_config.storage[0], price_schedule=schedule)
     storage = (li_ion,) + case_config.storage[1:]
     env = MdpEnv(case_config.planning, storage,
                  outage_cost=pointwise(lambda k, caps: 0.0))
     path = tmp_path / "policy.csv"
-    write_policy_csv(never_invest_report(env, default_scenarios()["1"]),
-                     storage, path)
-    with pytest.raises(ValueError, match=f"price_per_kwh_{li_ion.name} .* "
-                                         "several schedule prices"):
-        read_policy_csv(path, storage,
-                        case_config.planning.expansion_levels_kwh)
+    report = never_invest_report(env, default_scenarios()["1"])
+    write_policy_csv(report, storage, path)
+    again = read_policy_csv(path, storage,
+                            case_config.planning.expansion_levels_kwh)
+    assert [s.unit_prices for s in again.steps] == [
+        s.unit_prices for s in report.steps]
+    assert [s.unit_prices[0] for s in again.steps] == list(schedule)
 
 
 def test_evaluation_is_deterministic_under_seed(case_config):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import period_trace
+from test_outages import reference_trace
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import OutageBatch, OutageTrace, generate_outages
+from storeplan.outages import OutageBatch, OutageTrace
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext, row_sums
 
@@ -34,16 +35,16 @@ def test_fleet_uses_period_schedules(case_config, case_context):
 
 def test_period_outages_are_period_traces(case_config, case_context):
     """`period_outages` draws each stream's trace over the period's five
-    years, as `generate_outages` draws it."""
+    years, as the `outages` reference draws it from the stream's words."""
     plan = case_config.planning
     assert plan.years_per_period == 5
     keys = [(0,), (3,), (1,), (3, 2)]
-    traces = [generate_outages(plan.saifi, plan.caidi, 5,
-                               stream(0, "sim-test", *key)) for key in keys]
+    traces = [reference_trace(plan.saifi, plan.caidi, 5, 0, "sim-test", key)
+              for key in keys]
     got = case_context.period_outages(0, "sim-test", keys)
-    want = batch(traces)
-    for name in OutageBatch._fields:
-        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    assert got.starts.tolist() == [s for starts, _ in traces for s in starts]
+    assert got.durations.tolist() == [d for _, ds in traces for d in ds]
+    assert got.counts.tolist() == [len(starts) for starts, _ in traces]
 
 
 def test_zero_capacity_cost_is_positive_and_repeatable(case_context):
