@@ -25,6 +25,8 @@ from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
 REPO = Path(__file__).resolve().parent.parent
+# the bands and sizes below are the case study's
+CONFIG = REPO / "configs" / "case_study.json"
 QUANTILES = (5, 25, 50, 75, 95)
 
 
@@ -95,8 +97,6 @@ def sweep(ctx: SimulationContext, seeds) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--config", type=Path,
-                    default=REPO / "configs" / "case_study.json")
     ap.add_argument("--seeds", type=int, nargs=2, metavar=("FIRST", "LAST"),
                     required=True, help="sweep seeds FIRST to LAST inclusive")
     ap.add_argument("--out", type=Path, required=True)
@@ -104,8 +104,8 @@ def main() -> None:
     first, last = args.seeds
     if not 0 <= first <= last:
         ap.error("--seeds needs 0 <= FIRST <= LAST")
-    ctx = SimulationContext(load_config(args.config))
-    result = {"config": str(args.config), "first_seed": first,
+    ctx = SimulationContext(load_config(CONFIG))
+    result = {"config": str(CONFIG.relative_to(REPO)), "first_seed": first,
               "last_seed": last,
               "criteria": sweep(ctx, range(first, last + 1))}
     args.out.write_text(json.dumps(result, indent=1) + "\n")

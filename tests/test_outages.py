@@ -290,11 +290,15 @@ def test_drawn_batch_matches_reference_at_edges(saifi, caidi, years):
     assert_batch_is_reference(saifi, caidi, years, 11, keys)
 
 
-@pytest.mark.parametrize("mean", [1e-6, SAIFI * 5, CAIDI - 1, 10.0, 28.0])
+@pytest.mark.parametrize("mean",
+                         [1e-6, SAIFI * 5, CAIDI - 1, 10.0, 28.0, 800.0])
 def test_table_inverse_at_its_entries(mean):
-    """A u equal to a table entry maps past it, and a u at or past the last
-    entry maps to the last j: random words almost never land there."""
+    """The table is the reference's bit for bit, a u equal to a table entry
+    maps past it, and a u at or past the last entry maps to the last j:
+    random words almost never land there. At a mean of 800, exp(-mean)
+    underflows to 0.0."""
     cdf = outages._poisson_cdf(mean)
+    assert cdf.tolist() == reference_cdf(mean)
     u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
                         [0.0, 1.0 - 2.0 ** -53]])
     u = u[(u >= 0.0) & (u < 1.0)]
@@ -304,15 +308,13 @@ def test_table_inverse_at_its_entries(mean):
 
 @pytest.mark.parametrize("mean", [1e-6, SAIFI * 5, CAIDI - 1, 10.0, 800.0])
 def test_cdf_table_is_the_poisson_cdf(mean):
-    """Each table entry is the Poisson CDF to 1e-15, the mass past the
-    table's last entry is below 1e-15, and the table is the reference's.
-    At a mean of 800, exp(-mean) underflows to 0.0."""
+    """Each table entry is the Poisson CDF to 1e-15, and the mass past the
+    table's last entry is below 1e-15."""
     poisson = pytest.importorskip("scipy.stats").poisson
     cdf = outages._poisson_cdf(mean)
     j = np.arange(len(cdf))
     np.testing.assert_allclose(cdf, poisson.cdf(j, mean), rtol=0, atol=1e-15)
     assert poisson.sf(j[-1], mean) < 1e-15
-    assert cdf.tolist() == reference_cdf(mean)
 
 
 def test_drawn_batch_of_no_streams():

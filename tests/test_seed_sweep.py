@@ -5,17 +5,17 @@ import json
 import subprocess
 import sys
 
-from conftest import CONFIGS, REPO
+from conftest import REPO
 
 
 def test_sweep_writes_pass_rates_and_quantiles(tmp_path):
     out = tmp_path / "sweep.json"
     subprocess.run(
         [sys.executable, str(REPO / "scripts" / "seed_sweep.py"),
-         "--config", str(CONFIGS / "case_study.json"), "--seeds", "3", "4",
-         "--out", str(out)],
+         "--seeds", "3", "4", "--out", str(out)],
         check=True, capture_output=True, text=True)
     got = json.loads(out.read_text())
+    assert got["config"] == "configs/case_study.json"
     assert (got["first_seed"], got["last_seed"]) == (3, 4)
     assert set(got["criteria"]) == {"criterion_02_outage_statistics",
                                     "criterion_05_surrogate_quality"}
