@@ -23,7 +23,7 @@ from .config import (HOURS_PER_YEAR, FacilityClass, HourlySeries)
 from .renewables import RenewableParams, solar_power, wind_power
 
 __all__ = ["StorageFleet", "OutageServiceResult", "OutageDispatcher",
-           "fleet_energy", "proportions"]
+           "fleet_energy"]
 
 
 def fleet_energy(capacity, dod, efficiency):
@@ -62,16 +62,6 @@ class StorageFleet:
         """The fleet's (S_d, S_c) as one store."""
         s_d, s_c = fleet_energy(self.capacity, self.dod, self.efficiency)
         return float(s_d), float(s_c)
-
-
-def proportions(fleet: StorageFleet) -> tuple[np.ndarray, np.ndarray]:
-    """Charging and discharging shares per unit; zero-capacity units get 0."""
-    usable = fleet.capacity * fleet.dod
-    if not np.any(usable > 0):
-        raise ValueError("fleet has no capacity to apportion")
-    charge_w = usable / fleet.efficiency
-    discharge_w = usable * fleet.efficiency
-    return charge_w / charge_w.sum(), discharge_w / discharge_w.sum()
 
 
 @dataclass

@@ -98,9 +98,6 @@ class MdpEnv:
             tuple(tech.advance_prob_schedule[k] for tech in self.storage)
             for k in range(planning.horizon_periods))
 
-    def initial_state(self) -> MdpState:
-        return MdpState(1, (1,) * self.num_units, (0.0,) * self.num_units)
-
     def apply_action(self, state: MdpState, action: MdpAction) -> tuple[float, ...]:
         """Installed capacities after the action, before the period's outages."""
         if action.is_noop:

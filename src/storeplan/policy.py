@@ -260,10 +260,10 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
     Periods must run 1, 2, ... in order. Each unit's price must follow its
     `price_schedule`: the first entry in period 1, then at each boundary the
     same entry or the next. Each row's cumulative capacities must equal the
-    running sum of the actions so far, and the step carries that sum.
-    Levels, capacities and prices are written with `format_number`, which
-    reads back exactly, so they compare exactly, and each step carries the
-    schedule's price.
+    running sum of the actions so far, and the step carries that sum; a
+    no-op row (unit `none`) must have level 0. Levels, capacities and prices
+    are written with `format_number`, which reads back exactly, so they
+    compare exactly, and each step carries the schedule's price.
     """
     names = [t.name for t in storage]
     header = _policy_header(storage)
@@ -301,6 +301,9 @@ def read_policy_csv(path, storage: tuple[StorageTechnology, ...],
                                  "does not follow the price schedule")
             prices.append(tech.price_schedule[min(price_idx[u])])
         if unit_name == "none":
+            if level_kwh != 0.0:
+                raise ValueError(f"{path}: row {row}: action_level_kwh "
+                                 f"{parts[2]} is not 0 on a no-op row")
             action = NO_OP
         else:
             if unit_name not in names:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import IncompatibleArtifact, file_sha256, parse_json
 from .mdp import MdpEnv, MdpState, encode_state
-from .rng import BlockDraws, stream, word_limit
+from .rng import block_words, stream, word_index, word_limit
 
 __all__ = [
     "DecaySchedule", "QTable", "LearningCurve", "greedy_index",
@@ -90,17 +90,17 @@ class QTable:
         return list(self._row(state)[1])
 
 
-def greedy_index(row, rng) -> int:
+def greedy_index(row, word) -> int:
     """Argmax over a q-row, ties broken uniformly at random.
 
-    On a tie, `rng` (a `Generator` or a `BlockDraws`) draws once to pick
-    among the tied indices in row order.
+    On a tie, one raw word from `word()` picks among the tied indices in row
+    order, by `word_index`.
     """
     best = max(row)
     ties = row.count(best)
     i = row.index(best)
     if ties > 1:
-        for _ in range(int(rng.integers(ties))):
+        for _ in range(word_index(word(), ties)):
             i = row.index(best, i + 1)
     return i
 
@@ -132,22 +132,18 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
 
     Steps run on numbered states, against the reward and successor tables
     of `MdpEnv.tables`; the last period is the one without successors.
-    Each step reads one raw word for exploration and one per unit for the
-    price advances, and compares each word with the `word_limit` of the
-    episode's epsilon or of the unit's advance probability. Stepping
-    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` would
-    compare the word's double with the probability itself, and the two
-    comparisons agree on every word. `BlockDraws` hands out the words and
-    the action draws in that stepping's order, so the draws, the advance
-    bits and the table are the ones it gives, bit for bit.
+    Every draw is one raw word of the seed's "train" stream. Each step reads
+    one for exploration and one per unit for the price advances, and each
+    fires when below the `word_limit` of the episode's epsilon or of the
+    unit's advance probability. An exploration pick or a greedy tie-break
+    reads one more word and takes its `word_index`.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     batches = min(BATCHES, episodes)
-    draws = BlockDraws(stream(seed, "train"))
-    word, integers = draws.word, draws.integers
+    word = block_words(stream(seed, "train"))
     num_actions = env.num_actions
     periods = [(invest, outage, [(1 << u, word_limit(p))
                                  for u, p in enumerate(probs)],
@@ -169,9 +165,9 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
         for invest, outage, advance, after, succ, offset, width in periods:
             row, visits = entry
             if word() < explore:
-                ai = integers(num_actions)
+                ai = word_index(word(), num_actions)
             else:
-                ai = greedy_index(row, draws)
+                ai = greedy_index(row, word)
             cap = after[ai][cap]
             r = -invest[code][ai] - outage[cap]
             mask = 0

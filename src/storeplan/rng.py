@@ -6,7 +6,9 @@ not depend on the order in which units execute. `stream` seeds one unit's
 generator; `stream_seeds` computes the seeds of many units of one tag at
 once, as a gen-data block does for its trials, and gives each the state
 `stream` gives it, either as a generator (`streams`) or as the bit
-generator's raw words (`raw_words`).
+generator's raw words (`raw_words`). A unit that draws word by word reads
+them through `block_words`, and compares a word with `word_limit(p)` for a
+chance p or takes `word_index` of it for a uniform pick.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
+from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["stream", "stream_seeds", "streams", "raw_words", "spawn_key",
-           "word_limit", "BlockDraws"]
+           "word_limit", "block_words", "word_index"]
 
 _SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
 _LOW32 = 0xFFFFFFFF
@@ -176,47 +179,22 @@ def word_limit(p: float) -> int:
     return math.ceil(p * _SCALE) << 11
 
 
-class BlockDraws:
-    """The draws a PCG64 `Generator` would make, read from raw words in blocks.
+def block_words(generator: np.random.Generator) -> Callable[[], int]:
+    """A function that returns the generator's raw 64-bit words one at a
+    time, as Python ints, read `_BLOCK` words at a time.
 
-    `word()` returns the raw 64-bit word that the wrapped generator's
-    `random()` would turn into its next double, (word >> 11) * 2**-53, so
-    `word() < word_limit(p)` is `random() < p` without the double.
-    `integers(n)` returns exactly what the generator's method would, in the
-    same order. Each costs a list read rather than a numpy call.
-    `integers(n)`, for 1 <= n < 2**32, is Lemire's bounded method (ACM
-    TOMACS 29(1), 2019) on 32-bit draws, as numpy runs it: a 32-bit draw is
-    the low half of a fresh word, and the high half is kept for the next
-    32-bit draw; `word()` never touches the kept half, and `integers(1)`
-    draws nothing. The wrapped generator runs up to a block of 1,024 words
-    ahead, so it is not drawn from again.
+    Its word w is the one the generator's `random()` would turn into its next
+    double, (w >> 11) * 2**-53, so `w < word_limit(p)` is `random() < p`
+    without the double. The generator runs up to a block ahead, so it is not
+    drawn from again.
     """
+    bits = generator.bit_generator
+    return itertools.chain.from_iterable(
+        iter(lambda: bits.random_raw(_BLOCK).tolist(), None)).__next__
 
-    def __init__(self, generator: np.random.Generator):
-        bits = generator.bit_generator
-        state = bits.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        self.word = itertools.chain.from_iterable(
-            iter(lambda: bits.random_raw(_BLOCK).tolist(), None)).__next__
 
-    def _uint32(self) -> int:
-        half = self._half
-        if half is None:
-            word = self.word()
-            self._half = word >> 32
-            return word & _LOW32
-        self._half = None
-        return half
-
-    def integers(self, n: int) -> int:
-        """A uniform integer in [0, n)."""
-        if not 1 <= n <= _LOW32:
-            raise ValueError(f"n must be in [1, 2**32), got {n}")
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        if m & _LOW32 < n:
-            threshold = (1 << 32) % n
-            while m & _LOW32 < threshold:
-                m = self._uint32() * n
-        return m >> 32
+def word_index(word: int, n: int) -> int:
+    """floor(u * n) for the word's double u = (word >> 11) * 2**-53, worked
+    out exactly in integers: a pick from range(n) whose every index has a
+    share of the words within 2**-53 of 1/n."""
+    return (word >> 11) * n >> 53

@@ -17,10 +17,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from conftest import CONFIGS, pointwise
+from reference import initial_state, proportions
 from test_dispatch import flat_series, make_dispatcher, single_class
 
 from storeplan.config import HOURS_PER_YEAR, PlanningConfig, StorageTechnology
-from storeplan.dispatch import OutageDispatcher, StorageFleet, proportions
+from storeplan.dispatch import OutageDispatcher, StorageFleet
 from storeplan.finance import annuity
 from storeplan.mdp import MdpEnv, MdpState, count_states_component_product
 from storeplan.metamodel import (generate_dataset, reachable_capacity_values,
@@ -241,7 +242,7 @@ def test_criterion_07_reduced_instance_recovers_enumeration_optimum():
     env = MdpEnv(plan, (tech,), outage_cost=pointwise(stub_cost))
 
     def rollout(seq):
-        state = env.initial_state()
+        state = initial_state(env)
         total = 0.0
         for k, ai in enumerate(seq):
             action = env.actions[ai]
@@ -259,7 +260,7 @@ def test_criterion_07_reduced_instance_recovers_enumeration_optimum():
     qtable, _ = train(env, 100_000, gamma,
                       DecaySchedule(1.0, 0.02, 100_000),
                       DecaySchedule(1.0, 0.02, 100_000), seed=1729)
-    state = env.initial_state()
+    state = initial_state(env)
     greedy = []
     for _ in range(4):
         row = qtable.q_values(state)

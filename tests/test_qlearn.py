@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from storeplan.mdp import MdpEnv, MdpState
 from storeplan import qlearn
 from storeplan.qlearn import (BATCHES, DecaySchedule, LearningCurve, QTable,
                               greedy_index, load_qtable, save_qtable, train)
-from storeplan.rng import BlockDraws, stream
+from storeplan.rng import block_words, stream, word_index
 
 from conftest import pointwise
+from reference import initial_state
 from test_mdp import G_LOSSY_LEVELS, every_state, make_env, planning, tech
 
 
@@ -50,10 +52,16 @@ def reference_update(row, action_index, reward, next_best, alpha, gamma,
 
 def reference_train(env, episodes, gamma, alpha, epsilon, seed):
     """Q-learning written out on the model itself: `MdpEnv.reward` and
-    `MdpEnv.transition` stepped on the seed's `Generator`, with no tables
-    and no raw words. Returns the rows by state number, as `QTable.rows`
-    holds them, and the learning curve."""
+    `MdpEnv.transition` stepped on the seed's `Generator`, with no tables.
+    A pick from n actions is floor(u * n), in exact fractions, for the
+    double u = (w >> 11) * 2**-53 of the generator's next raw word w.
+    Returns the rows by state number, as `QTable.rows` holds them, and the
+    learning curve."""
     rng = stream(seed, "train")
+    raw = rng.bit_generator.random_raw
+
+    def pick(n):
+        return math.floor(Fraction(raw() >> 11, 2**53) * n)
     horizon = env.planning.horizon_periods
     rows = {}
 
@@ -69,14 +77,14 @@ def reference_train(env, episodes, gamma, alpha, epsilon, seed):
     acc, acc_n = 0.0, 0
     for ep in range(episodes):
         step_floor, explore = alpha.value(ep), epsilon.value(ep)
-        state = env.initial_state()
+        state = initial_state(env)
         total = 0.0
         for k in range(1, horizon + 1):
             q, visits = entry(state)
             if rng.random() < explore:
-                ai = int(rng.integers(env.num_actions))
+                ai = pick(env.num_actions)
             else:
-                ai = greedy_index(q, rng)
+                ai = greedy_index(q, raw)
             action = env.actions[ai]
             r = env.reward(state, action)
             state = env.transition(state, action, rng)
@@ -154,18 +162,13 @@ def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
     """Every word is `word`. 2**63 reads as the double 0.5, which is not
     below a probability of 0.5, so no step explores and no price advances;
     the word just under it reads as 0.5 - 2**-53, so every step does."""
-    class ConstantWords(BlockDraws):
-        def __init__(self, generator):
-            super().__init__(generator)
-            self.word = lambda: word
-
     greedy_calls = []
 
-    def counted_greedy(row, rng):
+    def counted_greedy(row, words):
         greedy_calls.append(1)
-        return greedy_index(row, rng)
+        return greedy_index(row, words)
 
-    monkeypatch.setattr(qlearn, "BlockDraws", ConstantWords)
+    monkeypatch.setattr(qlearn, "block_words", lambda generator: lambda: word)
     monkeypatch.setattr(qlearn, "greedy_index", counted_greedy)
     env = MdpEnv(planning(levels=(300.0,)), (tech(0, (0.5,) * 4),),
                  outage_cost=pointwise(lambda k, caps: 0.0))
@@ -177,16 +180,20 @@ def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
 
 
 def test_greedy_index_picks_maximum():
-    rng = stream(0, "greedy")
-    assert greedy_index([1.0, 5.0, 3.0], rng) == 1
+    word = block_words(stream(0, "greedy"))
+    assert greedy_index([1.0, 5.0, 3.0], word) == 1
 
 
-def test_greedy_ties_split_uniformly():
-    rng = stream(1, "greedy")
-    picks = [greedy_index([2.0, 2.0, 0.0], rng) for _ in range(40_000)]
-    counts = np.bincount(picks, minlength=3)
-    assert counts[2] == 0
-    assert counts[0] / 40_000 == pytest.approx(0.5, abs=0.02)
+@pytest.mark.parametrize("row", [[2.0, 2.0, 0.0], [1.0, 0.0, 1.0, 1.0],
+                                 [0.0] * 13])
+def test_greedy_ties_split_uniformly(row):
+    word = block_words(stream(1, "greedy"))
+    picks = [greedy_index(row, word) for _ in range(40_000)]
+    counts = np.bincount(picks, minlength=len(row))
+    tied = [i for i, q in enumerate(row) if q == max(row)]
+    assert all(counts[i] == 0 for i in range(len(row)) if i not in tied)
+    for i in tied:
+        assert counts[i] / 40_000 == pytest.approx(1 / len(tied), abs=0.01)
 
 
 def small_env():
@@ -212,7 +219,7 @@ def test_qtable_entry_creates_zero_row():
 def test_qtable_accessors_return_copies():
     env = small_env()
     qt = QTable(env)
-    s = env.initial_state()
+    s = initial_state(env)
     qt.entry(s)
     qt.q_values(s)[0] = 99.0
     assert qt.q_values(s)[0] == 0.0
@@ -264,7 +271,7 @@ def test_training_learns_cheapest_unit():
     qt, _ = train(env, episodes=4_000, gamma=1.0,
                   alpha=DecaySchedule(0.5, 0.05, 4_000),
                   epsilon=DecaySchedule(1.0, 0.2, 4_000), seed=21)
-    row = qt.q_values(env.initial_state())
+    row = qt.q_values(initial_state(env))
     best = int(np.argmax(row))
     assert env.actions[best].unit == 1
     assert env.actions[best].level == 0
@@ -327,7 +334,7 @@ def small_qtable_file(path, rows=None, states=None):
     """A `small_env` q-table file with the initial state's row; `rows`
     replaces its rows."""
     qt = QTable(small_env())
-    qt.entry(qt.env.initial_state())
+    qt.entry(initial_state(qt.env))
     save_qtable(qt, path, config_digest="abc123")
     header, *lines = path.read_text().splitlines()
     doc = json.loads(header)
@@ -378,13 +385,13 @@ def test_load_qtable_accepts_finite_q_whose_sum_overflows(tmp_path):
     row = '{"n": 0, "q": [1e308, 1e308, 0], "visits": [1, 1, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     qt, _ = load_qtable(path, small_env())
-    assert qt.entry(qt.env.initial_state())[0] == [1e308, 1e308, 0.0]
+    assert qt.entry(initial_state(qt.env))[0] == [1e308, 1e308, 0.0]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_save_qtable_refuses_non_finite_q(tmp_path, value):
     qt = QTable(small_env())
-    qt.entry(qt.env.initial_state())[0][1] = value
+    qt.entry(initial_state(qt.env))[0][1] = value
     path = tmp_path / "qtable.jsonl"
     with pytest.raises(ValueError, match="a q-value is not finite"):
         save_qtable(qt, path, config_digest="abc123")
@@ -403,7 +410,7 @@ def test_load_qtable_keeps_the_sign_of_zero(tmp_path):
     row = '{"n": 0, "q": [-0.0, 0.0, 0], "visits": [0, 0, 0]}'
     path = small_qtable_file(tmp_path / "qtable.jsonl", rows=[row])
     qt, _ = load_qtable(path, small_env())
-    q = qt.q_values(qt.env.initial_state())
+    q = qt.q_values(initial_state(qt.env))
     assert [math.copysign(1.0, x) for x in q] == [-1.0, 1.0, 1.0]
 
 
@@ -648,7 +655,7 @@ def test_save_of_a_verified_read_writes_the_files_bytes(blocks_file,
                                                         tmp_path):
     env, _, path = blocks_file
     lazy, header = load_qtable(path, env, expected_sha256=sha256_of(path))
-    lazy.q_values(env.initial_state())  # one row read, the others not
+    lazy.q_values(initial_state(env))  # one row read, the others not
     again = tmp_path / "again.jsonl"
     save_qtable(lazy, again, header["config_hash"])
     assert again.read_bytes() == path.read_bytes()
@@ -694,7 +701,7 @@ def test_verified_read_checks_each_row_it_reads(blocks_file, tmp_path):
     for _ in range(2):  # a failed read is not remembered as an empty row
         with pytest.raises(ValueError, match=f"{bad}: line 2: 'q' entries "
                                              f"must be finite"):
-            lazy.q_values(env.initial_state())
+            lazy.q_values(initial_state(env))
 
 
 def test_verified_read_checks_the_header_and_the_line_count(blocks_file,
@@ -796,9 +803,9 @@ def test_table_successors_equal_env_transitions():
 
 
 def test_training_output_is_pinned(smoke_config, tmp_path):
-    """Hashes of a fixed small run's artifacts. They equal what stepping
-    `MdpEnv.reward` and `MdpEnv.transition` on the seed's `Generator` gives,
-    so the tables and block draws must not move a bit of them."""
+    """Hashes of a fixed small run's artifacts. They equal what
+    `reference_train` gives, saved the same way, so the tables and the word
+    draws must not move a bit of them."""
     env = MdpEnv(smoke_config.planning, smoke_config.storage,
                  outage_cost=pointwise(
                      lambda k, caps: 50_000.0 * k / (1.0 + sum(caps) / 1e3)))
@@ -818,11 +825,11 @@ def test_training_output_is_pinned(smoke_config, tmp_path):
     def sha(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
-    assert len(qt) == 4_368
+    assert len(qt) == 4_350
     assert loaded.rows == qt.rows
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "458e6e7853d065d9bec09133e504a2bc5772d644ec3fe6e553c2e92c4e0cb097")
+        "5b34afa47f26d8e27b1b5699003fc25bc49f654a4d47fd89f5ace2c74cb25495")
     assert sha("qtable.jsonl") == (
-        "694d7a1d39eaf830354affb1aec10243f458c5e9cd8207763caea65aa4f31591")
+        "78e93213f5de4481298aa72dea29e3b1900e9b1b9eafe4443d310655b992c14c")
     assert sha("learning_curve.csv") == (
-        "e51e08c7f39ea13c2b224e8df02aae13f79a391c1ce935ecb6e50c4d99ff5212")
+        "84878d023f1d0ebee7996069603d4fae499209781f4cf608c748efbba6859afe")

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from storeplan import rng
-from storeplan.rng import (BlockDraws, raw_words, spawn_key, stream,
-                           stream_seeds, streams, word_limit)
+from storeplan.rng import (block_words, raw_words, spawn_key, stream,
+                           stream_seeds, streams, word_index, word_limit)
 
 TOP = 2**64 - 1  # the largest raw word
 
@@ -53,8 +55,8 @@ def test_word_limit_identity():
     assert word_limit(0.0) == 0 and word_limit(1.0) == 2**64
 
 
-def assert_word_is_next_double(draws, gen):
-    u, w = gen.random(), draws.word()
+def assert_word_is_next_double(word, gen):
+    u, w = gen.random(), word()
     assert as_double(w) == u
     # the word fires against any probability above its double, and only those
     assert w < word_limit(np.nextafter(u, 2.0)) and not w < word_limit(u)
@@ -62,45 +64,36 @@ def assert_word_is_next_double(draws, gen):
 
 @pytest.mark.parametrize("block", [1024, 3])
 @pytest.mark.parametrize("seed", [0, 7, 1729])
-def test_block_draws_match_generator(seed, block, monkeypatch):
-    # block 3 refills mid-sequence, between a word's two 32-bit halves too;
-    # the 2,000 calls read more than 1,024 words, so block 1,024 refills too
+def test_block_words_match_generator(seed, block, monkeypatch):
+    # block 3 refills mid-sequence; the 2,000 calls read more than 1,024
+    # words, so block 1,024 refills too
     monkeypatch.setattr(rng, "_BLOCK", block)
-    gen, draws = stream(seed, "train"), BlockDraws(stream(seed, "train"))
-    calls = np.random.default_rng(seed).integers(3, size=2_000)
-    sizes = [1, 2, 3, 7, 13, 3_000_000_000, 2**32 - 1]
+    gen, word = stream(seed, "train"), block_words(stream(seed, "train"))
+    calls = np.random.default_rng(seed).integers(2, size=2_000)
     for i, call in enumerate(calls):
         if call == 0:
-            assert_word_is_next_double(draws, gen)
-        elif call == 1:
-            words = [draws.word() for _ in range(i % 5)]
-            assert list(map(as_double, words)) == gen.random(i % 5).tolist()
+            assert_word_is_next_double(word, gen)
         else:
-            n = sizes[i % len(sizes)]
-            assert draws.integers(n) == gen.integers(n)
+            words = [word() for _ in range(i % 5)]
+            assert list(map(as_double, words)) == gen.random(i % 5).tolist()
 
 
-def test_block_draws_integers_one_draws_nothing():
-    gen, draws = stream(3, "one"), BlockDraws(stream(3, "one"))
-    assert [draws.integers(1) for _ in range(5)] == [0] * 5
-    for _ in range(4):
-        assert_word_is_next_double(draws, gen)
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 2**32 + 1])
+def test_word_index_at_the_ends(n):
+    assert word_index(0, n) == 0
+    assert word_index(TOP, n) == n - 1
 
 
-def test_block_draws_rejection_loop_matches(monkeypatch):
-    # 2**32 mod 3e9 leaves a rejection zone of 30 % of the 32-bit draws
-    monkeypatch.setattr(rng, "_BLOCK", 5)
-    gen, draws = stream(5, "lemire"), BlockDraws(stream(5, "lemire"))
-    picks = [draws.integers(3_000_000_000) for _ in range(500)]
-    assert picks == gen.integers(3_000_000_000, size=500).tolist()
-    assert_word_is_next_double(draws, gen)
-
-
-def test_block_draws_reject_out_of_range():
-    draws = BlockDraws(stream(0, "range"))
-    for n in (0, 2**32):
-        with pytest.raises(ValueError):
-            draws.integers(n)
+@pytest.mark.parametrize("n", [2, 3, 13])
+def test_word_index_bucket_edges(n):
+    """Index k's first word is ceil(k * 2**53 / n) << 11, the least word
+    whose double u has u * n >= k; the word below it gives k - 1."""
+    for k in range(1, n):
+        first = -(-k * 2**53 // n) << 11
+        assert Fraction(first >> 11, 2**53) * n >= k
+        assert Fraction((first >> 11) - 1, 2**53) * n < k
+        assert word_index(first, n) == k
+        assert word_index(first - 1, n) == k - 1
 
 
 def assert_streams_match(seed, tag, keys):
