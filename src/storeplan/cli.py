@@ -71,10 +71,12 @@ def _read_manifest(manifest_path: Path) -> dict:
 
 
 def _record_artifact(out_dir: Path, name: str, filename: str,
-                     digest: str | None, args, params: dict) -> None:
+                     digest: str | None, args, params: dict,
+                     quality: dict | None = None) -> None:
     """Add `name`'s entry to the manifest. `sha256` is the digest of the
     artifact's bytes; `wall_s` and `cpu_s` are the stage's wall and CPU
-    seconds (this process) up to the entry's write."""
+    seconds (this process) up to the entry's write; `quality`, if given,
+    holds what the stage found out about its output."""
     manifest_path = out_dir / "manifest.json"
     manifest = _read_manifest(manifest_path)
     manifest["artifacts"][name] = {
@@ -87,6 +89,8 @@ def _record_artifact(out_dir: Path, name: str, filename: str,
         "wall_s": round(time.perf_counter() - args.clock[0], 6),
         "cpu_s": round(time.process_time() - args.clock[1], 6),
     }
+    if quality is not None:
+        manifest["artifacts"][name]["quality"] = quality
     tmp = manifest_path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
     os.replace(tmp, manifest_path)
@@ -186,7 +190,9 @@ def cmd_solve(args) -> int:
     print(f"exact DP: optimum {optimum:.0f}, learned policy {learned:.0f}, "
           f"gap {gap:.0f}{share}")
     # recorded last, so that the entries' times cover the check too
-    _record_artifact(out, "qtable", "qtable.jsonl", digest, args, run)
+    _record_artifact(out, "qtable", "qtable.jsonl", digest, args, run, {
+        "states_visited": len(qtable), "states_reachable": reachable,
+        "dp_optimum": optimum, "learned_value": learned, "gap": gap})
     _record_artifact(out, "learning_curve", "learning_curve.csv", digest,
                      args, {"episodes": episodes})
     return 0

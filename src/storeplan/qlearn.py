@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import IncompatibleArtifact, file_sha256, parse_json
 from .mdp import MdpEnv, MdpState, encode_state
-from .rng import block_words, stream, word_index, word_limit
+from .rng import stream, word_index, word_thresholds
 
 __all__ = [
     "DecaySchedule", "QTable", "LearningCurve", "greedy_index",
@@ -33,6 +33,7 @@ __all__ = [
 
 QTABLE_FORMAT = "storeplan-qtable-v2"
 BATCHES = 100  # learning-curve points per run, fewer only for shorter runs
+_CHUNK = 1024  # episodes whose draws one random_raw call reads
 # how a row that save_qtable wrote starts: its state number
 _ROW_START = re.compile(rb'\{"n": (\d+),')
 # entry types of saved q and visits rows, and the types q may hold
@@ -57,6 +58,17 @@ class DecaySchedule:
         if frac >= 1.0:
             return self.end
         return self.start + (self.end - self.start) * frac
+
+    def values(self, first: int, count: int) -> np.ndarray:
+        """`value(e)` for the `count` episodes from `first`, bit for bit, as
+        a float64 array: an int divided by an int below 2**53 rounds as the
+        quotient of their doubles does."""
+        if self.total <= 1:
+            return np.full(count, self.end)
+        frac = np.arange(first, first + count) / (self.total - 1)
+        return np.where(frac <= 0.0, self.start, np.where(
+            frac >= 1.0, self.end,
+            self.start + (self.end - self.start) * frac))
 
 
 class QTable:
@@ -90,17 +102,19 @@ class QTable:
         return list(self._row(state)[1])
 
 
-def greedy_index(row, word) -> int:
+def greedy_index(row, word: int, best=None) -> int:
     """Argmax over a q-row, ties broken uniformly at random.
 
-    On a tie, one raw word from `word()` picks among the tied indices in row
-    order, by `word_index`.
+    `best` is `max(row)` when the caller knows it already. On a tie, the
+    raw word `word` picks among the tied indices in row order, by
+    `word_index`; without a tie it goes unused.
     """
-    best = max(row)
+    if best is None:
+        best = max(row)
     ties = row.count(best)
     i = row.index(best)
     if ties > 1:
-        for _ in range(word_index(word(), ties)):
+        for _ in range(word_index(word, ties)):
             i = row.index(best, i + 1)
     return i
 
@@ -119,6 +133,29 @@ class LearningCurve:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _steps(words: np.ndarray, explore: np.ndarray, advance: np.ndarray,
+           num_actions: int):
+    """What each step of a chunk of episodes draws, from its raw words laid
+    out (episode, period, 2 + units) and the `word_thresholds` of each
+    episode's epsilon and of each period's unit advances.
+
+    An iterator over the steps in episode order, each a tuple: the
+    exploration action, or -1 for a greedy step; word 1, which a greedy
+    step's tie break reads; and the advance mask, bit u set when unit u's
+    price advances.
+    """
+    high = words >> np.uint64(11)
+    picks = high[:, :, 1]
+    if num_actions >= 1 << 11:  # (w >> 11) * n must not overflow uint64
+        picks = picks.astype(object)
+    picks = (picks * num_actions >> 53).astype(np.int64)
+    acts = np.where(high[:, :, 0] < explore[:, None], picks, -1)
+    masks = sum(((high[:, :, 2 + u] < advance[:, u]).astype(np.int64) << u
+                 for u in range(advance.shape[1])), np.zeros_like(acts))
+    return zip(acts.ravel().tolist(), words[:, :, 1].ravel().tolist(),
+               masks.ravel().tolist())
+
+
 def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
           epsilon: DecaySchedule, seed: int) -> tuple[QTable, LearningCurve]:
     """Run epsilon-greedy episodes from the initial state.
@@ -132,67 +169,84 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
 
     Steps run on numbered states, against the reward and successor tables
     of `MdpEnv.tables`; the last period is the one without successors.
-    Every draw is one raw word of the seed's "train" stream. Each step reads
-    one for exploration and one per unit for the price advances, and each
-    fires when below the `word_limit` of the episode's epsilon or of the
-    unit's advance probability. An exploration pick or a greedy tie-break
-    reads one more word and takes its `word_index`.
+    Every draw is a raw word of the seed's "train" stream, at a fixed
+    position: step k of episode e reads the 2 + U words from (e * H + k -
+    1) * (2 + U), for H periods and U units. Word 0 explores when below the
+    `word_limit` of the episode's epsilon, and word 1 is then the action's
+    `word_index`; a greedy step reads word 1 only to break a tie. Word
+    2 + u advances unit u's price when below the `word_limit` of its
+    advance probability; the last period reads these words and ignores
+    them. The draws of a run therefore never depend on what it learns, and
+    runs at one seed on any outage costs see the same price paths.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     batches = min(BATCHES, episodes)
-    word = block_words(stream(seed, "train"))
-    num_actions = env.num_actions
-    periods = [(invest, outage, [(1 << u, word_limit(p))
-                                 for u, p in enumerate(probs)],
-                after, succ, offset, width)
-               for invest, outage, probs, after, succ, offset, width
-               in env.tables[0]]
+    bits = stream(seed, "train").bit_generator
+    num_actions, horizon = env.num_actions, env.planning.horizon_periods
+    stride = horizon * (2 + env.num_units)  # words per episode
+    periods = env.tables[0]
+    advance = word_thresholds(np.array([p[2] for p in periods], dtype=float))
+    head = periods[:-1]
+    last_invest, last_outage, _, last_after = periods[-1][:4]
     qt = QTable(env)
     rows = qt.rows
     rows[0] = ([0.0] * num_actions, [0] * num_actions)  # the initial state
     boundaries = [round((i + 1) * episodes / batches) for i in range(batches)]
     curve_x, curve_y = [], []
     acc, acc_n, next_boundary = 0.0, 0, 0
-    for ep in range(episodes):
-        a_val = alpha.value(ep)
-        explore = word_limit(epsilon.value(ep))
-        code = cap = 0
-        entry = rows[0]
-        total = 0.0
-        for invest, outage, advance, after, succ, offset, width in periods:
-            row, visits = entry
-            if word() < explore:
-                ai = word_index(word(), num_actions)
-            else:
-                ai = greedy_index(row, word)
-            cap = after[ai][cap]
-            r = -invest[code][ai] - outage[cap]
-            mask = 0
-            for bit, limit in advance:
-                if word() < limit:
-                    mask |= bit
-            visits[ai] += 1
-            step = max(a_val, 1.0 / visits[ai])
-            if succ is None:
-                row[ai] += step * (r - row[ai])
-            else:
+    for first in range(0, episodes, _CHUNK):
+        count = min(_CHUNK, episodes - first)
+        words = bits.random_raw(count * stride).reshape(count, horizon, -1)
+        draws = _steps(words, word_thresholds(epsilon.values(first, count)),
+                       advance, num_actions)
+        for ep, a_val in enumerate(alpha.values(first, count).tolist(),
+                                   start=first + 1):
+            code = cap = 0
+            row, visits = rows[0]
+            best = None
+            total = 0.0
+            # zip stops on `head` before it takes the last period's draws
+            for (invest, outage, _, after, succ, offset, width), \
+                    (ai, tie, mask) in zip(head, draws):
+                if ai < 0:
+                    ai = greedy_index(row, tie, best)
+                cap = after[ai][cap]
+                r = -invest[code][ai] - outage[cap]
+                n = visits[ai] + 1
+                visits[ai] = n
+                step = 1.0 / n
+                if not step > a_val:  # max(a_val, 1 / n)
+                    step = a_val
                 code = succ[code][mask]
                 s = offset + code * width + cap
                 entry = rows[s]
                 if entry is None:
                     entry = rows[s] = ([0.0] * num_actions, [0] * num_actions)
-                row[ai] += step * (r + gamma * max(entry[0]) - row[ai])
+                best = max(entry[0])
+                row[ai] += step * (r + gamma * best - row[ai])
+                row, visits = entry
+                total += r
+            ai, tie, _ = next(draws)
+            if ai < 0:
+                ai = greedy_index(row, tie, best)
+            r = -last_invest[code][ai] - last_outage[last_after[ai][cap]]
+            n = visits[ai] + 1
+            visits[ai] = n
+            step = 1.0 / n
+            if not step > a_val:
+                step = a_val
+            row[ai] += step * (r - row[ai])
             total += r
-        acc += total
-        acc_n += 1
-        if ep + 1 == boundaries[next_boundary]:
-            curve_x.append(100.0 * (ep + 1) / episodes)
-            curve_y.append(acc / acc_n)
-            acc, acc_n = 0.0, 0
-            next_boundary += 1
+            acc += total
+            acc_n += 1
+            if ep == boundaries[next_boundary]:
+                curve_x.append(100.0 * ep / episodes)
+                curve_y.append(acc / acc_n)
+                acc, acc_n = 0.0, 0
+                next_boundary += 1
     return qt, LearningCurve(batch_percentile=curve_x, mean_total_reward=curve_y)
 
 
@@ -224,8 +278,13 @@ def save_qtable(qtable: QTable, path, config_digest: str | None,
             fh.write(_encode(header) + "\n")
             for n, row in enumerate(rows):
                 if row:
-                    fh.write(_encode({"n": n, "q": row[0], "visits": row[1]})
-                             + "\n")
+                    q, visits = row
+                    # a finite sum has no NaN or infinite term, and json
+                    # writes a float as its repr, so a list's repr is its JSON
+                    if not isfinite(sum(q)) and not all(map(isfinite, q)):
+                        raise ValueError
+                    fh.write('{"n": %d, "q": %r, "visits": %r}\n'
+                             % (n, q, visits))
     except ValueError:  # a NaN or infinite q, which JSON cannot hold
         Path(path).unlink()
         raise ValueError(f"{path}: a q-value is not finite") from None

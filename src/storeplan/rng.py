@@ -6,27 +6,25 @@ not depend on the order in which units execute. `stream` seeds one unit's
 generator; `stream_seeds` computes the seeds of many units of one tag at
 once, as a gen-data block does for its trials, and gives each the state
 `stream` gives it, either as a generator (`streams`) or as the bit
-generator's raw words (`raw_words`). A unit that draws word by word reads
-them through `block_words`, and compares a word with `word_limit(p)` for a
-chance p or takes `word_index` of it for a uniform pick.
+generator's raw words (`raw_words`). A unit that draws raw words compares
+a word with `word_limit(p)` for a chance p, or its top 53 bits with
+`word_thresholds` of an array of chances, and takes `word_index` of it for
+a uniform pick.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import zlib
-from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["stream", "stream_seeds", "streams", "raw_words", "spawn_key",
-           "word_limit", "block_words", "word_index"]
+           "word_limit", "word_thresholds", "word_index"]
 
 _SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
 _LOW32 = 0xFFFFFFFF
-_BLOCK = 1024  # raw words read per refill
 # numpy SeedSequence's hash: a pool of four 32-bit words, mixed with
 # constants that step by a fixed multiplier at every use, (initial, step)
 _POOL = 4
@@ -179,18 +177,14 @@ def word_limit(p: float) -> int:
     return math.ceil(p * _SCALE) << 11
 
 
-def block_words(generator: np.random.Generator) -> Callable[[], int]:
-    """A function that returns the generator's raw 64-bit words one at a
-    time, as Python ints, read `_BLOCK` words at a time.
-
-    Its word w is the one the generator's `random()` would turn into its next
-    double, (w >> 11) * 2**-53, so `w < word_limit(p)` is `random() < p`
-    without the double. The generator runs up to a block ahead, so it is not
-    drawn from again.
-    """
-    bits = generator.bit_generator
-    return itertools.chain.from_iterable(
-        iter(lambda: bits.random_raw(_BLOCK).tolist(), None)).__next__
+def word_thresholds(p) -> np.ndarray:
+    """`word_limit(p) >> 11` for each chance in the float64 array `p`, as
+    uint64. The limit's low 11 bits are zero, so a raw word w is below
+    `word_limit(p)` exactly when w >> 11 is below this threshold, and the
+    threshold of a `p` of 1 or more, 2**53, fits in uint64 where the limit
+    does not."""
+    scaled = np.ceil(np.minimum(p, 1.0) * _SCALE)
+    return np.where(p > 0.0, scaled, 0.0).astype(np.uint64)
 
 
 def word_index(word: int, n: int) -> int:

@@ -89,6 +89,21 @@ def test_manifest_entries_carry_stage_times(pipeline_dir):
         assert entry["sha256"] == digest.hexdigest(), entry
 
 
+def test_solve_records_its_exact_dp_check(pipeline_dir):
+    """The q-table's entry holds the coverage and the exact DP check that
+    `solve` prints: the optimum, the learned policy's value and the gap."""
+    entry = json.loads((pipeline_dir / "manifest.json").read_text())[
+        "artifacts"]["qtable"]
+    quality = entry["quality"]
+    assert sorted(quality) == ["dp_optimum", "gap", "learned_value",
+                               "states_reachable", "states_visited"]
+    assert all(type(v) in (int, float) and math.isfinite(v)
+               for v in quality.values()), quality
+    assert 0 < quality["states_visited"] <= quality["states_reachable"]
+    assert quality["gap"] == quality["dp_optimum"] - quality["learned_value"]
+    assert quality["gap"] >= 0.0
+
+
 def test_qtable_read_back_and_saved_again_is_byte_identical(pipeline_dir,
                                                            tmp_path):
     cfg = load_config(SMOKE)

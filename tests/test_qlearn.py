@@ -17,7 +17,7 @@ from storeplan.mdp import MdpEnv, MdpState
 from storeplan import qlearn
 from storeplan.qlearn import (BATCHES, DecaySchedule, LearningCurve, QTable,
                               greedy_index, load_qtable, save_qtable, train)
-from storeplan.rng import block_words, stream, word_index
+from storeplan.rng import stream, word_index, word_limit, word_thresholds
 
 from conftest import pointwise
 from reference import initial_state
@@ -53,15 +53,17 @@ def reference_update(row, action_index, reward, next_best, alpha, gamma,
 def reference_train(env, episodes, gamma, alpha, epsilon, seed):
     """Q-learning written out on the model itself: `MdpEnv.reward` and
     `MdpEnv.transition` stepped on the seed's `Generator`, with no tables.
-    A pick from n actions is floor(u * n), in exact fractions, for the
-    double u = (w >> 11) * 2**-53 of the generator's next raw word w.
-    Returns the rows by state number, as `QTable.rows` holds them, and the
-    learning curve."""
+    Each step reads `random()` for exploration, then one raw word w whether
+    or not it is used, then the transition's draws, in the last period too.
+    An exploration pick from n actions is floor(u * n), in exact fractions,
+    for w's double u = (w >> 11) * 2**-53; a greedy step breaks a tie with
+    w. Returns the rows by state number, as `QTable.rows` holds them, and
+    the learning curve."""
     rng = stream(seed, "train")
     raw = rng.bit_generator.random_raw
 
-    def pick(n):
-        return math.floor(Fraction(raw() >> 11, 2**53) * n)
+    def pick(word, n):
+        return math.floor(Fraction(word >> 11, 2**53) * n)
     horizon = env.planning.horizon_periods
     rows = {}
 
@@ -81,10 +83,11 @@ def reference_train(env, episodes, gamma, alpha, epsilon, seed):
         total = 0.0
         for k in range(1, horizon + 1):
             q, visits = entry(state)
-            if rng.random() < explore:
-                ai = pick(env.num_actions)
+            explores, word = rng.random() < explore, int(raw())
+            if explores:
+                ai = pick(word, env.num_actions)
             else:
-                ai = greedy_index(q, raw)
+                ai = greedy_index(q, word)
             action = env.actions[ai]
             r = env.reward(state, action)
             state = env.transition(state, action, rng)
@@ -159,16 +162,24 @@ def test_train_matches_reference_learner(case):
 @pytest.mark.parametrize("word, fires", [(1 << 63, False),
                                          ((1 << 63) - 1, True)])
 def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
-    """Every word is `word`. 2**63 reads as the double 0.5, which is not
-    below a probability of 0.5, so no step explores and no price advances;
-    the word just under it reads as 0.5 - 2**-53, so every step does."""
+    """Every raw word of the stream is `word`. 2**63 reads as the double
+    0.5, which is not below a probability of 0.5, so no step explores and
+    no price advances; the word just under it reads as 0.5 - 2**-53, so
+    every step does."""
     greedy_calls = []
 
-    def counted_greedy(row, words):
+    def counted_greedy(row, tie, best=None):
         greedy_calls.append(1)
-        return greedy_index(row, words)
+        return greedy_index(row, tie, best)
 
-    monkeypatch.setattr(qlearn, "block_words", lambda generator: lambda: word)
+    class Bits:
+        def random_raw(self, size):
+            return np.full(size, word, dtype=np.uint64)
+
+    class Stream:
+        bit_generator = Bits()
+
+    monkeypatch.setattr(qlearn, "stream", lambda seed, tag: Stream())
     monkeypatch.setattr(qlearn, "greedy_index", counted_greedy)
     env = MdpEnv(planning(levels=(300.0,)), (tech(0, (0.5,) * 4),),
                  outage_cost=pointwise(lambda k, caps: 0.0))
@@ -179,16 +190,80 @@ def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
         (k, (k if fires else 1,)) for k in range(1, 5)}
 
 
+@pytest.mark.parametrize("total", [1, 2, 3, 1_000])
+@pytest.mark.parametrize("start, end", [(1.0, 0.05), (0.0, 1.0),
+                                        (math.nan, 0.5), (1.0 - 2.0**-53, 0.0),
+                                        (0.3, 0.3)])
+def test_chunk_schedules_equal_value_and_word_limit(total, start, end):
+    """The alpha values and epsilon limits `train` works out a chunk of
+    episodes at a time equal `DecaySchedule.value` and `word_limit` of it
+    bit for bit: at the first and last episode, in a chunk of one episode
+    and past the end (repr tells NaN and -0.0 apart from other floats)."""
+    sched = DecaySchedule(start, end, total)
+    for first, count in ((0, total + 1), (0, 1), (total - 1, 1),
+                         (max(total - 2, 0), 3)):
+        episodes = range(first, first + count)
+        values = sched.values(first, count)
+        assert repr(values.tolist()) == repr(list(map(sched.value, episodes)))
+        assert [int(t) << 11 for t in word_thresholds(values)] == [
+            word_limit(sched.value(e)) for e in episodes]
+
+
+@pytest.mark.parametrize("num_actions", [1, 7, 2**11 - 1, 2**11, 2**40])
+def test_exploration_picks_are_word_index_at_any_action_count(num_actions):
+    """(w >> 11) * n overflows uint64 from n = 2**11 on; the picks stay
+    `word_index`'s, and a step explores exactly below epsilon's limit."""
+    words = stream(3, "picks").bit_generator.random_raw(2 * 5 * 4)
+    words[:4] = [0, 2**64 - 1, 2**63, (1 << 63) - 1]
+    words = words.reshape(2, 5, 4)
+    explore = word_thresholds(np.array([0.5, 1.0]))
+    advance = word_thresholds(np.full((5, 2), 0.5))
+    steps = list(qlearn._steps(words, explore, advance, num_actions))
+    for (ai, tie, mask), (w0, w1, w2, w3), limit in zip(
+            steps, words.reshape(-1, 4).tolist(),
+            [word_limit(0.5)] * 5 + [word_limit(1.0)] * 5):
+        assert ai == (word_index(w1, num_actions) if w0 < limit else -1)
+        assert tie == w1
+        assert mask == (w2 < word_limit(0.5)) + 2 * (w3 < word_limit(0.5))
+
+
+def test_price_paths_do_not_depend_on_outage_costs():
+    """Draws sit at fixed stream positions, whatever the learner picks, so
+    two envs whose outage costs slope opposite ways in capacity take the
+    same price paths at one seed: their visits, summed by period and price
+    code, are equal, while the actions they learn differ."""
+
+    def visits_by_prices(qt):
+        totals = {}
+        for (k, code, _, _), row in zip(_numbered_states(qt.env), qt.rows):
+            if row:
+                totals[k, code] = totals.get((k, code), 0) + sum(row[1])
+        return totals
+
+    runs = []
+    for slope in (1.0, -1.0):
+        env = make_env(units=2, cost=lambda k, caps, slope=slope:
+                       1e6 * k * (2.0 + slope * sum(caps) / 7_000.0))
+        runs.append(train(env, 20_000, 0.9, DecaySchedule(1.0, 0.05, 20_000),
+                          DecaySchedule(1.0, 0.05, 20_000), seed=5)[0])
+    up, down = runs
+    assert visits_by_prices(up) == visits_by_prices(down)
+    assert sum(visits_by_prices(up).values()) == 20_000 * 4
+    assert [row[1] for row in up.rows if row] != [
+        row[1] for row in down.rows if row]
+
+
 def test_greedy_index_picks_maximum():
-    word = block_words(stream(0, "greedy"))
-    assert greedy_index([1.0, 5.0, 3.0], word) == 1
+    for word in (0, 2**64 - 1):
+        assert greedy_index([1.0, 5.0, 3.0], word) == 1
+        assert greedy_index([1.0, 5.0, 3.0], word, best=5.0) == 1
 
 
 @pytest.mark.parametrize("row", [[2.0, 2.0, 0.0], [1.0, 0.0, 1.0, 1.0],
                                  [0.0] * 13])
 def test_greedy_ties_split_uniformly(row):
-    word = block_words(stream(1, "greedy"))
-    picks = [greedy_index(row, word) for _ in range(40_000)]
+    words = stream(1, "greedy").bit_generator.random_raw(40_000).tolist()
+    picks = [greedy_index(row, word) for word in words]
     counts = np.bincount(picks, minlength=len(row))
     tied = [i for i, q in enumerate(row) if q == max(row)]
     assert all(counts[i] == 0 for i in range(len(row)) if i not in tied)
@@ -825,11 +900,11 @@ def test_training_output_is_pinned(smoke_config, tmp_path):
     def sha(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
-    assert len(qt) == 4_350
+    assert len(qt) == 4_378
     assert loaded.rows == qt.rows
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "5b34afa47f26d8e27b1b5699003fc25bc49f654a4d47fd89f5ace2c74cb25495")
+        "9ba6e02ff6084bef8f74650a7508439390698e2cfc8ac1d4da334c9cace00535")
     assert sha("qtable.jsonl") == (
-        "78e93213f5de4481298aa72dea29e3b1900e9b1b9eafe4443d310655b992c14c")
+        "2c0b4d6d6fe1d869506f8e1ab43e9d3ec4cfd66eae3710895e71f8ed3a75ec8e")
     assert sha("learning_curve.csv") == (
-        "84878d023f1d0ebee7996069603d4fae499209781f4cf608c748efbba6859afe")
+        "2de133b123e46f5154bb70c951422b690af70792a4b990b100570f9346f07f9b")

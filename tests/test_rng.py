@@ -1,11 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from storeplan import rng
-from storeplan.rng import (block_words, raw_words, spawn_key, stream,
-                           stream_seeds, streams, word_index, word_limit)
+from storeplan.rng import (raw_words, spawn_key, stream, stream_seeds,
+                           streams, word_index, word_limit, word_thresholds)
 
 TOP = 2**64 - 1  # the largest raw word
 
@@ -55,27 +55,26 @@ def test_word_limit_identity():
     assert word_limit(0.0) == 0 and word_limit(1.0) == 2**64
 
 
-def assert_word_is_next_double(word, gen):
-    u, w = gen.random(), word()
-    assert as_double(w) == u
-    # the word fires against any probability above its double, and only those
-    assert w < word_limit(np.nextafter(u, 2.0)) and not w < word_limit(u)
+def test_word_thresholds_equal_word_limit():
+    """The array form gives `word_limit(p) >> 11` for each p, on the edges
+    0, 1, NaN and 1 - 2**-53 too."""
+    ps = [0.0, 1.0, math.nan, 1.0 - 2.0**-53, 2.0**-53, 5e-324, 0.7, -0.5,
+          1.5, math.inf]
+    thresholds = word_thresholds(np.array(ps))
+    assert thresholds.dtype == np.uint64
+    assert [int(t) << 11 for t in thresholds] == list(map(word_limit, ps))
 
 
-@pytest.mark.parametrize("block", [1024, 3])
 @pytest.mark.parametrize("seed", [0, 7, 1729])
-def test_block_words_match_generator(seed, block, monkeypatch):
-    # block 3 refills mid-sequence; the 2,000 calls read more than 1,024
-    # words, so block 1,024 refills too
-    monkeypatch.setattr(rng, "_BLOCK", block)
-    gen, word = stream(seed, "train"), block_words(stream(seed, "train"))
-    calls = np.random.default_rng(seed).integers(2, size=2_000)
-    for i, call in enumerate(calls):
-        if call == 0:
-            assert_word_is_next_double(word, gen)
-        else:
-            words = [word() for _ in range(i % 5)]
-            assert list(map(as_double, words)) == gen.random(i % 5).tolist()
+def test_raw_words_are_the_generators_doubles(seed):
+    """The words `random_raw` reads are the ones `random()` turns into its
+    doubles, and each fires against a probability above its double and not
+    against its double."""
+    words = stream(seed, "train").bit_generator.random_raw(2_000).tolist()
+    doubles = stream(seed, "train").random(2_000).tolist()
+    assert list(map(as_double, words)) == doubles
+    for w, u in zip(words[:200], doubles):
+        assert w < word_limit(np.nextafter(u, 2.0)) and not w < word_limit(u)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 2**32 + 1])
