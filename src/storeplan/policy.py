@@ -9,6 +9,7 @@ build-out against outage traces shared by all policies at one seed and size.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from .config import StorageTechnology, parse_json
 from .finance import investment_cost
 from .mdp import (MdpAction, MdpEnv, MdpState, NO_OP, encode_state,
                   format_number)
-from .outages import sample_outages
+from .outages import draw_outages, trace_words
 from .qlearn import QTable
 from .rng import stream
 from .simulate import SimulationContext, row_sums
@@ -338,10 +339,13 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
                     trials: int, seed: int | None = None) -> PolicyValue:
     """Replay the build-out against `trials` fresh horizon-long outage draws.
 
-    One `sample_outages` call draws all trials' traces, trial-major, from
-    the stream `(seed, "eval:trials")`: they depend on the seed and trial
-    count, never on the policy (common random numbers). One `period_costs`
-    call dispatches all their outages. Sums add left to right (`row_sums`).
+    Period k of trial t faces trace i = t * P + k - 1 of the P-period
+    horizon, which `draw_outages` makes from the W = `trace_words` raw
+    words at i * W of the stream `(seed, "eval:trials")`, all read in one
+    `random_raw` call. The traces depend on the seed alone, never on the
+    policy (common random numbers) or the trial count: the first n trials
+    of any longer evaluation are the n-trial one. One `period_costs` call
+    dispatches all their outages. Sums add left to right (`row_sums`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -359,9 +363,10 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
             s.period - 1])
         for s in report.steps if not s.action.is_noop]
     invest = float(row_sums([investments])[0])
-    outages = sample_outages(plan.saifi, plan.caidi, plan.years_per_period,
-                             stream(seed, "eval:trials"),
-                             trials * len(report.steps))
+    law = (plan.saifi, plan.caidi, plan.years_per_period)
+    n, width = trials * len(report.steps), trace_words(*law)
+    outages = draw_outages(*law, stream(seed, "eval:trials").bit_generator
+                           .random_raw(n * width).reshape(n, width))
     fleets = [(s.period, s.capacity_after) for s in report.steps] * trials
     costs = ctx.period_costs(fleets, outages)
     samples = row_sums(np.reshape(costs, (trials, len(report.steps))))
@@ -377,10 +382,15 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
 
 
 def write_comparison_csv(scored, path) -> None:
-    lines = ["policy,mean_total_cost,investment_cost,mean_outage_cost,"
-             "stderr,trials"]
-    for report, value in scored:
-        lines.append(f"{report.scenario_id},{value.mean_total_cost!r},"
-                     f"{value.investment_cost!r},{value.mean_outage_cost!r},"
-                     f"{value.stderr!r},{value.trials}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per (report, value) pair: the policy name, then the value's
+    fields. Rows go through the `csv` module, which quotes a name holding a
+    comma, a quote or a line break and leaves every other field bare."""
+    with Path(path).open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["policy", "mean_total_cost", "investment_cost",
+                         "mean_outage_cost", "stderr", "trials"])
+        for report, value in scored:
+            writer.writerow([report.scenario_id, repr(value.mean_total_cost),
+                             repr(value.investment_cost),
+                             repr(value.mean_outage_cost),
+                             repr(value.stderr), value.trials])

@@ -3,10 +3,10 @@
 One trial simulates a single decision period: a fresh outage trace over the
 period's years, dispatch of every outage from a freshly charged fleet taken as
 one store, and the VOLL-weighted cost of whatever critical load went unserved.
-The traces of many trials are drawn together (`period_outages`, or
-`outages.sample_outages` for an evaluation), and their outages dispatched
-together, one lane each, and priced at the classes' VOLLs in one stacked
-matmul.
+The traces of many trials are drawn together by `outages.draw_outages`,
+from keyed streams' words (`period_outages`) or from one evaluation
+stream's, and their outages dispatched together, one lane each, and priced
+at the classes' VOLLs in one stacked matmul.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import HOURS_PER_YEAR, Config
 from .dispatch import OutageDispatcher, StorageFleet, fleet_energy
-from .outages import OutageBatch, OutageTrace, draw_outages
+from .outages import OutageBatch, OutageTrace, draw_outages, trace_words
+from .rng import raw_words, stream_seeds
 
 __all__ = ["SimulationContext", "period_energy", "row_sums"]
 
@@ -65,11 +66,12 @@ class SimulationContext:
                                  efficiency=self.efficiency[period - 1])
 
     def period_outages(self, master_seed: int, tag: str, keys) -> OutageBatch:
-        """A period trace from the raw words of each key's
-        `stream(master_seed, tag, *key)`, as `draw_outages` defines it."""
+        """Each key's period trace, from the first `trace_words` raw words
+        of `stream(master_seed, tag, *key)`."""
         plan = self.config.planning
-        return draw_outages(plan.saifi, plan.caidi, plan.years_per_period,
-                            master_seed, tag, keys)
+        law = (plan.saifi, plan.caidi, plan.years_per_period)
+        return draw_outages(*law, raw_words(
+            stream_seeds(master_seed, tag, keys), trace_words(*law)))
 
     def period_costs(self, fleets, outages: OutageBatch) -> list[float]:
         """Lost-load cost in $ of each job: `fleets[i]` is job i's

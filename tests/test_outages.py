@@ -3,12 +3,12 @@
 Counts follow a Poisson law in the yearly interruption rate and durations a
 shifted Poisson with a one-hour floor, so long-run frequency and mean duration
 must recover the configured indices. Merging can only shorten a trace, never
-lengthen it, and the result is always sorted and disjoint. `sample_outages`
-is held bit for bit to a plain-Python merge of the same three draws. The
-per-stream drawer defines its traces on raw words by Poisson inversion, so
-it is held bit for bit to a plain-Python reference of that definition, and
-its tables to the exact Poisson CDF. Both drawers are held to the law over
-many traces.
+lengthen it, and the result is always sorted and disjoint. The numpy-sampler
+trace is held bit for bit to a plain-Python merge of the same three draws.
+`draw_outages` defines its traces on raw words by Poisson inversion, so it
+is held bit for bit to a plain-Python reference of that definition, on
+keyed streams and at fixed positions of one stream, its tables to the exact
+Poisson CDF, and its consecutive traces of one stream to the law.
 """
 
 import math
@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 from storeplan import outages
 from storeplan.config import HOURS_PER_YEAR
 from storeplan.outages import (OutageBatch, OutageTrace, draw_outages,
-                               generate_outages, sample_outages)
-from storeplan.rng import stream
+                               generate_outages, trace_words)
+from storeplan.rng import raw_words, stream, stream_seeds
 
 SAIFI = 1.155
 CAIDI = 5.122
@@ -94,76 +94,36 @@ def reference_merge(starts, durations, horizon_hours):
     return begins, [e - b for b, e in zip(begins, ends)]
 
 
-def reference_sample(saifi, caidi, horizon_years, rng, n):
-    """`sample_outages` in plain Python: the same three draws, then each
-    trace merged one outage at a time, as `generate_outages` merged before
-    it was vectorised. Returns each trace's (starts, durations) lists."""
-    horizon_hours = int(round(horizon_years * HOURS_PER_YEAR))
-    counts = rng.poisson(saifi * horizon_years, n).tolist()
-    starts = rng.integers(0, horizon_hours, sum(counts)).tolist()
-    durations = (1 + rng.poisson(caidi - 1, sum(counts))).tolist()
-    traces, at = [], 0
-    for count in counts:
-        traces.append(reference_merge(starts[at:at + count],
-                                      durations[at:at + count], horizon_hours))
-        at += count
-    return traces
-
-
-def test_sampled_batch_matches_reference():
-    """Over 1,000 random (saifi, caidi, years, n): `sample_outages` gives
-    the reference's traces, and both generators are left in the same
-    state. Over 400 of the mean counts, and over 150 of the mean
-    durations, are 10 or more, where numpy samples Poisson by another
-    method."""
-    params = np.random.default_rng(2026)
-    big_counts = big_durations = 0
-    for case in range(1_000):
-        years = float(params.choice([1, 2, 2.5, 5, 7, 10]))
-        saifi = params.uniform(0.05, 3.0 if case % 3 else 40.0 / years)
-        caidi = params.uniform(1.05, 30.0 if case % 4 == 0 else 11.0)
-        n = int(params.integers(0, 60))
-        big_counts += saifi * years >= 10
-        big_durations += caidi - 1 >= 10
-        new, old = stream(case, "outage-sample"), stream(case, "outage-sample")
-        got = sample_outages(saifi, caidi, years, new, n)
-        want = reference_sample(saifi, caidi, years, old, n)
-        assert got.counts.tolist() == [len(b) for b, _ in want]
-        assert got.starts.tolist() == [s for b, _ in want for s in b]
-        assert got.durations.tolist() == [d for _, ds in want for d in ds]
-        assert new.bit_generator.state == old.bit_generator.state
-    assert big_counts > 400 and big_durations > 150
-
-
-def sampled(n):
-    return sample_outages(SAIFI, CAIDI, 5, stream(14, "outage-law"), n)
-
-
 def drawn(n):
-    """n traces of `draw_outages`, drawn 20,000 streams a call so the raw
-    words stay small; each trace is its own stream's, so the calls
-    concatenate into the batch of one call."""
-    parts = [draw_outages(SAIFI, CAIDI, 5, 14, "outage-law",
-                          [(i,) for i in range(first, min(first + 20_000, n))])
-             for first in range(0, n, 20_000)]
+    """Traces 0..n-1 of the one stream `(14, "outage-law")`, trace i from
+    the W words at i * W, read and drawn 20,000 traces a call so the words
+    stay small; each read continues the stream where the last one ended,
+    so the calls concatenate into the batch of one call."""
+    bits = stream(14, "outage-law").bit_generator
+    width = trace_words(SAIFI, CAIDI, 5)
+    parts = []
+    for first in range(0, n, 20_000):
+        m = min(20_000, n - first)
+        parts.append(draw_outages(SAIFI, CAIDI, 5, bits.random_raw(
+            m * width).reshape(m, width)))
     return OutageBatch(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-@pytest.mark.parametrize("draw", [sampled, drawn])
-def test_traces_follow_the_law(draw):
-    """200,000 five-year traces at the case study's rates. Merging joins
-    about one trace in 250 (an overlap of two outages in 43,800 hours), so
-    the merged counts still pass a chi-square test against Poisson(saifi *
-    5), and a trace is empty exactly when it drew no outage. Durations
-    average CAIDI, starts pass a Kolmogorov-Smirnov test for uniformity,
-    and neighbouring traces' counts are uncorrelated. Each test is at the
-    0.1 % level, with its critical value written out (chi-square with 14
-    degrees of freedom: 36.12; Kolmogorov: 1.95 / sqrt(N)), so the test
-    runs without scipy."""
+def test_traces_follow_the_law():
+    """200,000 consecutive five-year traces of one stream at the case
+    study's rates. Merging joins about one trace in 250 (an overlap of two
+    outages in 43,800 hours), so the merged counts still pass a chi-square
+    test against Poisson(saifi * 5), and a trace is empty exactly when it
+    drew no outage. Durations average CAIDI, starts pass a
+    Kolmogorov-Smirnov test for uniformity, and neighbouring traces' counts,
+    which read neighbouring words of the stream, are uncorrelated. Each
+    test is at the 0.1 % level, with its critical value written out
+    (chi-square with 14 degrees of freedom: 36.12; Kolmogorov: 1.95 /
+    sqrt(N)), so the test runs without scipy."""
     years, n = 5, 200_000
     hours = years * HOURS_PER_YEAR
     lam = SAIFI * years
-    batch = draw(n)
+    batch = drawn(n)
     counts = batch.counts
     top = 14  # counts of 14 or more pool into one bin
     seen = np.bincount(np.minimum(counts, top), minlength=top + 1)
@@ -180,14 +140,6 @@ def test_traces_follow_the_law(draw):
         1.95 / math.sqrt(total))
     r = np.corrcoef(counts[:-1], counts[1:])[0, 1]
     assert abs(r) < 4 / math.sqrt(n)
-
-
-def test_sampled_batch_of_no_traces():
-    rng = stream(15, "outage-none")
-    state = rng.bit_generator.state
-    batch = sample_outages(SAIFI, CAIDI, 5, rng, 0)
-    assert [len(a) for a in batch] == [0, 0, 0]
-    assert rng.bit_generator.state == state
 
 
 def reference_cdf(mean):
@@ -224,16 +176,15 @@ def reference_inverse(cdf, u):
     return next((j for j, f in enumerate(cdf) if u < f), len(cdf) - 1)
 
 
-def reference_trace(saifi, caidi, years, seed, tag, key):
-    """The trace of `stream(seed, tag, *key)` as the `outages` docstring
-    defines it, in plain Python: its count, its starts, then its durations,
-    each from the next raw word of the stream's bit generator, merged one
-    outage at a time. Returns the merged (starts, durations) lists."""
+def reference_words_trace(saifi, caidi, years, words):
+    """The trace of the raw words `words` (an iterator of ints) as the
+    `outages` docstring defines it, in plain Python: its count, its starts,
+    then its durations, each from the next word, merged one outage at a
+    time. Returns the merged (starts, durations) lists."""
     hours = int(round(years * HOURS_PER_YEAR))
-    bits = stream(seed, tag, *key).bit_generator
 
     def uniform():
-        return (int(bits.random_raw()) >> 11) * 2.0 ** -53
+        return (next(words) >> 11) * 2.0 ** -53
 
     def inverse(cdf):
         return reference_inverse(cdf, uniform())
@@ -245,19 +196,52 @@ def reference_trace(saifi, caidi, years, seed, tag, key):
     return reference_merge(starts, durations, hours)
 
 
+def next_words(bits):
+    """The raw words of a bit generator, one `random_raw()` call each."""
+    while True:
+        yield int(bits.random_raw())
+
+
+def reference_trace(saifi, caidi, years, seed, tag, key):
+    """The trace of `stream(seed, tag, *key)`'s first words."""
+    return reference_words_trace(
+        saifi, caidi, years, next_words(stream(seed, tag, *key).bit_generator))
+
+
+def reference_stream_traces(saifi, caidi, years, seed, tag, n):
+    """Traces 0..n-1 of the one stream `stream(seed, tag)`: trace i reads
+    the words from i * W on, W = 2 * len(reference_cdf(saifi * years)) - 1,
+    the stream read one word at a time."""
+    width = 2 * len(reference_cdf(saifi * years)) - 1
+    words = next_words(stream(seed, tag).bit_generator)
+    traces = []
+    for _ in range(n):
+        block = [next(words) for _ in range(width)]
+        traces.append(reference_words_trace(saifi, caidi, years, iter(block)))
+    return traces
+
+
+def flat(traces):
+    """(starts, durations, counts) lists of (starts, durations) traces, as
+    an `OutageBatch` holds them."""
+    return ([s for starts, _ in traces for s in starts],
+            [d for _, durations in traces for d in durations],
+            [len(starts) for starts, _ in traces])
+
+
+def assert_batch_is(batch, traces):
+    assert [a.tolist() for a in batch] == list(flat(traces))
+
+
 def assert_batch_is_reference(saifi, caidi, years, seed, keys):
-    """`draw_outages` gives the reference trace of each key's stream,
-    trace after trace."""
-    starts, durations, counts = [], [], []
-    for key in keys:
-        s, d = reference_trace(saifi, caidi, years, seed, "outage-batch", key)
-        starts += s
-        durations += d
-        counts.append(len(s))
-    got = draw_outages(saifi, caidi, years, seed, "outage-batch", keys)
-    assert got.starts.tolist() == starts
-    assert got.durations.tolist() == durations
-    assert got.counts.tolist() == counts
+    """`draw_outages` of each key's stream words gives the reference trace
+    of that stream, trace after trace."""
+    width = trace_words(saifi, caidi, years)
+    got = draw_outages(saifi, caidi, years, raw_words(
+        stream_seeds(seed, "outage-batch", keys), width))
+    assert_batch_is(got, [reference_trace(saifi, caidi, years, seed,
+                                          "outage-batch", key)
+                          for key in keys])
 
 
 def random_keys(params, size):
@@ -317,8 +301,41 @@ def test_cdf_table_is_the_poisson_cdf(mean):
     assert poisson.sf(j[-1], mean) < 1e-15
 
 
-def test_drawn_batch_of_no_streams():
-    batch = draw_outages(SAIFI, CAIDI, 5, 0, "outage-batch", [])
+def test_stream_traces_match_reference():
+    """Over 100 random (saifi, caidi, years), seeds and 0 to 60 traces:
+    the traces at i * W of one stream, read in one `random_raw` call, are
+    the reference's, read a word at a time."""
+    params = np.random.default_rng(2027)
+    for case in range(100):
+        years = float(params.choice([1, 2, 2.5, 5, 7, 10]))
+        saifi = params.uniform(0.01, 30.0) / years
+        caidi = params.uniform(1.01, 21.0)
+        n = int(params.integers(0, 61))
+        width = trace_words(saifi, caidi, years)
+        got = draw_outages(saifi, caidi, years, stream(
+            case, "outage-stream").bit_generator.random_raw(
+                n * width).reshape(n, width))
+        assert_batch_is(got, reference_stream_traces(
+            saifi, caidi, years, case, "outage-stream", n))
+
+
+@pytest.mark.parametrize("saifi, years", [
+    (1e-6, 5), (SAIFI, 5), (2.0, 5), (4.0, 7), (160.0, 5)])
+def test_trace_words_is_the_count_tables_width(saifi, years):
+    assert trace_words(saifi, CAIDI, years) == (
+        2 * len(reference_cdf(saifi * years)) - 1)
+
+
+def test_draw_refuses_words_of_another_width():
+    width = trace_words(SAIFI, CAIDI, 5)
+    for shape in ((3, width - 1), (3, width + 1), (3 * width,)):
+        with pytest.raises(ValueError, match="words must be"):
+            draw_outages(SAIFI, CAIDI, 5, np.zeros(shape, dtype=np.uint64))
+
+
+def test_drawn_batch_of_no_traces():
+    width = trace_words(SAIFI, CAIDI, 5)
+    batch = draw_outages(SAIFI, CAIDI, 5, np.empty((0, width), np.uint64))
     assert [len(a) for a in batch] == [0, 0, 0]
 
 

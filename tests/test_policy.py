@@ -1,6 +1,8 @@
 """Scenario price paths, greedy extraction, CSV round trip, and evaluation."""
 
+import csv
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -11,16 +13,16 @@ from conftest import pointwise
 from reference import initial_state
 
 from storeplan.mdp import MdpAction, MdpEnv, MdpState, NO_OP
-from storeplan.outages import OutageBatch, sample_outages
-from storeplan.policy import (PolicyReport, PriceScenario, default_scenarios,
-                              evaluate_policy, extract_policy, load_scenarios,
+from storeplan.policy import (PolicyReport, PolicyValue, PriceScenario,
+                              default_scenarios, evaluate_policy,
+                              extract_policy, load_scenarios,
                               never_invest_report, read_policy_csv,
-                              write_policy_csv)
+                              write_comparison_csv, write_policy_csv)
 from storeplan.qlearn import QTable
-from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
 from test_mdp import G_LOSSY_LEVELS
+from test_outages import flat, reference_stream_traces
 
 
 def case_env(config):
@@ -340,6 +342,46 @@ def test_evaluation_adds_trials_left_to_right(case_config):
     assert value.mean_outage_cost == 0.0
 
 
+def test_comparison_csv_quotes_a_name_with_a_comma_and_a_quote(tmp_path,
+                                                               case_config):
+    """A plan read from `plan,"a.csv` is named `plan,"a`; its comparison
+    row quotes that name, so a CSV reader gets it back whole, with the
+    value's six fields and no seventh."""
+    path, _ = written_policy(tmp_path, case_config)
+    named = path.rename(tmp_path / 'plan,"a.csv')
+    report = read_policy_csv(named, case_config.storage,
+                             case_config.planning.expansion_levels_kwh)
+    value = evaluate_policy(SimulationContext(case_config), report,
+                            trials=2, seed=3)
+    out = tmp_path / "evaluation.csv"
+    write_comparison_csv([(report, value)], out)
+    with out.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1][0] == 'plan,"a'
+    assert rows[1][1:] == [repr(value.mean_total_cost),
+                           repr(value.investment_cost),
+                           repr(value.mean_outage_cost), repr(value.stderr),
+                           "2"]
+    assert len(rows[0]) == len(rows[1]) == 6
+    assert out.read_text().startswith(
+        'policy,mean_total_cost,investment_cost,mean_outage_cost,stderr,'
+        'trials\n"plan,""a",')
+
+
+def test_comparison_csv_leaves_plain_names_bare(tmp_path):
+    """Names without a comma, quote or line break are written as they are,
+    every field bare, one `\\n` per line."""
+    value = PolicyValue(mean_total_cost=1.5, investment_cost=0.0,
+                        mean_outage_cost=1.5, stderr=math.inf, trials=1)
+    out = tmp_path / "evaluation.csv"
+    write_comparison_csv([(PolicyReport("policy_1", []), value),
+                          (PolicyReport("never-invest[1]", []), value)], out)
+    assert out.read_bytes() == (
+        b"policy,mean_total_cost,investment_cost,mean_outage_cost,stderr,"
+        b"trials\npolicy_1,1.5,0.0,1.5,inf,1\n"
+        b"never-invest[1],1.5,0.0,1.5,inf,1\n")
+
+
 def built_and_never(env: MdpEnv) -> tuple[PolicyReport, PolicyReport]:
     """A fixed build-out over scenario 1's prices, and never-invest."""
     never = never_invest_report(env, default_scenarios()["1"])
@@ -356,30 +398,25 @@ def built_and_never(env: MdpEnv) -> tuple[PolicyReport, PolicyReport]:
 
 def test_evaluation_is_pinned(smoke_config):
     """Exact values of a fixed small evaluation, with storage and without.
-    They are what a plain-Python merge of the traces' draws
-    (`test_outages.reference_sample`), each outage dispatched on its own
-    and every sum added left to right, gives; so batching the draws or the
-    dispatch must not move a bit of them."""
+    They are what the plain-Python traces of the evaluation stream
+    (`test_outages.reference_stream_traces`), each outage dispatched on
+    its own by `simulate` and every sum added left to right, give; so
+    batching the draws or the dispatch must not move a bit of them."""
     ctx = SimulationContext(smoke_config)
     built, never = built_and_never(case_env(smoke_config))
     assert repr(evaluate_policy(ctx, built, trials=12, seed=5)) == (
-        "PolicyValue(mean_total_cost=3480737.3231021855, "
+        "PolicyValue(mean_total_cost=3442093.2462030957, "
         "investment_cost=1022518.488976874, "
-        "mean_outage_cost=2458218.8341253116, stderr=175970.68629379602, "
+        "mean_outage_cost=2419574.7572262217, stderr=229153.39333668412, "
         "trials=12)")
     assert repr(evaluate_policy(ctx, never, trials=12, seed=5)) == (
-        "PolicyValue(mean_total_cost=4005887.3731760173, investment_cost=0.0, "
-        "mean_outage_cost=4005887.3731760173, stderr=282039.77269991534, "
+        "PolicyValue(mean_total_cost=3829491.348274434, investment_cost=0.0, "
+        "mean_outage_cost=3829491.348274434, stderr=350033.14888459054, "
         "trials=12)")
 
 
-def test_evaluations_at_one_seed_see_the_same_traces(smoke_config,
-                                                     monkeypatch):
-    """Common random numbers: two build-outs evaluated at one seed and
-    trial count are dispatched against the same outages, which are the
-    `trials * periods` traces of the one stream `(seed, "eval:trials")`,
-    trial after trial. Another seed draws other traces."""
-    ctx = SimulationContext(smoke_config)
+def spy_outages(ctx, monkeypatch) -> list:
+    """The outage batches `ctx.period_costs` is given from now on."""
     seen = []
     dispatch = ctx.period_costs
 
@@ -387,13 +424,43 @@ def test_evaluations_at_one_seed_see_the_same_traces(smoke_config,
         seen.append(outages)
         return dispatch(fleets, outages)
     monkeypatch.setattr(ctx, "period_costs", spy)
+    return seen
+
+
+def test_evaluations_at_one_seed_see_the_same_traces(smoke_config,
+                                                     monkeypatch):
+    """Common random numbers: two build-outs evaluated at one seed and
+    trial count are dispatched against the same outages, which are the
+    reference's first `trials * periods` traces of the one stream
+    `(seed, "eval:trials")`, trial after trial. Another seed draws other
+    traces."""
+    ctx = SimulationContext(smoke_config)
+    seen = spy_outages(ctx, monkeypatch)
     built, never = built_and_never(case_env(smoke_config))
     for report, seed in ((built, 5), (never, 5), (built, 6)):
         evaluate_policy(ctx, report, trials=30, seed=seed)
     plan = smoke_config.planning
-    want = sample_outages(plan.saifi, plan.caidi, plan.years_per_period,
-                          stream(5, "eval:trials"), 30 * len(built.steps))
-    for name in OutageBatch._fields:
-        assert getattr(seen[0], name).tolist() == getattr(want, name).tolist()
-        assert getattr(seen[1], name).tolist() == getattr(want, name).tolist()
-    assert seen[2].starts.tolist() != want.starts.tolist()
+    want = flat(reference_stream_traces(
+        plan.saifi, plan.caidi, plan.years_per_period, 5, "eval:trials",
+        30 * len(built.steps)))
+    assert [a.tolist() for a in seen[0]] == list(want)
+    assert [a.tolist() for a in seen[1]] == list(want)
+    assert seen[2].starts.tolist() != want[0]
+
+
+def test_evaluations_are_nested_in_the_trial_count(smoke_config,
+                                                   monkeypatch):
+    """An evaluation at n trials is dispatched on the first n * periods
+    traces of one at 2n trials at the same seed: a trial's traces do not
+    depend on how many trials follow it."""
+    ctx = SimulationContext(smoke_config)
+    seen = spy_outages(ctx, monkeypatch)
+    built, _ = built_and_never(case_env(smoke_config))
+    for trials in (15, 30):
+        evaluate_policy(ctx, built, trials=trials, seed=5)
+    short, long = seen
+    traces = 15 * len(built.steps)
+    outages = int(long.counts[:traces].sum())
+    assert short.counts.tolist() == long.counts[:traces].tolist()
+    assert short.starts.tolist() == long.starts[:outages].tolist()
+    assert short.durations.tolist() == long.durations[:outages].tolist()
