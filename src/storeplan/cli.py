@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -41,6 +42,8 @@ __all__ = ["main"]
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
+
+_HISTOGRAM_YEARS = 200  # years of outages in report's duration histogram
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,11 +268,15 @@ def cmd_report(args) -> int:
     # every artifact's text is made before the first write, so a refused
     # forest leaves --out as it was
     texts = {}
-    curve_src = run / "learning_curve.csv"
-    if curve_src.exists():
-        texts["learning_curve.csv"] = curve_src.read_text()
-    for pol in sorted(run.glob("policy_*.csv")):
-        texts[pol.name] = pol.read_text()
+    # a report into its own run directory leaves the run's learning curve
+    # and plans, and the manifest entries of the stages that wrote them,
+    # as they are
+    if Path(args.out).resolve() != run.resolve():
+        curve_src = run / "learning_curve.csv"
+        if curve_src.exists():
+            texts["learning_curve.csv"] = curve_src.read_text()
+        for pol in sorted(run.glob("policy_*.csv")):
+            texts[pol.name] = pol.read_text()
     forest_src = run / "forest.json"
     if forest_src.exists():
         forest = load_forest(forest_src, expected_config_hash=digest,
@@ -292,16 +299,12 @@ def cmd_report(args) -> int:
         lines += [f"{name},{k},{v:g},{pred!r}"
                   for (name, k, v), pred in zip(points, preds)]
         texts["cost_surface.csv"] = "\n".join(lines) + "\n"
-    hist_years = args.histogram_years
-    rng = stream(cfg.master_seed, "report:outages")
     trace = generate_outages(cfg.planning.saifi, cfg.planning.caidi,
-                             hist_years, rng)
-    counts: dict[int, int] = {}
-    for d in trace.durations:
-        counts[d] = counts.get(d, 0) + 1
+                             _HISTOGRAM_YEARS,
+                             stream(cfg.master_seed, "report:outages"))
+    counts = Counter(trace.durations.tolist())
     lines = ["duration_hours,count"]
-    for d in sorted(counts):
-        lines.append(f"{d},{counts[d]}")
+    lines += [f"{d},{counts[d]}" for d in sorted(counts)]
     texts["duration_histogram.csv"] = "\n".join(lines) + "\n"
     out = _out_dir(args)
     for name, text in texts.items():
@@ -373,7 +376,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="bundle run artifacts for inspection")
     p.add_argument("--config", required=True)
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--histogram-years", type=int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
     return parser

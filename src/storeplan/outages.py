@@ -26,11 +26,11 @@ grow. A trace of C outages reads 1 + 2C words, and C is at most the count
 table's last j, so W = 2 * (the count table's length) - 1 words serve
 every trace. `generate_outages` draws one trace through numpy's samplers
 instead, for the report histogram and criterion 2 (see its docstring).
+Both definitions give an `OutageBatch`, the one trace type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -39,35 +39,25 @@ import numpy as np
 
 from .config import HOURS_PER_YEAR
 
-__all__ = ["OutageTrace", "OutageBatch", "generate_outages", "trace_words",
-           "draw_outages"]
-
-
-@dataclass(frozen=True)
-class OutageTrace:
-    """Time-ordered, non-overlapping outages over a stated horizon.
-
-    Outage i starts at hour `starts[i]` and lasts `durations[i]` hours.
-    """
-
-    starts: tuple[int, ...]
-    durations: tuple[int, ...]
-    horizon_years: float
-
-    def total_hours(self) -> int:
-        return sum(self.durations)
+__all__ = ["OutageBatch", "generate_outages", "trace_words", "draw_outages"]
 
 
 class OutageBatch(NamedTuple):
     """The merged outages of many traces, as flat int64 arrays.
 
     Trace i holds `counts[i]` outages, after those of traces 0..i-1 in
-    `starts` and `durations`.
+    `starts` and `durations`; each trace's outages are time-ordered and
+    disjoint. Outage j starts at hour `starts[j]` of its trace's horizon
+    and lasts `durations[j]` hours.
     """
 
     starts: np.ndarray
     durations: np.ndarray
     counts: np.ndarray
+
+    def total_hours(self) -> int:
+        """The outage-hours of every trace together."""
+        return int(self.durations.sum())
 
 
 def _horizon_hours(saifi: float, caidi: float, horizon_years: float) -> int:
@@ -103,10 +93,11 @@ def _merge(keys: np.ndarray, durations: np.ndarray, n: int,
 
 
 def generate_outages(saifi: float, caidi: float, horizon_years: float,
-                     rng: np.random.Generator) -> OutageTrace:
-    """One trace from numpy's samplers: `poisson` for the count, `integers`
-    for the starts and `poisson` for the durations, in that order, merged
-    as `draw_outages` merges.
+                     rng: np.random.Generator) -> OutageBatch:
+    """One trace from numpy's samplers, as a batch of one (`counts ==
+    [C]`): `poisson` for the count, `integers` for the starts and
+    `poisson` for the durations, in that order, merged as `draw_outages`
+    merges.
 
     NEP 19 does not promise to keep these draws' bits, but the report's
     duration histogram and criterion 2's 100-year run at seed 3 are pinned
@@ -117,9 +108,7 @@ def generate_outages(saifi: float, caidi: float, horizon_years: float,
     count = rng.poisson(saifi * horizon_years)
     starts = np.sort(rng.integers(0, hours, count))
     durations = 1 + rng.poisson(caidi - 1, count)
-    starts, durations, _ = _merge(starts, durations, 1, hours)
-    return OutageTrace(tuple(starts.tolist()), tuple(durations.tolist()),
-                       horizon_years)
+    return _merge(starts, durations, 1, hours)
 
 
 @lru_cache(maxsize=16)

@@ -49,20 +49,12 @@ class DecaySchedule:
     end: float
     total: int
 
-    def value(self, episode: int) -> float:
-        if self.total <= 1:
-            return self.end
-        frac = episode / (self.total - 1)
-        if frac <= 0.0:
-            return self.start
-        if frac >= 1.0:
-            return self.end
-        return self.start + (self.end - self.start) * frac
-
     def values(self, first: int, count: int) -> np.ndarray:
-        """`value(e)` for the `count` episodes from `first`, bit for bit, as
-        a float64 array: an int divided by an int below 2**53 rounds as the
-        quotient of their doubles does."""
+        """The value of each of the `count` episodes e from `first`, as a
+        float64 array: `end` if `total` <= 1, else, at frac = e / (total -
+        1), `start` for frac <= 0, `end` for frac >= 1 and start + (end -
+        start) * frac between. An int divided by an int below 2**53 rounds
+        as the quotient of their doubles does."""
         if self.total <= 1:
             return np.full(count, self.end)
         frac = np.arange(first, first + count) / (self.total - 1)
@@ -171,13 +163,16 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     of `MdpEnv.tables`; the last period is the one without successors.
     Every draw is a raw word of the seed's "train" stream, at a fixed
     position: step k of episode e reads the 2 + U words from (e * H + k -
-    1) * (2 + U), for H periods and U units. Word 0 explores when below the
-    `word_limit` of the episode's epsilon, and word 1 is then the action's
-    `word_index`; a greedy step reads word 1 only to break a tie. Word
-    2 + u advances unit u's price when below the `word_limit` of its
-    advance probability; the last period reads these words and ignores
-    them. The draws of a run therefore never depend on what it learns, and
-    runs at one seed on any outage costs see the same price paths.
+    1) * (2 + U), for H periods and U units. A word w fires for a chance p
+    when w >> 11 is below ceil(min(p, 1) * 2**53) for p > 0, else 0
+    (`word_thresholds`), that is when its double (w >> 11) * 2**-53 is
+    below p. Word 0 explores when it fires for the episode's epsilon, and
+    word 1 is then the action's `word_index`; a greedy step reads word 1
+    only to break a tie. Word 2 + u advances unit u's price when it fires
+    for its advance probability; the last period reads these words and
+    ignores them. The draws of a run therefore never depend on what it
+    learns, and runs at one seed on any outage costs see the same price
+    paths.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")

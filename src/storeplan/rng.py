@@ -7,21 +7,19 @@ generator; `stream_seeds` computes the seeds of many units of one tag at
 once, as a gen-data block does for its trials, and gives each the state
 `stream` gives it, either as a generator (`streams`) or as the bit
 generator's raw words (`raw_words`). A unit that draws raw words compares
-a word with `word_limit(p)` for a chance p, or its top 53 bits with
-`word_thresholds` of an array of chances, and takes `word_index` of it for
-a uniform pick.
+a word's top 53 bits with `word_thresholds` of an array of chances, and
+takes `word_index` of it for a uniform pick.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["stream", "stream_seeds", "streams", "raw_words", "spawn_key",
-           "word_limit", "word_thresholds", "word_index"]
+           "word_thresholds", "word_index"]
 
 _SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
 _LOW32 = 0xFFFFFFFF
@@ -160,29 +158,16 @@ def raw_words(seeds: np.ndarray, count: int) -> np.ndarray:
     return words
 
 
-def word_limit(p: float) -> int:
-    """The integer limit under which a raw word's double falls below `p`.
+def word_thresholds(p) -> np.ndarray:
+    """ceil(min(p, 1) * 2**53) for each chance p > 0 of the float64 array
+    `p`, else 0 (for NaN too), as uint64.
 
     `Generator.random()` turns a 64-bit word w into u = (w >> 11) * 2**-53.
     Scaling by a power of two is exact, so u < p holds exactly when the
-    integer w >> 11 is below p * 2**53, that is below ceil(p * 2**53), that
-    is when w < ceil(p * 2**53) << 11. A `p` of 0 or less (or NaN) gives 0,
-    which no word is below, and a `p` of 1 or more gives 2**64, which every
-    word is below, just as u < p behaves.
+    integer w >> 11 is below p * 2**53, that is below this threshold: no
+    word is below the 0 of a `p` of 0 or less, and every word is below the
+    2**53 of a `p` of 1 or more, just as u < p behaves.
     """
-    if not p > 0.0:
-        return 0
-    if p >= 1.0:
-        return 1 << 64
-    return math.ceil(p * _SCALE) << 11
-
-
-def word_thresholds(p) -> np.ndarray:
-    """`word_limit(p) >> 11` for each chance in the float64 array `p`, as
-    uint64. The limit's low 11 bits are zero, so a raw word w is below
-    `word_limit(p)` exactly when w >> 11 is below this threshold, and the
-    threshold of a `p` of 1 or more, 2**53, fits in uint64 where the limit
-    does not."""
     scaled = np.ceil(np.minimum(p, 1.0) * _SCALE)
     return np.where(p > 0.0, scaled, 0.0).astype(np.uint64)
 

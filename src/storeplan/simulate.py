@@ -6,7 +6,9 @@ one store, and the VOLL-weighted cost of whatever critical load went unserved.
 The traces of many trials are drawn together by `outages.draw_outages`,
 from keyed streams' words (`period_outages`) or from one evaluation
 stream's, and their outages dispatched together, one lane each, and priced
-at the classes' VOLLs in one stacked matmul.
+at the classes' VOLLs in one stacked matmul. Every trace arrives as an
+`outages.OutageBatch`, one trace or many: `period_cost` prices a batch of
+one through `period_costs`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .config import HOURS_PER_YEAR, Config
 from .dispatch import OutageDispatcher, StorageFleet, fleet_energy
-from .outages import OutageBatch, OutageTrace, draw_outages, trace_words
+from .outages import OutageBatch, draw_outages, trace_words
 from .rng import raw_words, stream_seeds
 
 __all__ = ["SimulationContext", "period_energy", "row_sums"]
@@ -100,9 +102,7 @@ class SimulationContext:
             lost[:, None, :], self._volls)[:, 0]
         return row_sums(prices).tolist()
 
-    def period_cost(self, period: int, capacities, trace: OutageTrace) -> float:
-        """Lost-load cost in $ of serving one period's outage trace with `capacities`."""
-        batch = OutageBatch(np.array(trace.starts, dtype=np.int64),
-                            np.array(trace.durations, dtype=np.int64),
-                            [len(trace.starts)])
-        return self.period_costs([(period, capacities)], batch)[0]
+    def period_cost(self, period: int, capacities, trace: OutageBatch) -> float:
+        """Lost-load cost in $ of serving one period's outage trace, a
+        batch of one, with `capacities`."""
+        return self.period_costs([(period, capacities)], trace)[0]

@@ -48,7 +48,7 @@ def pipeline_dir(tmp_path_factory):
         ("evaluate", "--config", SMOKE, "--policy",
          str(out / "policy_1.csv"), "--trials", "5", "--out", str(out)),
         ("report", "--config", SMOKE, "--run-dir", str(out),
-         "--histogram-years", "50", "--out", str(out / "report")),
+         "--out", str(out / "report")),
     ]
     for step in steps:
         proc = run_cli(*step)
@@ -388,7 +388,6 @@ def test_forest_of_edited_schedules_exits_two(pipeline_dir, tmp_path, capsys,
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert cli.main(["report", "--config", SMOKE, "--run-dir", str(run),
-                     "--histogram-years", "5",
                      "--out", str(tmp_path / "report")]) == 2
     assert message in capsys.readouterr().err
 
@@ -414,10 +413,32 @@ def test_refused_report_adds_no_file_to_out(pipeline_dir, tmp_path, refusal,
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
     proc = run_cli("report", "--config", config, "--run-dir", str(run),
-                   "--histogram-years", "5", "--out", str(out))
+                   "--out", str(out))
     assert proc.returncode == code, proc.stderr
     assert "forest.json" in proc.stderr
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_report_into_its_run_directory_records_each_file_once(pipeline_dir,
+                                                              tmp_path):
+    """A report into its own run directory, named by another spelling of
+    its path, leaves the run's learning curve and plans and their entries
+    as their stages wrote them: each file has one manifest entry, and it
+    names the command that wrote the file."""
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run, ignore=shutil.ignore_patterns("report"))
+    before = json.loads((run / "manifest.json").read_text())["artifacts"]
+    assert cli.main(["report", "--config", SMOKE, "--run-dir", str(run),
+                     "--out", str(run / ".." / "run")]) == 0
+    after = json.loads((run / "manifest.json").read_text())["artifacts"]
+    paths = [entry["path"] for entry in after.values()]
+    assert len(paths) == len(set(paths)), paths
+    command = {entry["path"]: entry["command"] for entry in after.values()}
+    assert command["learning_curve.csv"] == "solve"
+    assert command["policy_1.csv"] == "policy"
+    assert command["cost_surface.csv"] == "report"
+    assert command["duration_histogram.csv"] == "report"
+    assert {name: after[name] for name in before} == before
 
 
 def test_truncated_qtable_row_exits_two_naming_file_and_line(pipeline_dir,

@@ -17,10 +17,10 @@ from storeplan.mdp import MdpEnv, MdpState
 from storeplan import qlearn
 from storeplan.qlearn import (BATCHES, DecaySchedule, LearningCurve, QTable,
                               greedy_index, load_qtable, save_qtable, train)
-from storeplan.rng import stream, word_index, word_limit, word_thresholds
+from storeplan.rng import stream, word_index, word_thresholds
 
 from conftest import pointwise
-from reference import initial_state
+from reference import decay_value, initial_state, word_limit
 from test_mdp import G_LOSSY_LEVELS, every_state, make_env, planning, tech
 
 
@@ -31,15 +31,15 @@ def visited(qt):
 
 def test_decay_endpoints_and_midpoint():
     sched = DecaySchedule(start=1.0, end=0.02, total=1_000)
-    assert sched.value(0) == 1.0
-    assert sched.value(999) == 0.02
-    assert sched.value(2_000) == 0.02  # clamped past the end
-    mid = sched.value(500)
+    assert decay_value(sched, 0) == 1.0
+    assert decay_value(sched, 999) == 0.02
+    assert decay_value(sched, 2_000) == 0.02  # clamped past the end
+    mid = decay_value(sched, 500)
     assert 0.02 < mid < 1.0
 
 
 def test_decay_degenerate_run_uses_end_value():
-    assert DecaySchedule(1.0, 0.1, 1).value(0) == 0.1
+    assert decay_value(DecaySchedule(1.0, 0.1, 1), 0) == 0.1
 
 
 def reference_update(row, action_index, reward, next_best, alpha, gamma,
@@ -78,7 +78,7 @@ def reference_train(env, episodes, gamma, alpha, epsilon, seed):
     curve = LearningCurve([], [])
     acc, acc_n = 0.0, 0
     for ep in range(episodes):
-        step_floor, explore = alpha.value(ep), epsilon.value(ep)
+        step_floor, explore = decay_value(alpha, ep), decay_value(epsilon, ep)
         state = initial_state(env)
         total = 0.0
         for k in range(1, horizon + 1):
@@ -196,7 +196,7 @@ def test_a_word_fires_only_below_its_limit(monkeypatch, word, fires):
                                         (0.3, 0.3)])
 def test_chunk_schedules_equal_value_and_word_limit(total, start, end):
     """The alpha values and epsilon limits `train` works out a chunk of
-    episodes at a time equal `DecaySchedule.value` and `word_limit` of it
+    episodes at a time equal `decay_value` and `word_limit` of it
     bit for bit: at the first and last episode, in a chunk of one episode
     and past the end (repr tells NaN and -0.0 apart from other floats)."""
     sched = DecaySchedule(start, end, total)
@@ -204,9 +204,10 @@ def test_chunk_schedules_equal_value_and_word_limit(total, start, end):
                          (max(total - 2, 0), 3)):
         episodes = range(first, first + count)
         values = sched.values(first, count)
-        assert repr(values.tolist()) == repr(list(map(sched.value, episodes)))
+        assert repr(values.tolist()) == repr(
+            [decay_value(sched, e) for e in episodes])
         assert [int(t) << 11 for t in word_thresholds(values)] == [
-            word_limit(sched.value(e)) for e in episodes]
+            word_limit(decay_value(sched, e)) for e in episodes]
 
 
 @pytest.mark.parametrize("num_actions", [1, 7, 2**11 - 1, 2**11, 2**40])

@@ -8,18 +8,26 @@ import pytest
 from conftest import period_trace
 from test_outages import reference_trace
 from storeplan.config import HOURS_PER_YEAR
-from storeplan.outages import OutageBatch, OutageTrace
+from storeplan.outages import OutageBatch
 from storeplan.rng import stream
 from storeplan.simulate import SimulationContext, row_sums
 
 
+NONE = np.empty(0, dtype=np.int64)
+
+
+def one_trace(starts, durations) -> OutageBatch:
+    """One trace of the given outages, a batch of one."""
+    return OutageBatch(np.array(starts, dtype=np.int64),
+                       np.array(durations, dtype=np.int64),
+                       np.array([len(starts)], dtype=np.int64))
+
+
 def batch(traces) -> OutageBatch:
-    """The traces' outages as one flat batch, trace by trace."""
-    traces = list(traces)
-    return OutageBatch(
-        np.array([s for t in traces for s in t.starts], dtype=np.int64),
-        np.array([d for t in traces for d in t.durations], dtype=np.int64),
-        np.array([len(t.starts) for t in traces], dtype=np.int64))
+    """The traces' outages as one flat batch, trace by trace: their
+    arrays concatenated, after those of a batch of no traces."""
+    return OutageBatch(*(np.concatenate(arrays)
+                         for arrays in zip((NONE, NONE, NONE), *traces)))
 
 
 def test_fleet_uses_period_schedules(case_config, case_context):
@@ -81,8 +89,7 @@ def test_batched_jobs_cost_what_each_job_costs_alone(case_context):
                             (1, (0.0, 0.0, 0.0, 0.0)),
                             (4, (3000.0, 300.0, 0.0, 9000.0)),
                             (3, (300.0, 300.0, 300.0, 300.0)))]
-    jobs.append((1, (1000.0, 0.0, 0.0, 0.0),
-                 OutageTrace(starts=(), durations=(), horizon_years=5)))
+    jobs.append((1, (1000.0, 0.0, 0.0, 0.0), one_trace([], [])))
     costs = case_context.period_costs([job[:2] for job in jobs],
                                       batch(job[2] for job in jobs))
     assert costs == [case_context.period_cost(*job) for job in jobs]
@@ -96,13 +103,11 @@ def test_fresh_fleet_each_outage(case_context):
     With one small unit and two long outages, cost equals the sum of the two
     single-outage costs computed from a full fleet each time.
     """
-    trace = OutageTrace(starts=(1000, 5000), durations=(12, 12),
-                        horizon_years=5)
+    starts, durations = (1000, 5000), (12, 12)
     caps = (300.0, 0.0, 0.0, 0.0)
-    whole = case_context.period_cost(1, caps, trace)
-    parts = [case_context.period_cost(
-        1, caps, OutageTrace(starts=(s,), durations=(d,), horizon_years=5))
-        for s, d in zip(trace.starts, trace.durations)]
+    whole = case_context.period_cost(1, caps, one_trace(starts, durations))
+    parts = [case_context.period_cost(1, caps, one_trace([s], [d]))
+             for s, d in zip(starts, durations)]
     assert whole == pytest.approx(sum(parts))
 
 
@@ -176,8 +181,7 @@ def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
     period_hours = case_config.planning.years_per_period * HOURS_PER_YEAR
     rng = stream(9, "sim-test")
     values = (0.0, 300.0, 1000.0, 3000.0, 9000.0)
-    jobs = [(1, (0.0,) * 4, OutageTrace(starts=(), durations=(),
-                                        horizon_years=5))]
+    jobs = [(1, (0.0,) * 4, one_trace([], []))]
     for _ in range(60):
         caps = tuple(rng.choice(values, size=4).tolist())
         jobs.append((int(rng.integers(1, 5)), caps,
