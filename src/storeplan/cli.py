@@ -265,6 +265,8 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     run = Path(args.run_dir)
+    if not run.is_dir():
+        raise ValueError(f"{run}: run directory not found")
     # every artifact's text is made before the first write, so a refused
     # forest leaves --out as it was
     texts = {}

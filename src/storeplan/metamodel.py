@@ -191,8 +191,9 @@ def _simulate_rows(ctx: SimulationContext, values, rows, row_rngs,
     fleets = [(int(rng.integers(1, plan.horizon_periods + 1)),
                rng.choice(values, size=len(ctx.config.storage)))
               for rng in row_rngs]
-    outages = ctx.period_outages(master_seed, "dataset:trial",
-                                 [(r, t) for r in rows for t in range(trials)])
+    keys = np.stack(np.meshgrid(rows, np.arange(trials), indexing="ij"),
+                    -1).reshape(-1, 2)  # (row, trial), row by row
+    outages = ctx.period_outages(master_seed, "dataset:trial", keys)
     costs = ctx.period_costs([f for f in fleets for _ in range(trials)],
                              outages)
     return fleets, row_sums(np.reshape(costs, (len(fleets), trials))) / trials
@@ -242,7 +243,7 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
         rows = range(first, min(first + step, observations))
         fleets, costs[rows] = _simulate_rows(
             ctx, values, rows,
-            streams(master_seed, "dataset:row", [(r,) for r in rows]),
+            streams(master_seed, "dataset:row", np.array(rows)[:, None]),
             trials, master_seed)
         periods[rows] = [k for k, _ in fleets]
         caps[rows] = [c for _, c in fleets]

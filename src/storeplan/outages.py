@@ -4,9 +4,10 @@ Outage arrivals form a homogeneous Poisson process with rate SAIFI per year;
 each duration is 1 + Poisson(CAIDI - 1) hours, which guarantees a one-hour
 minimum while keeping the stated mean. `draw_outages` makes one trace of
 each row of an (n, W) array of raw PCG64 words, a function of those words
-alone, not of numpy's samplers; W is `trace_words`. `gen-data` fills a row
-with the first W words of a (row, trial) key's own stream, and `evaluate`
-fills row i with the W words at i * W of the evaluation's one stream. Word
+alone, not of numpy's samplers; W is `trace_words`. In `gen-data` a row is
+the first W words of a (row, trial) key's own stream, an `rng.StreamWords`
+row that computes only the words read, and in `evaluate` row i is the W
+words at i * W of the evaluation's one stream. Word
 w gives u = (w >> 11) * 2**-53, and over H = round(years * 8760) hours:
 - word 0 gives the count C = F^-1(u), for F = F_(saifi * years);
 - words 1..C give the starts, floor(u * H) in floats, capped at H - 1;
@@ -157,7 +158,9 @@ def draw_outages(saifi: float, caidi: float, horizon_years: float,
                  words: np.ndarray) -> OutageBatch:
     """The trace of each row of the (n, W) uint64 array `words`, as the
     module docstring defines it, merged outages as flat arrays. A width
-    other than `trace_words` raises ValueError.
+    other than `trace_words` raises ValueError. `words` is read only as
+    `words[rows, cols]` with integer arrays, so an `rng.StreamWords` serves
+    too, and then only the words read are computed.
     """
     hours = _horizon_hours(saifi, caidi, horizon_years)
     count_cdf = _poisson_cdf(saifi * horizon_years)
@@ -165,8 +168,8 @@ def draw_outages(saifi: float, caidi: float, horizon_years: float,
     width = 2 * len(count_cdf) - 1
     if words.ndim != 2 or words.shape[1] != width:
         raise ValueError(f"words must be (n, {width}), got {words.shape}")
-    counts = _inverse(count_cdf, _doubles(words[:, 0]))
-    n = len(counts)
+    n = words.shape[0]
+    counts = _inverse(count_cdf, _doubles(words[np.arange(n), 0]))
     row = np.repeat(np.arange(n), counts)  # the trace of each outage
     rank = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
     starts = (_doubles(words[row, 1 + rank]) * hours).astype(np.int64)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import HOURS_PER_YEAR, Config
 from .dispatch import OutageDispatcher, StorageFleet, fleet_energy
 from .outages import OutageBatch, draw_outages, trace_words
-from .rng import raw_words, stream_seeds
+from .rng import StreamWords, stream_seeds
 
 __all__ = ["SimulationContext", "period_energy", "row_sums"]
 
@@ -69,10 +69,11 @@ class SimulationContext:
 
     def period_outages(self, master_seed: int, tag: str, keys) -> OutageBatch:
         """Each key's period trace, from the first `trace_words` raw words
-        of `stream(master_seed, tag, *key)`."""
+        of `stream(master_seed, tag, *key)`, of which only the words the
+        trace reads are computed."""
         plan = self.config.planning
         law = (plan.saifi, plan.caidi, plan.years_per_period)
-        return draw_outages(*law, raw_words(
+        return draw_outages(*law, StreamWords(
             stream_seeds(master_seed, tag, keys), trace_words(*law)))
 
     def period_costs(self, fleets, outages: OutageBatch) -> list[float]:

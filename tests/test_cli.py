@@ -419,6 +419,17 @@ def test_refused_report_adds_no_file_to_out(pipeline_dir, tmp_path, refusal,
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
+def test_report_of_a_missing_run_directory_exits_two(tmp_path):
+    # a mistyped run directory is refused, not reported as a run with no
+    # forest, learning curve or plans
+    run, out = tmp_path / "no-such-run", tmp_path / "report"
+    proc = run_cli("report", "--config", SMOKE, "--run-dir", str(run),
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert str(run) in proc.stderr
+    assert not out.exists()
+
+
 def test_report_into_its_run_directory_records_each_file_once(pipeline_dir,
                                                               tmp_path):
     """A report into its own run directory, named by another spelling of

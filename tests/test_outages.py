@@ -22,7 +22,7 @@ from storeplan import outages
 from storeplan.config import HOURS_PER_YEAR
 from storeplan.outages import (OutageBatch, draw_outages, generate_outages,
                                trace_words)
-from storeplan.rng import raw_words, stream, stream_seeds
+from storeplan.rng import StreamWords, stream, stream_seeds
 
 SAIFI = 1.155
 CAIDI = 5.122
@@ -236,7 +236,7 @@ def assert_batch_is_reference(saifi, caidi, years, seed, keys):
     """`draw_outages` of each key's stream words gives the reference trace
     of that stream, trace after trace."""
     width = trace_words(saifi, caidi, years)
-    got = draw_outages(saifi, caidi, years, raw_words(
+    got = draw_outages(saifi, caidi, years, StreamWords(
         stream_seeds(seed, "outage-batch", keys), width))
     assert_batch_is(got, [reference_trace(saifi, caidi, years, seed,
                                           "outage-batch", key)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from storeplan.rng import (raw_words, spawn_key, stream, stream_seeds,
+from storeplan.rng import (StreamWords, spawn_key, stream, stream_seeds,
                            streams, word_index, word_thresholds)
 
 from reference import word_limit
@@ -130,14 +130,80 @@ def test_streams_mix_word_counts_in_one_batch(seed):
     assert_streams_match(seed, "mixed", keys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # uint64 wraps
 def test_raw_words_are_the_stream_words():
     keys = [(0, 1), (2**32, 5), (), (7,)]
-    words = raw_words(stream_seeds(3, "raw", keys), 9)
-    assert words.dtype == np.uint64 and words.shape == (4, 9)
-    for key, row in zip(keys, words):
+    words = StreamWords(stream_seeds(3, "raw", keys), 9)
+    assert words.shape == (4, 9)
+    full = words[np.arange(4)[:, None], np.arange(9)]
+    assert full.dtype == np.uint64 and full.shape == (4, 9)
+    for key, row in zip(keys, full):
         assert row.tolist() == stream(3, "raw", *key).bit_generator.random_raw(
             9).tolist()
-    assert raw_words(stream_seeds(3, "raw", []), 9).shape == (0, 9)
+    assert StreamWords(stream_seeds(3, "raw", []), 9).shape == (0, 9)
+
+
+WIDTH = 71  # a case-study trace's words
+
+
+def stream_rows(seed, keys, width=WIDTH):
+    return [stream(seed, "jump", *key).bit_generator.random_raw(
+        width).tolist() for key in keys]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 1])
+def test_stream_words_jump_to_every_word(seed):
+    """Every word of every column is the stream's own, for keys of one and
+    of several words per index, and for no keys."""
+    keys = [(0, 0), (5, 39), (2**32, 1), (3, 2**40 + 7), (2**64 + 3, 2),
+            (), (11,)]
+    words = StreamWords(stream_seeds(seed, "jump", keys), WIDTH)
+    rows = np.arange(len(keys))[:, None]
+    assert words[rows, np.arange(WIDTH)].tolist() == stream_rows(seed, keys)
+    assert words[rows[:, 0], 0].tolist() == [
+        row[0] for row in stream_rows(seed, keys, 1)]
+    empty = StreamWords(stream_seeds(seed, "jump", []), WIDTH)
+    got = empty[np.empty(0, dtype=int), np.empty(0, dtype=int)]
+    assert got.dtype == np.uint64 and got.shape == (0,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 1])
+def test_stream_words_gather_in_any_order(seed):
+    """A gather of random (row, col) pairs, with repeats and in any order,
+    reads the full matrix's entries; so do scalar indices."""
+    keys = [(r, t) for r in range(6) for t in range(5)]
+    words = StreamWords(stream_seeds(seed, "jump", np.array(keys)), WIDTH)
+    full = np.array(stream_rows(seed, keys), dtype=np.uint64)
+    pick = np.random.default_rng(seed % 2**32)
+    for size in (1, 7, 500):
+        rows = pick.integers(0, len(keys), size)
+        cols = pick.integers(0, WIDTH, size)
+        assert words[rows, cols].tolist() == full[rows, cols].tolist()
+    rows = pick.integers(0, len(keys), (3, 4))
+    assert words[rows, 5].tolist() == full[rows, 5].tolist()
+    assert int(words[2, WIDTH - 1]) == int(full[2, WIDTH - 1])
+
+
+@pytest.mark.parametrize("width", range(7))
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 1])
+def test_stream_seeds_of_an_index_array(seed, width):
+    """An (n, m) integer array of keys, of any integer dtype, gives the
+    rows its list of tuples gives: `SeedSequence`'s own seed words."""
+    keys = [tuple((7 * j + 13 * i) % 50 for i in range(width))
+            for j in range(6)] + [(2**32 - 1,) * width]
+    want = [np.random.SeedSequence((seed,) + spawn_key("array", *key))
+            .generate_state(4, np.uint64).tolist() for key in keys]
+    assert stream_seeds(seed, "array", keys).tolist() == want
+    for dtype in (np.int64, np.uint32, np.uint64):
+        block = np.array(keys, dtype=dtype).reshape(len(keys), width)
+        assert stream_seeds(seed, "array", block).tolist() == want
+
+
+def test_stream_seeds_of_an_array_refuse_negative_indices():
+    with pytest.raises(ValueError, match="non-negative"):
+        stream_seeds(1, "neg", np.array([[0, 1], [2, -1]]))
 
 
 def test_streams_of_no_keys():
