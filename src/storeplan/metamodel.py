@@ -2,7 +2,12 @@
 
 The forest replaces per-decision Monte Carlo during planning. Rows are the
 decision period and the installed capacity of each storage unit; the target
-is the mean simulated lost-load cost over that period.
+is the mean simulated lost-load cost over that period. Row r draws its
+period and capacities from `stream(seed, "dataset:row", r)`, and its trial
+t faces the trace of the keyed stream `(seed, "dataset:trial", r, t)`. A
+block of rows runs on arrays from key to cost: one (row, trial) key array,
+one batch of traces, and one `period_costs` call on the rows' period and
+capacity arrays, each row repeated for its trials.
 
 Proportional dispatch keeps every unit at the same fractional state of
 charge, so during an outage the fleet acts as one store with deliverable
@@ -30,7 +35,7 @@ import numpy as np
 from .config import (NUM_PHYSICS_FEATURES, IncompatibleArtifact,
                      MetamodelParams, _finite_floats, _require_keys, _section,
                      config_hash, parse_json)
-from .rng import stream, streams
+from .rng import stream
 from .simulate import SimulationContext, period_energy, row_sums
 
 __all__ = [
@@ -177,35 +182,38 @@ class SyntheticDataset:
         return self.capacity.shape[1]
 
 
-def _simulate_rows(ctx: SimulationContext, values, rows, row_rngs,
-                   trials: int, master_seed: int):
-    """The fleets `(period, capacities)` of `rows` and their mean costs.
+def _simulate_rows(ctx: SimulationContext, values, rows, trials: int,
+                   master_seed: int):
+    """The periods, capacities and mean costs of `rows`, as arrays.
 
-    Each row draws its period, then its capacities, from its generator in
-    `row_rngs`; one `period_outages` call draws every trial's trace, row
-    by row, and one `period_costs` call dispatches them all. A row's mean
-    adds its trials' costs left to right.
+    Row r draws its period, then its capacities, from the generator
+    `stream(master_seed, "dataset:row", r)`; one `period_outages` call
+    draws every trial's trace, row by row, and one `period_costs` call
+    dispatches them all, each row's fleet repeated for its trials. A row's
+    mean adds its trials' costs left to right.
     """
     plan = ctx.config.planning
     values = np.asarray(values, dtype=float)
-    fleets = [(int(rng.integers(1, plan.horizon_periods + 1)),
-               rng.choice(values, size=len(ctx.config.storage)))
-              for rng in row_rngs]
+    rngs = [stream(master_seed, "dataset:row", r) for r in rows]
+    period = np.array([rng.integers(1, plan.horizon_periods + 1)
+                       for rng in rngs], dtype=int)
+    capacity = np.array([rng.choice(values, size=len(ctx.config.storage))
+                         for rng in rngs])
     keys = np.stack(np.meshgrid(rows, np.arange(trials), indexing="ij"),
                     -1).reshape(-1, 2)  # (row, trial), row by row
     outages = ctx.period_outages(master_seed, "dataset:trial", keys)
-    costs = ctx.period_costs([f for f in fleets for _ in range(trials)],
-                             outages)
-    return fleets, row_sums(np.reshape(costs, (len(fleets), trials))) / trials
+    costs = ctx.period_costs(np.repeat(period, trials),
+                             np.repeat(capacity, trials, axis=0), outages)
+    return period, capacity, row_sums(
+        np.reshape(costs, (len(rows), trials))) / trials
 
 
 def dataset_row(ctx: SimulationContext, values, row: int, trials: int,
                 master_seed: int) -> tuple[int, np.ndarray, float]:
     """One dataset row, reproducible from (master_seed, row) alone."""
-    [(k, caps)], [cost] = _simulate_rows(
-        ctx, values, [row], [stream(master_seed, "dataset:row", row)], trials,
-        master_seed)
-    return k, caps, float(cost)
+    period, capacity, cost = _simulate_rows(ctx, values, [row], trials,
+                                            master_seed)
+    return int(period[0]), capacity[0], float(cost[0])
 
 
 def generate_dataset(ctx: SimulationContext, observations: int | None = None,
@@ -217,12 +225,11 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     per unit from the reachable set. Each row's target averages `trials`
     independent period simulations. Rows are simulated in blocks of whole
     rows holding at most `_BLOCK_JOBS` trials (one row when a row holds
-    more): one `streams` call seeds the block's row streams, and the block
-    goes through `_simulate_rows` as one row does in `dataset_row`, so
-    every row equals its `dataset_row` bit for bit. The dataset also
-    carries what the surrogate takes from the config: its digest, the dod
-    and efficiency schedules the forest computes its features from, and
-    the metamodel fit settings.
+    more), and each block goes through `_simulate_rows` as one row does
+    in `dataset_row`, so every row equals its `dataset_row` bit for bit.
+    The dataset also carries what the surrogate takes from the config: its
+    digest, the dod and efficiency schedules the forest computes its
+    features from, and the metamodel fit settings.
     """
     cfg = ctx.config
     if observations is None:
@@ -241,12 +248,8 @@ def generate_dataset(ctx: SimulationContext, observations: int | None = None,
     step = max(1, _BLOCK_JOBS // trials)
     for first in range(0, observations, step):
         rows = range(first, min(first + step, observations))
-        fleets, costs[rows] = _simulate_rows(
-            ctx, values, rows,
-            streams(master_seed, "dataset:row", np.array(rows)[:, None]),
-            trials, master_seed)
-        periods[rows] = [k for k, _ in fleets]
-        caps[rows] = [c for _, c in fleets]
+        periods[rows], caps[rows], costs[rows] = _simulate_rows(
+            ctx, values, rows, trials, master_seed)
     return SyntheticDataset(
         period=periods, capacity=caps, cost=costs, trials=trials,
         master_seed=master_seed, config_digest=config_hash(cfg),

@@ -367,8 +367,10 @@ def evaluate_policy(ctx: SimulationContext, report: PolicyReport,
     n, width = trials * len(report.steps), trace_words(*law)
     outages = draw_outages(*law, stream(seed, "eval:trials").bit_generator
                            .random_raw(n * width).reshape(n, width))
-    fleets = [(s.period, s.capacity_after) for s in report.steps] * trials
-    costs = ctx.period_costs(fleets, outages)
+    costs = ctx.period_costs(
+        np.tile([s.period for s in report.steps], trials),
+        np.tile([s.capacity_after for s in report.steps], (trials, 1)),
+        outages)
     samples = row_sums(np.reshape(costs, (trials, len(report.steps))))
     mean_outage = float(row_sums([samples])[0]) / trials
     if trials > 1:

@@ -4,11 +4,11 @@ Every stochastic work unit (a dataset row or trial, an evaluation, a training
 run) owns a stream keyed by a purpose tag plus integer indices, so results do
 not depend on the order in which units execute. `stream` seeds one unit's
 generator; `stream_seeds` computes the seeds of many units of one tag at
-once, as a gen-data block does for its trials, and gives each the state
-`stream` gives it, either as a generator (`streams`) or as the bit
-generator's raw words (`StreamWords`). A unit that draws raw words compares
-a word's top 53 bits with `word_thresholds` of an array of chances, and
-takes `word_index` of it for a uniform pick.
+once, as a gen-data block does for its trials, from an (n, m) array of
+their indices, and `StreamWords` reads those units' raw words, the ones
+`stream` would give. A unit that draws raw words compares a word's top 53
+bits with `word_thresholds` of an array of chances, and takes `word_index`
+of it for a uniform pick.
 
 `StreamWords` computes any word of a stream without running the stream up
 to it. numpy's PCG64 keeps a 128-bit state s and an odd 128-bit increment
@@ -28,9 +28,8 @@ import zlib
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "stream_seeds", "streams", "StreamWords", "spawn_key",
+__all__ = ["stream", "stream_seeds", "StreamWords", "spawn_key",
            "word_thresholds", "word_index"]
 
 _SCALE = float(1 << 53)  # a word's double is (word >> 11) / _SCALE
@@ -114,78 +113,49 @@ def _pcg_seeds(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(seeds))
 
 
-class _SeedState(ISeedSequence):
-    """Hands `PCG64` the seed words `_pcg_seeds` computed for one key. PCG64
-    asks once, for `generate_state(4, np.uint64)`; nothing else asks."""
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._state
-
-
-def _index_block(keys) -> np.ndarray | None:
-    """`keys` as an (n, m) array of indices below 2**32, or None when they
-    are not one integer array of that kind (mixed widths, wider indices).
-    A negative index raises `ValueError`, as `SeedSequence` does."""
+def _index_block(keys) -> np.ndarray:
+    """`keys` as an (n, m) integer array of indices in [0, 2**32); keys
+    without indices are (n, 0). Keys of mixed widths, an index of 2**32
+    or more and a non-integer dtype (a float array, never truncated) raise
+    `ValueError` naming the keys, the index or the dtype; a negative index
+    says "non-negative", as `SeedSequence` does."""
     try:
         block = np.asarray(keys)
-    except ValueError:  # keys of mixed widths
-        return None
-    if block.ndim != 2 or block.dtype.kind not in "iu" or not block.size:
-        return None
+    except ValueError:  # rows of mixed widths
+        block = None
+    if block is None or block.ndim != 2 and block.size:
+        raise ValueError(f"keys must be rows of one width, got {keys!r}")
+    if not block.size:  # no index to check
+        return np.zeros((len(block), 0), dtype=np.uint32)
+    if block.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers below 2**32, got "
+                         f"{block.dtype} keys")
     if block.min() < 0:
         raise ValueError(f"seeds and indices must be non-negative, "
                          f"got {block.min()}")
-    return block if block.max() <= _LOW32 else None
+    if block.max() > _LOW32:
+        raise ValueError(f"indices must be below 2**32, got {block.max()}")
+    return block
 
 
 def stream_seeds(master_seed: int, tag: str, keys) -> np.ndarray:
     """The PCG64 seed words of `stream(master_seed, tag, *key)` for each
-    index tuple in `keys`, one (4,) uint64 row per key.
+    row `key` of `keys`, an (n, m) integer array of indices below 2**32
+    (or a list `np.asarray` makes one of), one (4,) uint64 row per key.
 
-    `SeedSequence`'s hash runs once over all keys of a length in words, in
-    wrapping uint32 array arithmetic, so no key needs a `SeedSequence` of
-    its own. Keys given as an (n, m) integer array, or as tuples of one
-    width, with every index below 2**32, take one word per index and are
-    stacked under the seed's and the tag's words in one step; other keys
-    are split into words one by one. A negative seed or index raises
+    `SeedSequence` takes each index as one 32-bit word, so the indices are
+    stacked under the seed's and the tag's words and its hash runs once
+    over all keys, in wrapping uint32 array arithmetic: no key needs a
+    `SeedSequence` of its own. A negative seed or index raises
     `ValueError`, as `SeedSequence` does.
     """
     head = _words(int(master_seed)) + list(spawn_key(tag))
     block = _index_block(keys)
-    if block is not None:
-        entropy = np.empty((len(head) + block.shape[1], len(block)),
-                           dtype=np.uint32)
-        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[len(head):] = block.T
-        return _pcg_seeds(entropy)
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    count = 0
-    for key in keys:
-        words = head.copy()
-        for i in key:
-            i = int(i)
-            if 0 <= i <= _LOW32:
-                words.append(i)
-            else:
-                words += _words(i)
-        positions, rows = groups.setdefault(len(words), ([], []))
-        positions.append(count)
-        rows.append(words)
-        count += 1
-    seeds = np.empty((count, _POOL), dtype=np.uint64)
-    for positions, rows in groups.values():
-        seeds[positions] = _pcg_seeds(np.array(rows, dtype=np.uint32).T)
-    return seeds
-
-
-def streams(master_seed: int, tag: str, keys) -> list[np.random.Generator]:
-    """`stream(master_seed, tag, *key)` for each index tuple in `keys`,
-    seeded by one `stream_seeds` call."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(seed)))
-            for seed in stream_seeds(master_seed, tag, keys)]
+    entropy = np.empty((len(head) + block.shape[1], len(block)),
+                       dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head):] = block.T
+    return _pcg_seeds(entropy)
 
 
 def _mul128(ah, al, bh, bl):

@@ -7,8 +7,9 @@ The traces of many trials are drawn together by `outages.draw_outages`,
 from keyed streams' words (`period_outages`) or from one evaluation
 stream's, and their outages dispatched together, one lane each, and priced
 at the classes' VOLLs in one stacked matmul. Every trace arrives as an
-`outages.OutageBatch`, one trace or many: `period_cost` prices a batch of
-one through `period_costs`.
+`outages.OutageBatch`, one trace or many, and the jobs' fleets as arrays: a
+(jobs,) period array and a (jobs, units) capacity array. `period_cost`
+prices a batch of one through `period_costs`.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ class SimulationContext:
         return draw_outages(*law, StreamWords(
             stream_seeds(master_seed, tag, keys), trace_words(*law)))
 
-    def period_costs(self, fleets, outages: OutageBatch) -> list[float]:
-        """Lost-load cost in $ of each job: `fleets[i]` is job i's
-        `(period, capacities)` and `outages.counts[i]` counts its outages.
+    def period_costs(self, period, capacity,
+                     outages: OutageBatch) -> list[float]:
+        """Lost-load cost in $ of each job: job i serves the period
+        `period[i]` with the per-unit capacities `capacity[i]`, and
+        `outages.counts[i]` counts its outages.
 
         One `period_energy` call gives every job's (S_d, S_c), and one
         `serve` call dispatches every outage of every job from a full store.
@@ -89,9 +92,9 @@ class SimulationContext:
         that pad shorter jobs leave their sums unchanged.
         """
         period_hours = self.config.planning.years_per_period * HOURS_PER_YEAR
-        period = np.array([k for k, _ in fleets], dtype=np.int64)
-        capacity = np.array([c for _, c in fleets], dtype=float).reshape(
-            len(fleets), self.dod.shape[1])
+        period = np.asarray(period, dtype=np.int64)
+        capacity = np.asarray(capacity, dtype=float).reshape(
+            len(period), self.dod.shape[1])
         counts = np.asarray(outages.counts, dtype=np.int64)
         s_d, s_c = (np.repeat(e, counts) for e in period_energy(
             period, capacity, self.dod, self.efficiency))
@@ -106,4 +109,4 @@ class SimulationContext:
     def period_cost(self, period: int, capacities, trace: OutageBatch) -> float:
         """Lost-load cost in $ of serving one period's outage trace, a
         batch of one, with `capacities`."""
-        return self.period_costs([(period, capacities)], trace)[0]
+        return self.period_costs([period], [capacities], trace)[0]

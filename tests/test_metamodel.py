@@ -22,6 +22,7 @@ from storeplan.metamodel import (FIT_KEYS, SMOOTHING_GRID, SyntheticDataset,
                                  r_squared, reachable_capacity_values,
                                  read_dataset, save_forest, train_forest,
                                  write_dataset)
+from storeplan.rng import stream
 from storeplan.simulate import SimulationContext
 
 DEFAULT_FIT = {key: getattr(MetamodelParams(observations=1, trials=1), key)
@@ -105,6 +106,41 @@ def test_blocked_dataset_equals_each_row_alone(case_context, monkeypatch,
         assert ds.period[r] == k
         assert np.array_equal(ds.capacity[r], caps)
         assert ds.cost[r] == cost
+
+
+def test_each_trial_serves_its_rows_fleet(case_context, monkeypatch):
+    """`generate_dataset` hands `period_costs` each row's period and
+    capacities once per trial, row after row, in blocks of whole rows."""
+    monkeypatch.setattr(metamodel, "_BLOCK_JOBS", 6)
+    calls = []
+    dispatch = case_context.period_costs
+
+    def spy(period, capacity, outages):
+        calls.append((np.asarray(period), np.asarray(capacity)))
+        return dispatch(period, capacity, outages)
+    monkeypatch.setattr(case_context, "period_costs", spy)
+    ds = generate_dataset(case_context, observations=5, trials=3,
+                          master_seed=5)
+    assert [len(period) for period, _ in calls] == [6, 6, 3]
+    period = np.concatenate([period for period, _ in calls])
+    capacity = np.concatenate([capacity for _, capacity in calls])
+    assert period.tolist() == np.repeat(ds.period, 3).tolist()
+    assert capacity.tolist() == np.repeat(ds.capacity, 3, axis=0).tolist()
+
+
+def test_dataset_row_picks_come_from_the_rows_stream(case_context):
+    """Row r's period, then its capacities, are the first draws of the
+    generator `stream(seed, "dataset:row", r)`."""
+    cfg = case_context.config
+    values = reachable_capacity_values(cfg.planning.expansion_levels_kwh,
+                                       cfg.planning.horizon_periods - 1)
+    for r in (0, 3, 10_000):
+        k, caps, _ = dataset_row(case_context, values, r, trials=1,
+                                 master_seed=5)
+        rng = stream(5, "dataset:row", r)
+        assert k == rng.integers(1, cfg.planning.horizon_periods + 1)
+        assert caps.tolist() == rng.choice(
+            np.array(values), size=len(cfg.storage)).tolist()
 
 
 def test_dataset_rows_decorrelate_by_index(smoke_config):

@@ -245,7 +245,7 @@ def assert_batch_is_reference(saifi, caidi, years, seed, keys):
 
 def random_keys(params, size):
     return [tuple(int(i) for i in key) for key in params.integers(
-        0, [1_000, 2**33], size=(size, 2))]
+        0, [1_000, 2**32], size=(size, 2))]
 
 
 def test_drawn_batch_matches_reference():

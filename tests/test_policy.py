@@ -334,8 +334,8 @@ def test_evaluation_adds_trials_left_to_right(case_config):
     # left to right, 1e16 + 1.0 rounds back to 1e16 on every interpreter
     ctx = SimulationContext(case_config)
     totals = iter([1e16, 1.0, -1e16])
-    ctx.period_costs = lambda fleets, outages: [
-        next(totals) if period == 1 else 0.0 for period, _ in fleets]
+    ctx.period_costs = lambda period, capacity, outages: [
+        next(totals) if k == 1 else 0.0 for k in period]
     never = never_invest_report(case_env(case_config),
                                 default_scenarios()["1"])
     value = evaluate_policy(ctx, never, trials=3, seed=1)
@@ -420,11 +420,31 @@ def spy_outages(ctx, monkeypatch) -> list:
     seen = []
     dispatch = ctx.period_costs
 
-    def spy(fleets, outages):
+    def spy(period, capacity, outages):
         seen.append(outages)
-        return dispatch(fleets, outages)
+        return dispatch(period, capacity, outages)
     monkeypatch.setattr(ctx, "period_costs", spy)
     return seen
+
+
+def test_evaluation_replays_each_steps_fleet_in_every_trial(smoke_config,
+                                                            monkeypatch):
+    """Job t * P + k - 1 of an evaluation's one `period_costs` call is
+    period k of trial t: the step's period, with the step's capacities
+    after its action, for every trial alike."""
+    ctx = SimulationContext(smoke_config)
+    calls = []
+    dispatch = ctx.period_costs
+
+    def spy(period, capacity, outages):
+        calls.append((np.asarray(period), np.asarray(capacity)))
+        return dispatch(period, capacity, outages)
+    monkeypatch.setattr(ctx, "period_costs", spy)
+    built, _ = built_and_never(case_env(smoke_config))
+    evaluate_policy(ctx, built, trials=4, seed=5)
+    [(period, capacity)] = calls
+    jobs = [(s.period, list(s.capacity_after)) for s in built.steps] * 4
+    assert list(zip(period.tolist(), capacity.tolist())) == jobs
 
 
 def test_evaluations_at_one_seed_see_the_same_traces(smoke_config,

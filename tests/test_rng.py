@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from storeplan.rng import (StreamWords, spawn_key, stream, stream_seeds,
-                           streams, word_index, word_thresholds)
+                           word_index, word_thresholds)
 
 from reference import word_limit
 
@@ -97,42 +97,28 @@ def test_word_index_bucket_edges(n):
         assert word_index(first - 1, n) == k - 1
 
 
-def assert_streams_match(seed, tag, keys):
-    gens = streams(seed, tag, keys)
-    assert len(gens) == len(keys)
-    for key, gen in zip(keys, gens):
-        ref = stream(seed, tag, *key)
-        assert gen.bit_generator.state == ref.bit_generator.state, key
-        # an odd count of 32-bit draws leaves a kept half in the state
-        assert gen.integers(2**32, size=3).tolist() == \
-            ref.integers(2**32, size=3).tolist()
-        assert gen.bit_generator.state == ref.bit_generator.state, key
-        assert gen.random(4).tolist() == ref.random(4).tolist()
-
-
-@pytest.mark.parametrize("width", range(7))
-@pytest.mark.parametrize("tag", ["", "dataset:trial", "eval:trial"])
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
-def test_streams_match_stream(seed, tag, width):
-    # with the seed's and the tag's words, 3 or more indices overflow
-    # SeedSequence's 4-word pool and reach its loop over the remaining words
-    keys = [tuple((7 * j + 13 * i) % 50 for i in range(width))
-            for j in range(6)]
-    assert_streams_match(seed, tag, keys)
-
-
-@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
-def test_streams_mix_word_counts_in_one_batch(seed):
-    # indices of 2**32 and up take two or three words, so the batch holds
-    # keys of several entropy lengths, index counts too
-    keys = [(0, 1), (2**32, 5), (3, 2**40 + 7), (2**64 + 3, 2**32 - 1),
-            (9, 9), (), (1,), (2**32 - 1, 0, 2**33, 4, 5)]
-    assert_streams_match(seed, "mixed", keys)
+@pytest.mark.parametrize("keys, named", [
+    ([(0, 1), (2,)], r"\[\(0, 1\), \(2,\)\]"),  # mixed widths
+    ([(0, 1), ()], r"\(\)"),
+    ([(0, 2**32)], "4294967296"),  # an index of 2**32
+    (np.array([[1, 2**32 + 5]], dtype=np.uint64), "4294967301"),
+    (np.array([[0.5, 1.0]]), "float64 keys"),  # a float array
+    ([(1, 1.5)], "float64 keys"),
+    (np.array([[1.0, 2.0]]), "float64 keys"),  # whole, but still floats
+    ([(0, 2**64)], "object keys"),  # past every integer dtype
+])
+def test_stream_seeds_refuse_mixed_widths_wide_indices_and_floats(keys,
+                                                                  named):
+    """Keys are rows of one width of integer indices below 2**32; any
+    other form is refused, naming the keys, the index or the dtype, rather
+    than truncated or split into words."""
+    with pytest.raises(ValueError, match=named):
+        stream_seeds(1, "mixed", keys)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # uint64 wraps
 def test_raw_words_are_the_stream_words():
-    keys = [(0, 1), (2**32, 5), (), (7,)]
+    keys = [(0, 1), (2**32 - 1, 5), (0, 0), (7, 2**31)]
     words = StreamWords(stream_seeds(3, "raw", keys), 9)
     assert words.shape == (4, 9)
     full = words[np.arange(4)[:, None], np.arange(9)]
@@ -154,10 +140,10 @@ def stream_rows(seed, keys, width=WIDTH):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 1])
 def test_stream_words_jump_to_every_word(seed):
-    """Every word of every column is the stream's own, for keys of one and
-    of several words per index, and for no keys."""
-    keys = [(0, 0), (5, 39), (2**32, 1), (3, 2**40 + 7), (2**64 + 3, 2),
-            (), (11,)]
+    """Every word of every column is the stream's own, for keys from 0 to
+    the largest index, 2**32 - 1, and for no keys."""
+    keys = [(0, 0), (5, 39), (2**32 - 1, 1), (3, 2**31 + 7), (2**32 - 3, 2),
+            (2**32 - 1, 2**32 - 1), (11, 0)]
     words = StreamWords(stream_seeds(seed, "jump", keys), WIDTH)
     rows = np.arange(len(keys))[:, None]
     assert words[rows, np.arange(WIDTH)].tolist() == stream_rows(seed, keys)
@@ -187,27 +173,46 @@ def test_stream_words_gather_in_any_order(seed):
 
 
 @pytest.mark.parametrize("width", range(7))
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 1])
-def test_stream_seeds_of_an_index_array(seed, width):
-    """An (n, m) integer array of keys, of any integer dtype, gives the
-    rows its list of tuples gives: `SeedSequence`'s own seed words."""
+@pytest.mark.parametrize("tag", ["", "dataset:trial", "eval:trial"])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
+def test_stream_seeds_of_an_index_array(seed, tag, width):
+    """An (n, m) integer array of keys, of any integer dtype, and its list
+    of tuples give `SeedSequence`'s own seed words. With the seed's and
+    the tag's words, 3 or more indices overflow its 4-word pool and reach
+    its loop over the remaining words."""
     keys = [tuple((7 * j + 13 * i) % 50 for i in range(width))
             for j in range(6)] + [(2**32 - 1,) * width]
-    want = [np.random.SeedSequence((seed,) + spawn_key("array", *key))
+    want = [np.random.SeedSequence((seed,) + spawn_key(tag, *key))
             .generate_state(4, np.uint64).tolist() for key in keys]
-    assert stream_seeds(seed, "array", keys).tolist() == want
+    assert stream_seeds(seed, tag, keys).tolist() == want
     for dtype in (np.int64, np.uint32, np.uint64):
         block = np.array(keys, dtype=dtype).reshape(len(keys), width)
-        assert stream_seeds(seed, "array", block).tolist() == want
+        assert stream_seeds(seed, tag, block).tolist() == want
 
 
-def test_stream_seeds_of_an_array_refuse_negative_indices():
-    with pytest.raises(ValueError, match="non-negative"):
-        stream_seeds(1, "neg", np.array([[0, 1], [2, -1]]))
+@pytest.mark.parametrize("keys", [
+    [], np.empty(0), np.empty((0, 2), dtype=np.int64),
+    np.empty((0, 5), dtype=np.uint32), np.empty((0, 3))])
+def test_stream_seeds_of_no_keys(keys):
+    """A block of no keys, of any width or dtype, holds no value to refuse
+    and gives no seed rows."""
+    seeds = stream_seeds(1729, "dataset:trial", keys)
+    assert seeds.shape == (0, 4) and seeds.dtype == np.uint64
 
 
-def test_streams_of_no_keys():
-    assert streams(1729, "dataset:trial", []) == []
+@pytest.mark.parametrize("width, column", [
+    (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_stream_seeds_take_2_32_minus_1_and_refuse_2_32(width, column):
+    """Every column takes indices up to 2**32 - 1 as `SeedSequence` does,
+    and refuses 2**32, which `SeedSequence` would split into two words."""
+    key = [5] * width
+    key[column] = 2**32 - 1
+    want = np.random.SeedSequence((7,) + spawn_key("edge", *key)) \
+        .generate_state(4, np.uint64).tolist()
+    assert stream_seeds(7, "edge", [key]).tolist() == [want]
+    key[column] = 2**32
+    with pytest.raises(ValueError, match="4294967296"):
+        stream_seeds(7, "edge", [key])
 
 
 @pytest.mark.parametrize("seed, keys", [
@@ -215,7 +220,8 @@ def test_streams_of_no_keys():
     (-1, []),
     (1, [(0, 1), (2, -1)]),
     (1, [(-2**40,)]),
+    (1, np.array([[0, 1], [2, -1]])),
 ])
-def test_streams_reject_negative_seeds_and_indices(seed, keys):
+def test_stream_seeds_refuse_negative_seeds_and_indices(seed, keys):
     with pytest.raises(ValueError, match="non-negative"):
-        streams(seed, "neg", keys)
+        stream_seeds(seed, "neg", keys)

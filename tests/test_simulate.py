@@ -46,7 +46,7 @@ def test_period_outages_are_period_traces(case_config, case_context):
     years, as the `outages` reference draws it from the stream's words."""
     plan = case_config.planning
     assert plan.years_per_period == 5
-    keys = [(0,), (3,), (1,), (3, 2)]
+    keys = [(0, 0), (3, 0), (1, 7), (3, 2)]
     traces = [reference_trace(plan.saifi, plan.caidi, 5, 0, "sim-test", key)
               for key in keys]
     got = case_context.period_outages(0, "sim-test", keys)
@@ -90,11 +90,33 @@ def test_batched_jobs_cost_what_each_job_costs_alone(case_context):
                             (4, (3000.0, 300.0, 0.0, 9000.0)),
                             (3, (300.0, 300.0, 300.0, 300.0)))]
     jobs.append((1, (1000.0, 0.0, 0.0, 0.0), one_trace([], [])))
-    costs = case_context.period_costs([job[:2] for job in jobs],
-                                      batch(job[2] for job in jobs))
+    periods, caps, traces = zip(*jobs)
+    costs = case_context.period_costs(periods, caps, batch(traces))
     assert costs == [case_context.period_cost(*job) for job in jobs]
     assert costs[-1] == 0.0
-    assert case_context.period_costs([], batch([])) == []
+    assert case_context.period_costs([], [], batch([])) == []
+
+
+@pytest.mark.parametrize("form", [
+    lambda periods, caps: (list(periods), list(caps)),
+    lambda periods, caps: (np.array(periods, dtype=np.int32),
+                           np.array(caps)),
+    lambda periods, caps: (np.array(periods, dtype=np.uint8),
+                           np.array(caps)),
+])
+def test_period_costs_take_fleets_as_arrays_or_sequences(case_context, form):
+    """`period_costs` reads its (jobs,) periods and (jobs, units)
+    capacities as arrays of any integer dtype or as sequences, and gives
+    each job its own `period_cost` either way."""
+    rng = stream(11, "sim-test")
+    periods = [int(k) for k in rng.integers(1, 5, size=6)]
+    caps = [tuple(rng.choice((0.0, 300.0, 1000.0, 3000.0), size=4).tolist())
+            for _ in periods]
+    traces = [period_trace(case_context, rng) for _ in periods]
+    want = [case_context.period_cost(*job) for job in zip(periods, caps,
+                                                           traces)]
+    assert case_context.period_costs(*form(periods, caps),
+                                     batch(traces)) == want
 
 
 def test_fresh_fleet_each_outage(case_context):
@@ -168,9 +190,9 @@ def test_voll_pricing_is_the_per_outage_dot(case_config, case_context,
                         lambda *lanes: (None, lost))
     outages = OutageBatch(np.zeros(n, dtype=np.int64),
                           np.ones(n, dtype=np.int64), counts)
-    assert case_context.period_costs([(1, (0.0,) * 4)] * len(counts),
-                                     outages) == _voll_oracle(volls, lost,
-                                                              counts)
+    assert case_context.period_costs(
+        np.ones(len(counts), dtype=int), np.zeros((len(counts), 4)),
+        outages) == _voll_oracle(volls, lost, counts)
 
 
 def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
@@ -195,8 +217,9 @@ def test_dispatched_costs_match_per_outage_dot(case_config, case_context):
             [(k - 1) * period_hours + s for s in trace.starts],
             trace.durations)
         expected += _voll_oracle(volls, lost, [n])
-    assert case_context.period_costs([job[:2] for job in jobs],
-                                     batch(job[2] for job in jobs)) == expected
+    periods, caps, traces = zip(*jobs)
+    assert case_context.period_costs(periods, caps,
+                                     batch(traces)) == expected
     assert expected[0] == 0.0
 
 
@@ -226,7 +249,8 @@ def test_period_costs_energies_are_each_fleets_own(case_context, monkeypatch,
               for _ in range(200)]
     fleets.append((1, (0.0,) * units))
     counts = np.ones(len(fleets), dtype=np.int64)
-    case_context.period_costs(fleets, OutageBatch(
+    periods, caps = zip(*fleets)
+    case_context.period_costs(periods, caps, OutageBatch(
         np.zeros(len(fleets), dtype=np.int64), counts, counts))
     expected = [case_context.fleet_for(k, caps).energy() for k, caps in fleets]
     assert list(zip(lanes["s_d"].tolist(), lanes["s_c"].tolist())) == expected
