@@ -201,16 +201,11 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _no_outage_cost(rows) -> list[float]:
-    # extraction and never-invest reports read no outage costs
-    return [0.0] * len(rows)
-
-
 def cmd_policy(args) -> int:
     cfg = load_config(args.config)
     digest = config_hash(cfg)
     scenarios = _scenarios(args, args.scenario)
-    env = MdpEnv(cfg.planning, cfg.storage, outage_cost=_no_outage_cost)
+    env = MdpEnv(cfg.planning, cfg.storage, outage_cost=None)
     qtable, _ = load_qtable(args.qtable, env, expected_config_hash=digest,
                             expected_sha256=_recorded_sha256(
                                 Path(args.qtable)))
@@ -236,8 +231,7 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     ctx = SimulationContext(cfg)
     if args.policy == "never-invest":
-        env = MdpEnv(cfg.planning, cfg.storage,
-                     outage_cost=_no_outage_cost)
+        env = MdpEnv(cfg.planning, cfg.storage, outage_cost=None)
         (scenario,) = _scenarios(args, [args.scenario])
         report = never_invest_report(env, scenario)
     else:
@@ -383,10 +377,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-# commands that build a Q-table, some 10^5 small objects
-_QTABLE_COMMANDS = ("solve", "policy")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -400,13 +390,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:
-        if args.command in _QTABLE_COMMANDS:
-            # A freed Q-table leaves a few thousand of its objects on the
-            # interpreter's free lists, scattered over most of the memory
-            # arenas it filled, and an arena is unmapped only when empty.
-            # A full collection clears the lists, so a process that runs
-            # commands in turn (the tests, perfbench) gets the table's
-            # memory back before the next command.
+        if args.command == "solve":
+            # solve's freed Q-table, some 10^5 small objects, leaves a few
+            # thousand of them on the interpreter's free lists, scattered
+            # over most of the memory arenas it filled, and an arena is
+            # unmapped only when empty. A full collection clears the lists,
+            # so a process that runs commands in turn (the tests, perfbench)
+            # gets the memory back before the next command. policy places
+            # only the rows its walks read, which leave little to collect.
             gc.collect()
 
 

@@ -6,12 +6,13 @@ as independent per-unit Markov chains that either advance one step down their
 decline schedule or stay put at each period boundary; the index can therefore
 lag the period. Rewards are negative costs: the annualized investment charged
 over the remaining horizon plus the predicted outage cost for the period.
-`MdpEnv.numbering` numbers the reachable states, and `MdpEnv.tables`
-tabulates rewards and successors on them, once per env: the capacities after
-period k's actions are exactly period k + 1's reachable set C_{k+1}, so one
-outage cost query over every period's C_{k+1} prices every reward. One
-numbering serves the learner, the exact DP it is checked against, Q-table
-files and extraction.
+`MdpEnv` is the one place that knows the state space: `MdpEnv.numbering`
+numbers the reachable states, and `MdpEnv.tables` tabulates rewards and
+successors on them, once per env: the capacities after period k's actions
+are exactly period k + 1's reachable set C_{k+1}, so one outage cost query
+over every period's C_{k+1} prices every reward. One numbering serves the
+learner, the exact DP it is checked against, Q-table files, extraction and
+`count_states_reachable`.
 """
 
 from __future__ import annotations
@@ -76,12 +77,15 @@ class MdpEnv:
 
     `outage_cost(rows) -> $ per row`, over rows of (period, capacity...),
     is injected so the same dynamics run against the forest surrogate, raw
-    Monte Carlo, or a test stub.
+    Monte Carlo, or a test stub. An env that never prices (numbering,
+    transitions, Q-table files, extraction) takes None, and `reward` or
+    `tables` on it raises TypeError.
     """
 
     def __init__(self, planning: PlanningConfig,
                  storage: tuple[StorageTechnology, ...],
-                 outage_cost: Callable[[list[list[float]]], Sequence[float]]):
+                 outage_cost: Callable[[list[list[float]]], Sequence[float]]
+                 | None):
         self.planning = planning
         self.storage = tuple(storage)
         self.outage_cost = outage_cost
@@ -93,7 +97,8 @@ class MdpEnv:
                 acts.append(MdpAction(u, l))
         self.actions: tuple[MdpAction, ...] = tuple(acts)
         self.num_actions = len(acts)
-        # boundary advance probabilities, indexed [period-1][unit]
+        # boundary advance probabilities, indexed [period-1][unit]; the
+        # reachable prices, `tables` and `transition` all read them here
         self._advance = tuple(
             tuple(tech.advance_prob_schedule[k] for tech in self.storage)
             for k in range(planning.horizon_periods))
@@ -136,77 +141,88 @@ class MdpEnv:
                     for u, i in enumerate(state.price_idx))
         return MdpState(state.period + 1, idx, caps)
 
-    @cached_property
-    def _grid(self):
-        """`_reachable_grid`'s capacity sets, with each period's price
-        tuples listed by code."""
-        prices, caps = _reachable_grid(self.planning, self.storage)
-        return [list(itertools.product(*p)) for p in prices], caps
+    def _after(self, c_set):
+        """The sorted capacity vectors that the actions reach from `c_set`."""
+        return tuple(sorted({self.apply_action(MdpState(0, (), c), action)
+                             for c in c_set for action in self.actions}))
 
     @cached_property
     def numbering(self):
         """Number the reachable states; `(numbering, size)`.
 
-        A period-k state is numbered `offset_k + code * |C_k| + c`. `code` is
-        the mixed-radix number of the units' positions in their reachable
-        price sets, unit 0 most significant as in `itertools.product`, and
-        `c` is the capacity vector's position in the period's sorted
-        reachable set `C_k`. `numbering[k - 1]` is `(price tuples by code,
-        C_k, offset_k)`, and `size` counts the states. The numbering needs
-        no outage cost, so reading and writing Q-tables does not tabulate.
+        Price chains and the capacity vector evolve independently, so a
+        period's reachable states are the product of its units' reachable
+        price indices with its reachable capacity vectors. A period-k state
+        is numbered `offset_k + code * |C_k| + c`. `code` is the mixed-radix
+        number of the units' positions in their reachable price sets, unit 0
+        most significant as in `itertools.product`, and `c` is the capacity
+        vector's position in the period's sorted reachable set `C_k`.
+        `numbering[k - 1]` is `(price tuples by code, C_k, offset_k)`, and
+        `size` counts the states. The numbering needs no outage cost, so
+        reading and writing Q-tables does not tabulate.
         """
-        codes, caps = self._grid
+        horizon = self.planning.horizon_periods
+        prices, c_set = ((1,),) * self.num_units, ((0.0,) * self.num_units,)
         numbering, offset = [], 0
-        for k in range(self.planning.horizon_periods):
-            numbering.append((codes[k], caps[k], offset))
-            offset += len(codes[k]) * len(caps[k])
+        for k, probs in enumerate(self._advance, start=1):
+            codes = list(itertools.product(*prices))
+            numbering.append((codes, c_set, offset))
+            offset += len(codes) * len(c_set)
+            if k < horizon:
+                # an outcome of probability zero is never reachable
+                prices = tuple(tuple(sorted(
+                    {i for i in idx if p < 1.0}
+                    | {min(i + 1, horizon) for i in idx if p > 0.0}))
+                    for idx, p in zip(prices, probs))
+                c_set = self._after(c_set)
         return numbering, offset
 
     @cached_property
     def tables(self):
-        """Tabulate the model on `numbering`'s states.
+        """Tabulate the model on `numbering`'s states, one record a period.
 
-        Returns `(periods, numbering, size)`, the last two as `numbering`
-        gives them. `periods[k - 1]` is `(invest, outage, probs, after,
-        succ, offset, width)`: `after[a][c]` is the position in `C_{k+1}`
-        of the capacities after action a, and `outage` holds the outage
-        cost at each position of `C_{k+1}`, so action a's reward is
+        `tables[k - 1]` is `(invest, outage, probs, after, succ, offset,
+        width)`: `after[a][c]` is the position in `C_{k+1}` of the
+        capacities after action a, and `outage` holds the outage cost at
+        each position of `C_{k+1}`, so action a's reward is
         `-invest[code][a] - outage[after[a][c]]`. `succ[code][mask]` is the
         next period's price code, and `offset` and `width` number the next
         period's states; these three are None in the last period. Bit u of
         an advance mask is set when unit u's price advances, which it does
-        with probability `probs[u]`; `succ` holds None where a mask of
+        with probability `probs[u]`, the period's advance probabilities
+        that `transition` reads; `succ` holds None where a mask of
         probability zero would leave the reachable set. Every period's
         outage costs come from one `outage_cost` call, and the rewards
         equal `reward`'s. The learner, the DP and the Q-table key states by
-        this numbering (see `number`).
+        `numbering` (see `number`).
         """
         horizon = self.planning.horizon_periods
-        codes, caps = self._grid
-        numbering, size = self.numbering
+        numbering = self.numbering[0]
+        c_nexts = [c_set for _, c_set, _ in numbering[1:]]
+        c_nexts.append(self._after(numbering[-1][1]))
         costs = iter(map(float, self.outage_cost(
-            [[k, *c] for k in range(1, horizon + 1) for c in caps[k]])))
+            [[k, *c] for k, c_next in enumerate(c_nexts, start=1)
+             for c in c_next])))
         periods = []
-        for k in range(1, horizon + 1):
-            c_set, c_next = caps[k - 1], caps[k]
+        for k, ((codes, c_set, _), c_next) in enumerate(
+                zip(numbering, c_nexts), start=1):
             outage = list(itertools.islice(costs, len(c_next)))
             pos = {c: n for n, c in enumerate(c_next)}
             after = [[pos[self.apply_action(MdpState(k, (), c), action)]
                       for c in c_set] for action in self.actions]
             invest = [[self.investment(MdpState(k, idx, ()), action)
-                       for action in self.actions] for idx in codes[k - 1]]
-            probs = [tech.advance_prob_schedule[k - 1] for tech in self.storage]
+                       for action in self.actions] for idx in codes]
             succ = next_offset = width = None
             if k < horizon:
-                code = {idx: n for n, idx in enumerate(codes[k])}
+                code = {idx: n for n, idx in enumerate(numbering[k][0])}
                 succ = [[code.get(tuple(min(i + 1, horizon) if m >> u & 1
                                         else i for u, i in enumerate(idx)))
                          for m in range(1 << self.num_units)]
-                        for idx in codes[k - 1]]
+                        for idx in codes]
                 next_offset, width = numbering[k][2], len(c_next)
-            periods.append((invest, outage, probs, after, succ, next_offset,
-                            width))
-        return periods, numbering, size
+            periods.append((invest, outage, self._advance[k - 1], after,
+                            succ, next_offset, width))
+        return periods
 
     def number(self, state: MdpState) -> int | None:
         """The state's number in `numbering`, or None if it is unreachable."""
@@ -234,47 +250,11 @@ def count_states_component_product(num_units: int, num_levels: int,
     return states, states * (num_units * num_levels + 1)
 
 
-def _reachable_grid(planning: PlanningConfig,
-                    storage: tuple[StorageTechnology, ...]):
-    """Per period, each unit's reachable price indices and capacity vectors.
-
-    Price chains and the capacity vector evolve independently, so a period's
-    reachable states are the product of its unit price-index sets with its
-    capacity-vector set. Returns `(prices, caps)`: `prices[k - 1][u]` and
-    `caps[k - 1]` are sorted tuples, and `caps` holds one more set than
-    `prices`, the capacities after the last period's actions.
-    """
-    horizon = planning.horizon_periods
-    levels = planning.expansion_levels_kwh
-    units = len(storage)
-    prices = [((1,),) * units]
-    for k in range(1, horizon):
-        step = []
-        for u, tech in enumerate(storage):
-            p = tech.advance_prob_schedule[k - 1]
-            # an outcome of probability zero is never reachable
-            moves = [m for m, possible in ((0, p < 1.0), (1, p > 0.0))
-                     if possible]
-            step.append(tuple(sorted({min(i + m, horizon)
-                                      for i in prices[-1][u] for m in moves})))
-        prices.append(tuple(step))
-    caps = [((0.0,) * units,)]
-    for _ in range(horizon):
-        nxt = set(caps[-1])
-        for c in caps[-1]:
-            for u in range(units):
-                for lv in levels:
-                    nxt.add(c[:u] + (c[u] + lv,) + c[u + 1:])
-        caps.append(tuple(sorted(nxt)))
-    return prices, caps
-
-
 def count_states_reachable(planning: PlanningConfig,
                            storage: tuple[StorageTechnology, ...]) -> int:
-    """Exact reachable-state count under the actual dynamics: the sum over
-    periods of the product of the factor sizes of `_reachable_grid`."""
-    prices, caps = _reachable_grid(planning, storage)
-    return sum(math.prod(map(len, p)) * len(c) for p, c in zip(prices, caps))
+    """Exact reachable-state count under the actual dynamics: the size of
+    `MdpEnv.numbering`."""
+    return MdpEnv(planning, storage, outage_cost=None).numbering[1]
 
 
 def backward_induction(env: MdpEnv, gamma: float,
@@ -290,7 +270,8 @@ def backward_induction(env: MdpEnv, gamma: float,
     of the policy that takes action index `ai` at each `(state number, ai)`
     pair of `picks` and no-op (index 0) at every other reachable state.
     """
-    periods, numbering, size = env.tables
+    periods = env.tables
+    numbering, size = env.numbering
     chosen = np.zeros(size, dtype=int)
     for s, ai in picks:
         chosen[s] = ai

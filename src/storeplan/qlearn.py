@@ -182,7 +182,7 @@ def train(env: MdpEnv, episodes: int, gamma: float, alpha: DecaySchedule,
     bits = stream(seed, "train").bit_generator
     num_actions, horizon = env.num_actions, env.planning.horizon_periods
     stride = horizon * (2 + env.num_units)  # words per episode
-    periods = env.tables[0]
+    periods = env.tables
     advance = word_thresholds(np.array([p[2] for p in periods], dtype=float))
     head = periods[:-1]
     last_invest, last_outage, _, last_after = periods[-1][:4]

@@ -191,6 +191,38 @@ def test_stages_run_in_turn_write_what_they_write_alone(pipeline_dir,
                     == (pipeline_dir / name).read_bytes()), name
 
 
+def test_series_files_of_the_synthesized_values_give_the_same_dataset(
+        tmp_path):
+    """smoke.json with its five series written out as CSV files, values by
+    repr, loads the same series bits, and gen-data writes the same
+    dataset.csv; only the sidecar's config hash tells the two apart."""
+    def series(cfg):
+        return {**cfg.demand_profiles, "irradiance": cfg.irradiance,
+                "wind": cfg.wind}
+
+    synthesized = series(load_config(SMOKE))
+    for label, hourly in synthesized.items():
+        (tmp_path / f"{label}.csv").write_text("hour,value\n" + "".join(
+            f"{i},{v!r}\n" for i, v in enumerate(hourly.values.tolist())))
+    doc = json.loads((CONFIGS / "smoke.json").read_text())
+    doc["series"] = {
+        "demand": {label: f"{label}.csv" for label in doc["series"]["demand"]},
+        "irradiance": "irradiance.csv", "wind": "wind.csv"}
+    files = tmp_path / "files.json"
+    files.write_text(json.dumps(doc))
+    loaded = series(load_config(files))
+    assert list(loaded) == list(synthesized)
+    for label, hourly in loaded.items():
+        assert (hourly.values.tobytes()
+                == synthesized[label].values.tobytes()), label
+    for name, config in (("synthesized", SMOKE), ("files", str(files))):
+        assert cli.main(["gen-data", "--config", config, "--observations",
+                         "8", "--trials", "3",
+                         "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "files" / "dataset.csv").read_bytes()
+            == (tmp_path / "synthesized" / "dataset.csv").read_bytes())
+
+
 def _nan_row_series(path):
     path.write_text("hour,value\n" + "".join(
         f"{i},{'nan' if i == 5 else 1.0}\n" for i in range(HOURS_PER_YEAR)))
@@ -761,18 +793,26 @@ def test_policy_takes_several_scenarios(pipeline_dir, tmp_path):
 
 
 def test_policy_needs_no_outage_cost(pipeline_dir, tmp_path, monkeypatch):
-    # policy numbers the states without tabulating the model, so an outage
-    # cost that raises leaves every byte it writes as it was
-    def refuse(rows):
-        raise AssertionError("policy asked for outage costs")
+    # policy and the never-invest baseline number the states without
+    # tabulating the model, so refusing the tables changes no byte they write
+    never = ["evaluate", "--config", SMOKE, "--policy", "never-invest",
+             "--trials", "5", "--out"]
+    assert cli.main([*never, str(tmp_path / "before")]) == 0
 
-    monkeypatch.setattr(cli, "_no_outage_cost", refuse)
+    def refuse(env):
+        raise AssertionError("tabulated the model, asking for outage costs")
+
+    monkeypatch.setattr(MdpEnv, "tables", property(refuse))
     out = tmp_path / "out"
     assert cli.main(["policy", "--config", SMOKE, "--qtable",
                      str(pipeline_dir / "qtable.jsonl"), "--scenario", "1",
                      "--out", str(out)]) == 0
     assert ((out / "policy_1.csv").read_bytes()
             == (pipeline_dir / "policy_1.csv").read_bytes())
+    assert cli.main([*never, str(out)]) == 0
+    name = "evaluation_never-invest_1.csv"
+    assert ((out / name).read_bytes()
+            == (tmp_path / "before" / name).read_bytes())
 
 
 @pytest.mark.parametrize("ids, match", [

@@ -44,8 +44,8 @@ def planning(horizon=4, levels=(300.0, 1000.0, 3000.0)):
 
 
 def every_state(env):
-    """Each reachable state of `env`, in `MdpEnv.tables` order."""
-    _, numbering, _ = env.tables
+    """Each reachable state of `env`, in `MdpEnv.numbering` order."""
+    numbering, _ = env.numbering
     return [MdpState(k, idx, c)
             for k, (codes, c_set, _) in enumerate(numbering, start=1)
             for idx in codes for c in c_set]
@@ -155,8 +155,8 @@ def test_tables_query_each_post_action_point_once():
 
     base = make_env(units=2, horizon=3)
     env = MdpEnv(base.planning, base.storage, outage_cost=counting)
-    _, numbering, _ = env.tables
-    assert len(calls) == 1
+    assert len(env.tables) == 3 and len(calls) == 1
+    numbering, _ = env.numbering
     points = {(k, env.apply_action(MdpState(k, (), c), action))
               for k, (_, c_set, _) in enumerate(numbering, start=1)
               for c in c_set for action in env.actions}
@@ -170,14 +170,15 @@ def test_tables_query_each_post_action_point_once():
 def test_number_and_states_follow_the_tables_order():
     env = make_env(units=2, horizon=3)
     states = every_state(env)
-    assert len(states) == env.tables[2]
+    assert len(states) == env.numbering[1]
     for n, s in enumerate(states):
         assert env.number(s) == n
 
 
 def test_numbering_needs_no_outage_cost():
     """States are numbered without tabulating the model, and the tables
-    keep that numbering."""
+    keep that numbering: each period's successor offset and width are the
+    next period's in `numbering`."""
     def refuse(rows):
         raise AssertionError("numbering asked for outage costs")
 
@@ -187,7 +188,20 @@ def test_numbering_needs_no_outage_cost():
     states = every_state(base)
     assert size == len(states)
     assert [env.number(s) for s in states] == list(range(size))
-    assert (numbering, size) == base.tables[1:]
+    periods = base.tables
+    assert base.numbering == (numbering, size)
+    assert [p[5:] for p in periods] == [
+        (offset, len(c_set)) for _, c_set, offset in numbering[1:]
+    ] + [(None, None)]
+
+
+def test_an_env_without_outage_cost_refuses_to_price():
+    env = MdpEnv(planning(3), make_env(horizon=3).storage, outage_cost=None)
+    assert env.numbering[1] == len(every_state(env))
+    with pytest.raises(TypeError):
+        env.tables
+    with pytest.raises(TypeError):
+        env.reward(MdpState(1, (1, 1), (0.0, 0.0)), NO_OP)
 
 
 @pytest.mark.parametrize("state", [
@@ -262,6 +276,23 @@ def test_reachable_count_matches_joint_enumeration():
         frontier = nxt
 
     assert count_states_reachable(plan, storage) == len(seen)
+    assert set(every_state(env)) == seen
+
+
+@pytest.mark.parametrize("units, horizon, advance", [
+    (1, 2, 0.7), (2, 3, 0.7), (2, 4, 1.0), (2, 4, 0.0), (3, 3, 0.5)])
+def test_reachable_count_is_the_numbering_size(units, horizon, advance):
+    env = make_env(units=units, horizon=horizon, advance=advance)
+    assert (count_states_reachable(env.planning, env.storage)
+            == env.numbering[1] == len(every_state(env)))
+
+
+@pytest.mark.parametrize("name", ["case_config", "smoke_config"])
+def test_shipped_reachable_count_is_the_numbering_size(name, request):
+    cfg = request.getfixturevalue(name)
+    assert (count_states_reachable(cfg.planning, cfg.storage)
+            == MdpEnv(cfg.planning, cfg.storage, outage_cost=None).numbering[1]
+            == 123_036)
 
 
 def test_reachable_case_study_figures(case_config):

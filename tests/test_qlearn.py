@@ -283,7 +283,7 @@ def test_qtable_entry_creates_zero_row():
     env = small_env()
     qt = QTable(env)
     s = MdpState(2, (2, 1), (0.0, 300.0))
-    assert len(qt) == 0 and len(qt.rows) == env.tables[2]
+    assert len(qt) == 0 and len(qt.rows) == env.numbering[1]
     row, visits = qt.entry(s)
     assert row == [0.0] * 3 and visits == [0] * 3
     assert len(qt) == 1 and qt.rows[env.number(s)] == (row, visits)
@@ -823,7 +823,7 @@ def _mixed_env():
 def _numbered_states(env):
     """(period, price code, capacity position, state) over every reachable
     state, from the numbering the learner trains on."""
-    _, grids, size = env.tables
+    grids, size = env.numbering
     states = []
     for k, (price_codes, cap_set, offset) in enumerate(grids, start=1):
         for code, idx in enumerate(price_codes):
@@ -836,7 +836,7 @@ def _numbered_states(env):
 
 def test_table_rewards_equal_env_rewards():
     env = _mixed_env()
-    periods, _, _ = env.tables
+    periods = env.tables
     checked = 0
     for k, code, cap, state in _numbered_states(env):
         invest, outage, _, after = periods[k - 1][:4]
@@ -858,7 +858,7 @@ class _FixedDraws:
 
 def test_table_successors_equal_env_transitions():
     env = _mixed_env()
-    periods, grids, _ = env.tables
+    periods, grids = env.tables, env.numbering[0]
     rng = stream(4, "successors")
     for k, code, cap, state in _numbered_states(env):
         _, _, probs, after, succ, _, _ = periods[k - 1]
