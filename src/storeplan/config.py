@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -391,37 +390,17 @@ def synth_profile(kind: str, seed: int, mean: float | None = None,
 
 
 def load_series(path: str | Path, kind: str) -> HourlySeries:
-    """Read an `hour,value` CSV with exactly one year of hourly rows.
-
-    A file as `f"{i},{value!r}"` rows write it, with only digits, '.', '+',
-    '-', 'e' and 'E' between its separators, is split where `csv.reader`
-    would split it and converted in one pass. Any other file, or one that
-    fails a check, is read row by row, which names the first bad row.
-    """
+    """Read an `hour,value` CSV with exactly one year of hourly rows."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["hour", "value"]:
+                raise ConfigError(f"{path}: expected header 'hour,value', got {header}")
+            rows = list(reader)
+    except (OSError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    body = text.removeprefix("hour,value\n")
-    if len(body) < len(text) and body.encode().translate(
-            None, b"0123456789.+-eE") == b",\n" * HOURS_PER_YEAR:
-        fields = body.replace("\n", ",").split(",")
-        texts = fields[1::2]
-        try:
-            values = np.fromiter(map(float, texts), float, HOURS_PER_YEAR)
-        except ValueError:  # "1..2", "e" or an empty value fails below
-            values = np.array([math.nan])
-        if (",".join(fields[0:-1:2]) == _hour_column()
-                and max(map(len, texts)) <= csv.field_size_limit()
-                and np.isfinite(values).all() and values.min() >= 0):
-            return HourlySeries(values=values, kind=kind)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != ["hour", "value"]:
-        raise ConfigError(f"{path}: expected header 'hour,value', got {header}")
-    rows = list(reader)
     if len(rows) != HOURS_PER_YEAR:
         raise ConfigError(f"{path}: expected {HOURS_PER_YEAR} rows, got {len(rows)}")
     values = np.empty(HOURS_PER_YEAR)
@@ -438,11 +417,6 @@ def load_series(path: str | Path, kind: str) -> HourlySeries:
         if values[i] < 0:
             raise ConfigError(f"{path}: row {i}: negative value {row[1]}")
     return HourlySeries(values=values, kind=kind)
-
-
-@functools.cache
-def _hour_column() -> str:
-    return ",".join(map(str, range(HOURS_PER_YEAR)))
 
 
 def _resolve_series(entry, kind: str, label: str, base_dir: Path,

@@ -142,9 +142,12 @@ class MdpEnv:
         return MdpState(state.period + 1, idx, caps)
 
     def _after(self, c_set):
-        """The sorted capacity vectors that the actions reach from `c_set`."""
-        return tuple(sorted({self.apply_action(MdpState(0, (), c), action)
-                             for c in c_set for action in self.actions}))
+        """The sorted capacity vectors that the actions reach from `c_set`,
+        each install added as `apply_action` adds it."""
+        return tuple(sorted({*c_set} | {c[:u] + (c[u] + lv,) + c[u + 1:]
+                                        for c in c_set
+                                        for u in range(self.num_units)
+                                        for lv in self.levels}))
 
     @cached_property
     def numbering(self):

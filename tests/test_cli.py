@@ -5,6 +5,7 @@ small enough to finish in seconds; the remaining tests poke the failure modes
 that map to distinct exit codes.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -247,6 +248,24 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, named):
                      "never-invest", "--trials", "1",
                      "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_series_field_past_csv_limit_exits_two(tmp_path, capsys):
+    """A series value longer than csv's field limit is a config error that
+    names the file, not a traceback."""
+    long_value = "0" * csv.field_size_limit() + "1"
+    (tmp_path / "wind.csv").write_text("hour,value\n" + "".join(
+        f"{i},{long_value if i == 7 else 1.0}\n"
+        for i in range(HOURS_PER_YEAR)))
+    doc = json.loads((CONFIGS / "smoke.json").read_text())
+    doc["series"]["wind"] = "wind.csv"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["evaluate", "--config", str(bad), "--policy",
+                     "never-invest", "--trials", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "wind.csv: field larger than field limit" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,5 @@
 """Schema validation, synthetic series determinism, and the config digest."""
 
-import csv
 import json
 import math
 import re
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS
-from storeplan import config
 from storeplan.config import (DEFAULT_SYNTH_MEAN, HOURS_PER_YEAR,
                               ConfigError, HourlySeries, config_hash,
                               load_config, load_series, synth_profile,
@@ -216,94 +214,6 @@ def test_load_series_rejects_unparsable_row_naming_it(tmp_path, row):
         for i in range(HOURS_PER_YEAR):
             fh.write(f"{row}\n" if i == 7 else f"{i},1.0\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: row 7: ")):
-        load_series(path, "demand")
-
-
-def row_by_row_series(path):
-    """`load_series`' values as a csv reader and a loop over its rows give
-    them, or the exception that loop raises."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["hour", "value"]:
-            raise ConfigError("header")
-        rows = list(reader)
-    if len(rows) != HOURS_PER_YEAR:
-        raise ConfigError(f"{len(rows)} rows")
-    values = np.empty(HOURS_PER_YEAR)
-    for i, row in enumerate(rows):
-        try:
-            if len(row) != 2 or int(row[0]) != i:
-                raise ValueError
-            values[i] = float(row[1])
-        except ValueError:
-            raise ConfigError(f"row {i}: expected 'hour,value' with hour={i} "
-                              f"and a number, got {row}") from None
-        if not math.isfinite(values[i]) or values[i] < 0:
-            raise ConfigError(f"row {i}: {row[1]}")
-    return values
-
-
-def series_text(row7="7,2.5", rows=None, end="\n"):
-    """A series file of repr-written values with row 7 as given, or with
-    `rows` in place of every row."""
-    values = stream(11, "series-text").random(HOURS_PER_YEAR) * 500.0
-    rows = rows or [row7 if i == 7 else f"{i},{v!r}"
-                    for i, v in enumerate(values.tolist())]
-    return "hour,value" + end + end.join(rows) + end
-
-
-# the last row left alone, after rows whose commas are shifted by one but
-# whose fields still alternate hour str(i), value
-MISALIGNED = ([f"{i},1.0" for i in range(7)] + ["7,1.0,8"]
-              + [f"1.0,{i + 1}" for i in range(8, HOURS_PER_YEAR - 1)]
-              + ["1.0"])
-
-
-# a file by what it holds; the row names are row 7's text
-SPELLINGS = {
-    "repr": series_text(),
-    **{row: series_text(row) for row in [
-        "7,-0", "7,-0.0", "7,1e5", "7,1E+05", "7,+1.5", "7,.5", "7,5.",
-        "7,1_0", "7, 5", " 7,5", "07,5", '"7","5"', "7,nan", "7,1e400",
-        "7,-1.0", "7,1..2", "7,e", "7,", "7.0,5", "7,5,5", "7"]},
-    "crlf": series_text(end="\r\n"),
-    "no final newline": series_text().rstrip("\n"),
-    "blank last line": series_text() + "\n",
-    "header 'hour, value'": series_text().replace("hour,value", "hour, value"),
-    "commas shifted": series_text(rows=MISALIGNED),
-    "field past csv's limit": series_text(
-        "7," + "0" * csv.field_size_limit() + "1"),
-}
-
-
-@pytest.mark.parametrize("name", SPELLINGS)
-def test_load_series_reads_each_spelling_as_a_row_loop_does(tmp_path, name):
-    """Whether a file takes the one-pass read or the row loop, it loads the
-    same bits, or fails at the same row with the same kind of error."""
-    path = tmp_path / "series.csv"
-    path.write_bytes(SPELLINGS[name].encode())
-    try:
-        want = row_by_row_series(path)
-    except (ConfigError, csv.Error) as exc:
-        with pytest.raises(type(exc)) as got:
-            load_series(path, "demand")
-        if isinstance(exc, ConfigError) and "row 7" in str(exc):
-            assert re.search(r"row (\d+)", str(got.value))[1] == "7"
-        return
-    assert load_series(path, "demand").values.tobytes() == want.tobytes()
-
-
-def test_repr_written_series_take_the_one_pass_read(tmp_path, monkeypatch):
-    """Only a file in another spelling reaches the row-by-row csv read."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("read row by row")
-
-    monkeypatch.setattr(config.csv, "reader", refuse)
-    path = tmp_path / "series.csv"
-    path.write_text(series_text())
-    load_series(path, "demand")
-    path.write_text(series_text("7,1_0"))
-    with pytest.raises(AssertionError, match="row by row"):
         load_series(path, "demand")
 
 
